@@ -9,9 +9,8 @@ from .bloch import (BinaryBlochChannel, GradientBoundaryError, SweepCell,
                     SweepGrid, approx_p1, binary_entropy, error_sweep,
                     exact_p1, holevo_bloch, holevo_bloch_gradient,
                     max_error_by_range, realize_channel)
-from .hermitian import (EigenConvergenceError, EigenDecomposition,
-                        hermitian_eigen, matrix_log, trace_product,
-                        validate_hermitian)
+from .hermitian import (EigenDecomposition, hermitian_eigen, matrix_log,
+                        trace_product, validate_hermitian)
 from .qinfo import (CqChannel, average_state, check_linear_independence,
                     holevo_information, relative_entropy, validate_density,
                     validate_distribution, von_neumann_entropy)
@@ -23,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchResult", "BenchSpec", "BinaryBlochChannel", "CqChannel",
-    "EigenConvergenceError", "EigenDecomposition", "GradientBoundaryError",
-    "IterateRecord", "SolveReport", "SolverConfig", "SupportViolationError",
+    "EigenDecomposition", "GradientBoundaryError", "IterateRecord",
+    "SolveReport", "SolverConfig", "SupportViolationError",
     "SweepCell", "SweepGrid", "approx_p1", "average_state", "ba_step",
     "binary_entropy", "check_iteration_budget", "check_linear_independence",
     "error_sweep", "exact_p1", "hermitian_eigen", "holevo_bloch",

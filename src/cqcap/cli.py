@@ -88,8 +88,11 @@ def _json_float(x: float):
 
 def _cmd_capacity(args) -> int:
     ch = load_channel_file(args.channel_file)
-    cfg = SolverConfig(gap_tol=args.eps, max_iters=args.max_iter,
-                       record_history=args.history)
+    try:
+        cfg = SolverConfig(gap_tol=args.eps, max_iters=args.max_iter,
+                           record_history=args.history)
+    except ValueError as err:
+        raise CliInputError(str(err)) from err
     report = solve(ch, cfg)
     if args.format == "json":
         payload = {
@@ -214,8 +217,18 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _jobs_count(text: str) -> int:
+    # argparse also applies this to the string default, the CQCAP_JOBS
+    # value, but only in the subcommand that runs: `capacity` never reads it.
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--jobs and CQCAP_JOBS take an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    default_jobs = int(os.environ.get("CQCAP_JOBS", "1"))
+    default_jobs = os.environ.get("CQCAP_JOBS", "1")
     parser = _Parser(prog="cqcap",
                      description="Classical-quantum channel capacity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -247,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", default="sweep.csv")
     sw.add_argument("--range-out", default=None,
                     help="range-maxima CSV (default: derived from --out)")
-    sw.add_argument("--jobs", type=int, default=default_jobs)
+    sw.add_argument("--jobs", type=_jobs_count, default=default_jobs)
     sw.set_defaults(func=_cmd_sweep)
 
     be = sub.add_parser("bench", help="random-channel iteration benchmark")
@@ -257,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--trials", type=int, default=200)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--out", default=None)
-    be.add_argument("--jobs", type=int, default=default_jobs)
+    be.add_argument("--jobs", type=_jobs_count, default=default_jobs)
     be.set_defaults(func=_cmd_bench)
     return parser
 

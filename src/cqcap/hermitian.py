@@ -1,32 +1,18 @@
-"""Dense complex Hermitian linear algebra: cyclic Jacobi eigensolver and
+"""Dense complex Hermitian linear algebra: eigendecomposition and
 functional calculus (matrix logarithm, trace pairing).
 
-Everything here targets the small matrices (m <= ~16) that the capacity
-solver works with, so the eigensolver is a plain cyclic Jacobi iteration.
-When numba is importable the sweep kernel is JIT-compiled; otherwise the
-pure-Python version runs unchanged.
+Eigendecompositions call LAPACK `eigh` on the symmetrized input and return
+the spectrum in descending order.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _njit = None
-
 HERMITIAN_TOL = 1e-12
-JACOBI_STOP_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 DEFAULT_ZERO_TOL = 1e-12
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the cap before the off-diagonal norm target."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -56,96 +42,24 @@ def validate_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return a
 
 
-def _jacobi_kernel(a, v, stop_off, max_sweeps):
-    # Cyclic Jacobi on a Hermitian matrix, in place. `a` is driven towards
-    # diagonal form while `v` accumulates the rotations (A = V diag V^H).
-    # Rotation choice follows the stable small-angle root so each sweep is
-    # a sequence of inner rotations.
-    m = a.shape[0]
-    off = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            off += 2.0 * (a[i, j].real ** 2 + a[i, j].imag ** 2)
-    off = math.sqrt(off)
-    sweeps = 0
-    while off > stop_off and sweeps < max_sweeps:
-        sweeps += 1
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                ei = apq / r  # e^{i phase}
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                se = (t * c) * ei
-                se_c = se.conjugate()
-                for k in range(m):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp + se_c * akq
-                    a[k, q] = -se * akp + c * akq
-                for k in range(m):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk + se * aqk
-                    a[q, k] = -se_c * apk + c * aqk
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = complex(a[p, p].real, 0.0)
-                a[q, q] = complex(a[q, q].real, 0.0)
-                for k in range(m):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp + se_c * vkq
-                    v[k, q] = -se * vkp + c * vkq
-        off = 0.0
-        for i in range(m):
-            for j in range(i + 1, m):
-                off += 2.0 * (a[i, j].real ** 2 + a[i, j].imag ** 2)
-        off = math.sqrt(off)
-    return off, sweeps
-
-
-if _njit is not None:
-    _jacobi_kernel = _njit(cache=True)(_jacobi_kernel)
-
-
-def _eigh(a: np.ndarray, stop_tol: float = JACOBI_STOP_TOL,
-          max_sweeps: int = JACOBI_MAX_SWEEPS):
+def _eigh(a: np.ndarray):
     """Eigendecomposition of a Hermitian array without input validation.
 
     Internal fast path; returns (eigenvalues desc, eigenvector columns).
     """
-    work = np.ascontiguousarray(0.5 * (a + a.conj().T), dtype=np.complex128)
-    m = work.shape[0]
-    vec = np.eye(m, dtype=np.complex128)
-    stop_off = stop_tol * (1.0 + float(np.linalg.norm(work)))
-    off, _ = _jacobi_kernel(work, vec, stop_off, max_sweeps)
-    if off > stop_off:
-        raise EigenConvergenceError(
-            f"Jacobi did not converge in {max_sweeps} sweeps; "
-            f"final off-diagonal norm {off:.3e} (target {stop_off:.3e})")
-    w = work.diagonal().real.copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], vec[:, order]
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return w[::-1], v[:, ::-1]
 
 
-def hermitian_eigen(a, stop_tol: float = JACOBI_STOP_TOL,
-                    max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
+def hermitian_eigen(a) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
-    The input is symmetrized before sweeping, so eigenvalues come out as
-    exact reals. Eigenvalues are sorted descending with matching columns
-    in the returned eigenvector matrix.
+    The input is validated, then symmetrized before LAPACK `eigh`.
+    Eigenvalues are real and sorted descending, with matching columns in
+    the returned eigenvector matrix. LAPACK failures raise LinAlgError.
     """
     a = validate_hermitian(a)
-    w, v = _eigh(a, stop_tol=stop_tol, max_sweeps=max_sweeps)
+    w, v = _eigh(a)
     return EigenDecomposition(w, v)
 
 

@@ -87,6 +87,13 @@ class TestCapacity:
         assert main(["capacity", str(path)]) == EXIT_INPUT
         assert "re, im" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--eps", "0"],
+                                       ["--eps", "nan"]])
+    def test_bad_solver_config_rejected(self, flags, capsys):
+        code = main(["capacity", str(CHANNELS / "z_channel.json")] + flags)
+        assert code == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
     def test_loader_roundtrip(self):
         ch = load_channel_file(CHANNELS / "z_channel.json")
         assert ch.input_size == 2
@@ -193,3 +200,19 @@ def test_jobs_env_variable_sets_default(monkeypatch):
     monkeypatch.delenv("CQCAP_JOBS")
     args = build_parser().parse_args(["sweep"])
     assert args.jobs == 1
+
+
+def test_capacity_ignores_jobs_env_variable(monkeypatch, capsys):
+    monkeypatch.setenv("CQCAP_JOBS", "two")
+    assert main(["capacity", str(CHANNELS / "z_channel.json")]) == EXIT_OK
+    assert "converged   : yes" in capsys.readouterr().out
+
+
+def test_bench_rejects_bad_jobs_env_variable(monkeypatch, capsys):
+    monkeypatch.setenv("CQCAP_JOBS", "two")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "1"])
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "CQCAP_JOBS" in err

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,17 +33,30 @@ class TestHermitianEigen:
         assert np.allclose(np.abs(v[:, 1]), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_random_reconstruction_orthonormality_and_values(self):
-        # eigenvalues are cross-checked against LAPACK as an independent oracle
+        # eigenvalues of a seeded subset are checked against mpmath at 30
+        # digits, an oracle independent of LAPACK
         rng = np.random.default_rng(1234)
-        for _ in range(1000):
-            m = int(rng.integers(2, 11))
-            a = rand_hermitian(rng, m)
+        inputs = [rand_hermitian(rng, int(rng.integers(2, 17)))
+                  for _ in range(1000)]
+        oracle = set(rng.choice(len(inputs), size=30, replace=False).tolist())
+        # degenerate spectra: a repeated eigenvalue and a rank-3 8x8 state
+        u, _ = np.linalg.qr(rand_hermitian(rng, 6) + 1j * np.eye(6))
+        inputs.append((u * [2.0, 2.0, 2.0, 0.5, -1.0, -1.0]) @ u.conj().T)
+        g = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        inputs.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        for k, a in enumerate(inputs):
+            m = a.shape[0]
             w, v = hermitian_eigen(a)
             rec = np.linalg.norm(v @ np.diag(w) @ v.conj().T - a)
             assert rec <= 1e-11 * (1.0 + np.linalg.norm(a))
             assert np.abs(v.conj().T @ v - np.eye(m)).max() <= 1e-12
-            ref = np.linalg.eigvalsh(a)[::-1]
-            assert np.abs(w - ref).max() <= 1e-11 * (1.0 + np.abs(ref).max())
+            assert np.all(np.diff(w) <= 0)
+            if k in oracle:
+                with mpmath.workdps(30):
+                    e = mpmath.eighe(mpmath.matrix(a.tolist()),
+                                     eigvals_only=True)
+                ref = np.sort(np.array([float(x) for x in e]))[::-1]
+                assert np.abs(w - ref).max() <= 1e-11 * (1.0 + np.abs(ref).max())
 
     def test_descending_order(self):
         rng = np.random.default_rng(5)
