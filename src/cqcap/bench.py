@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .qinfo import CqChannel
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, _require_positive_finite, solve
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class BenchSpec:
             raise ValueError("input sizes must be >= 2")
         if any(m < 2 for m in self.output_dims):
             raise ValueError("output dimensions must be >= 2")
-        if any(a <= 0.0 for a in self.accuracies):
-            raise ValueError("accuracies must be positive")
+        for a in self.accuracies:
+            _require_positive_finite("accuracy", a)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -89,13 +89,11 @@ def _bench_trial(task) -> tuple[int, bool]:
     return report.iterations, report.converged
 
 
-def run_bench(spec: BenchSpec, jobs: int = 1, return_logs: bool = False):
+def run_bench(spec: BenchSpec, jobs: int = 1) -> list[BenchResult]:
     """Aggregate iteration counts per (n, m, accuracy) cell.
 
-    Returns a list of BenchResult in cell order; with return_logs=True also
-    returns {(n, m, accuracy): [per-trial iteration counts]} for budget
-    auditing. Averages are exact (integer sums) and independent of the
-    worker count.
+    Returns a list of BenchResult in cell order. Averages are exact
+    (integer sums) and independent of the worker count.
     """
     cells = list(product(spec.input_sizes, spec.output_dims,
                          enumerate(spec.accuracies)))
@@ -108,7 +106,6 @@ def run_bench(spec: BenchSpec, jobs: int = 1, return_logs: bool = False):
         outcomes = [_bench_trial(t) for t in tasks]
 
     results = []
-    logs: dict[tuple[int, int, float], list[int]] = {}
     for idx, (n, m, (ai, acc)) in enumerate(cells):
         chunk = outcomes[idx * spec.trials:(idx + 1) * spec.trials]
         counts = [it for it, _ in chunk]
@@ -117,21 +114,14 @@ def run_bench(spec: BenchSpec, jobs: int = 1, return_logs: bool = False):
                                    avg_iterations=sum(counts) / spec.trials,
                                    max_iterations=max(counts),
                                    trials_failed=failed))
-        logs[(n, m, acc)] = counts
-    if return_logs:
-        return results, logs
     return results
 
 
-def check_iteration_budget(results: list[BenchResult],
-                           iteration_logs: dict) -> bool:
-    """True iff no trial exceeded ln(n)/accuracy iterations."""
-    for res in results:
-        budget = iteration_budget(res.n, res.accuracy)
-        counts = iteration_logs[(res.n, res.m, res.accuracy)]
-        if any(c > budget for c in counts):
-            return False
-    return True
+def check_iteration_budget(results: list[BenchResult]) -> bool:
+    """True iff no trial exceeded ln(n)/accuracy iterations, read off each
+    cell's max_iterations."""
+    return all(r.max_iterations <= iteration_budget(r.n, r.accuracy)
+               for r in results)
 
 
 def write_bench_csv(results: list[BenchResult], path) -> None:

@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 
 from .qinfo import LN2, CqChannel
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, _require_positive_finite, solve
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EXACT_P1_DPS = 40
@@ -63,12 +63,11 @@ class SweepGrid:
     reference_gap_tol: float = 1e-6   # solver stopping gap for the reference value
 
     def __post_init__(self):
-        if self.lambda_step <= 0.0 or self.theta_step <= 0.0:
-            raise ValueError("grid steps must be positive")
+        _require_positive_finite("lambda_step", self.lambda_step)
+        _require_positive_finite("theta_step", self.theta_step)
+        _require_positive_finite("reference_gap_tol", self.reference_gap_tol)
         if not 0.5 < self.lambda_max <= 1.0:
             raise ValueError(f"lambda_max must be in (0.5, 1], got {self.lambda_max!r}")
-        if self.reference_gap_tol <= 0.0:
-            raise ValueError("reference_gap_tol must be positive")
 
     def lambda_values(self) -> list[float]:
         return _axis(0.5, self.lambda_max, self.lambda_step)

@@ -200,9 +200,9 @@ def _cmd_bench(args) -> int:
                          trials=args.trials, seed=args.seed)
     except ValueError as err:
         raise CliInputError(str(err)) from err
-    results, logs = run_bench(spec, jobs=args.jobs, return_logs=True)
+    results = run_bench(spec, jobs=args.jobs)
     print(format_bench_table(results))
-    budget_ok = check_iteration_budget(results, logs)
+    budget_ok = check_iteration_budget(results)
     print(f"iteration budget ln(n)/accuracy respected: {'yes' if budget_ok else 'NO'}")
     if args.out:
         try:

@@ -63,20 +63,22 @@ def hermitian_eigen(a) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def matrix_log(a, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def matrix_log(a) -> np.ndarray:
     """Matrix logarithm of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues at or below zero_tol are mapped to 0 instead of -inf; this
-    null-space convention is only sound when downstream traces annihilate
-    the null space, which callers must guarantee via support checks.
+    Eigenvalues at or below DEFAULT_ZERO_TOL are mapped to 0 instead of -inf;
+    this null-space convention is only sound when downstream traces
+    annihilate the null space, which callers must guarantee via support
+    checks.
     """
     a = validate_hermitian(a)
     w, v = _eigh(a)
-    if float(w.min()) < -zero_tol:
+    if float(w.min()) < -DEFAULT_ZERO_TOL:
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {w.min():.3e} "
-            f"< -{zero_tol:.1e}")
-    fw = np.where(w > zero_tol, np.log(np.maximum(w, zero_tol)), 0.0)
+            f"< -{DEFAULT_ZERO_TOL:.1e}")
+    fw = np.where(w > DEFAULT_ZERO_TOL,
+                  np.log(np.maximum(w, DEFAULT_ZERO_TOL)), 0.0)
     out = (v * fw) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 

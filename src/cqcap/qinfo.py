@@ -1,6 +1,10 @@
 """Quantum-information primitives on density matrices: von Neumann entropy,
 relative entropy with support checking, Holevo information, and channel
-containers. All entropic quantities are in nats unless stated otherwise."""
+containers. All entropic quantities are in nats unless stated otherwise.
+
+SUPPORT_TOL is the one zero-eigenvalue cutoff: eigenvalues at or below it
+count as zero in entropies, in the log of an average state and in the
+support test of a relative entropy."""
 
 from __future__ import annotations
 
@@ -39,12 +43,15 @@ def validate_density(rho, name: str = "rho") -> np.ndarray:
 
 
 def validate_distribution(p, n: int | None = None) -> np.ndarray:
-    """Check nonnegativity and normalization of an input distribution."""
+    """Check finiteness, nonnegativity and normalization of an input
+    distribution."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"distribution must be a vector, got shape {p.shape}")
     if n is not None and p.shape[0] != n:
         raise ValueError(f"length mismatch: expected {n} weights, got {p.shape[0]}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"non-finite weight in {p.tolist()!r}")
     if float(p.min()) < 0.0:
         raise ValueError(f"negative weight {p.min()!r}")
     s = float(p.sum())
@@ -58,8 +65,9 @@ class CqChannel:
     """A classical-quantum channel: one density matrix per input letter.
 
     `states` is an (n, m, m) complex stack; every slice must satisfy the
-    density-matrix invariants. The per-state spectra computed during
-    validation are kept (descending) since downstream code reuses them.
+    density-matrix invariants. Validation diagonalizes every state, so the
+    von Neumann entropies (n,) in nats are computed once here and kept in
+    `entropies`.
     """
 
     states: np.ndarray
@@ -73,14 +81,14 @@ class CqChannel:
             raise ValueError(f"need at least 2 input letters, got {n}")
         if m < 2:
             raise ValueError(f"need output dimension >= 2, got {m}")
-        spectra = np.empty((n, m))
+        entropies = np.empty(n)
         for x in range(n):
             _, w = _density_spectrum(states[x], name=f"states[{x}]")
-            spectra[x] = w
+            entropies[x] = _entropy_from_eigs(w)
         states.flags.writeable = False
-        spectra.flags.writeable = False
+        entropies.flags.writeable = False
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "state_spectra", spectra)
+        object.__setattr__(self, "entropies", entropies)
 
     @property
     def input_size(self) -> int:
@@ -91,43 +99,56 @@ class CqChannel:
         return self.states.shape[1]
 
 
-def _entropy_from_eigs(w, zero_tol: float) -> float:
-    pos = w > zero_tol
+def _entropy_from_eigs(w) -> float:
+    pos = w > SUPPORT_TOL
     if not np.any(pos):
         return 0.0
     wp = w[pos]
     return float(-np.dot(wp, np.log(wp)))
 
 
-def von_neumann_entropy(rho, zero_tol: float = 1e-12) -> float:
+def _divergences(states, entropies, w, v) -> np.ndarray:
+    """D(rho_x || sigma) in nats for every slice rho_x of `states`.
+
+    `entropies` holds H(rho_x) and (w, v) is sigma's eigendecomposition.
+    Eigenvalues at or below SUPPORT_TOL are dropped from ln sigma; a letter
+    whose mass along such an eigenvector exceeds SUPPORT_TOL lies outside
+    sigma's support and gets +inf.
+    """
+    keep = w > SUPPORT_TOL
+    fw = np.where(keep, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
+    log_sigma = (v * fw) @ v.conj().T
+    d = -entropies - np.einsum("xij,ji->x", states, log_sigma).real
+    if not np.all(keep):
+        vs = v[:, ~keep]
+        overlaps = np.einsum("ik,xij,jk->xk", vs.conj(), states, vs).real
+        d[np.any(overlaps > SUPPORT_TOL, axis=1)] = math.inf
+    return d
+
+
+def von_neumann_entropy(rho) -> float:
     """-Tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
     a, w = _density_spectrum(rho)
-    h = _entropy_from_eigs(w, zero_tol)
+    h = _entropy_from_eigs(w)
     hmax = math.log(a.shape[0])
     if not (-1e-10 <= h <= hmax + 1e-10):
         raise AssertionError(f"entropy {h!r} outside [0, ln m] for m={a.shape[0]}")
     return h
 
 
-def relative_entropy(rho, sigma, support_tol: float = SUPPORT_TOL) -> float:
+def relative_entropy(rho, sigma) -> float:
     """Tr[rho (ln rho - ln sigma)] in nats, or +inf on support violation.
 
-    A violation means sigma has an eigenvector with eigenvalue <= support_tol
-    that carries more than support_tol of rho's mass.
+    A violation means sigma has an eigenvector with eigenvalue <= SUPPORT_TOL
+    that carries more than SUPPORT_TOL of rho's mass.
     """
     rho_a, w_rho = _density_spectrum(rho, name="rho")
     sig_a, _ = _density_spectrum(sigma, name="sigma")
     if rho_a.shape != sig_a.shape:
         raise ValueError(f"dimension mismatch: {rho_a.shape} vs {sig_a.shape}")
-    w_sig, v_sig = _eigh(sig_a)
-    # mass of rho along each eigenvector of sigma
-    overlaps = np.einsum("ik,ij,jk->k", v_sig.conj(), rho_a, v_sig).real
-    small = w_sig <= support_tol
-    if np.any(small & (overlaps > support_tol)):
-        return math.inf
-    keep = ~small
-    cross = float(np.dot(overlaps[keep], np.log(w_sig[keep]))) if np.any(keep) else 0.0
-    return -_entropy_from_eigs(w_rho, support_tol) - cross
+    w, v = _eigh(sig_a)
+    return float(_divergences(rho_a[None], np.array([_entropy_from_eigs(w_rho)]),
+                              w, v)[0])
 
 
 def average_state(p, ch: CqChannel) -> np.ndarray:
@@ -136,15 +157,13 @@ def average_state(p, ch: CqChannel) -> np.ndarray:
     return np.einsum("x,xij->ij", p, ch.states)
 
 
-def holevo_information(p, ch: CqChannel, zero_tol: float = 1e-12) -> float:
+def holevo_information(p, ch: CqChannel) -> float:
     """H(sum_x p_x rho_x) - sum_x p_x H(rho_x) in nats."""
     p = validate_distribution(p, n=ch.input_size)
-    sigma = np.einsum("x,xij->ij", p, ch.states)
-    w, _ = _eigh(sigma)
-    mix_entropy = _entropy_from_eigs(w, zero_tol)
-    cond = sum(p[x] * _entropy_from_eigs(ch.state_spectra[x], zero_tol)
-               for x in range(ch.input_size))
-    chi = mix_entropy - cond
+    w, _ = _eigh(np.einsum("x,xij->ij", p, ch.states))
+    # summed with -H(rho_x) rather than subtracted: a pure spectrum has
+    # entropy -0.0, and this form keeps a zero Holevo value at +0.0
+    chi = _entropy_from_eigs(w) + float(p @ -ch.entropies)
     cap = math.log(min(ch.input_size, ch.output_dim))
     if not (-1e-10 <= chi <= cap + 1e-10):
         raise AssertionError(f"Holevo information {chi!r} outside [0, {cap!r}]")

@@ -13,12 +13,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .hermitian import _eigh
-from .qinfo import (LN2, SUPPORT_TOL, CqChannel, _entropy_from_eigs,
+from .qinfo import (LN2, CqChannel, _divergences, _entropy_from_eigs,
                     validate_distribution)
 
 log = logging.getLogger(__name__)
@@ -32,16 +31,20 @@ class SupportViolationError(RuntimeError):
     degenerate inputs."""
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    """Reject a step or tolerance that is NaN, infinite or not above 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     gap_tol: float = 1e-6          # stop when upper - lower <= gap_tol (nats)
     max_iters: int = 100_000
-    support_tol: float = SUPPORT_TOL
     record_history: bool = False
 
     def __post_init__(self):
-        if not self.gap_tol > 0.0:
-            raise ValueError(f"gap_tol must be positive, got {self.gap_tol!r}")
+        _require_positive_finite("gap_tol", self.gap_tol)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
@@ -66,35 +69,16 @@ class SolveReport:
     history: list[IterateRecord] | None = None
 
 
-class _Context(NamedTuple):
-    states: np.ndarray        # (n, m, m)
-    tr_rho_ln_rho: np.ndarray  # (n,), equals -H(rho_x)
-
-
-def _build_context(ch: CqChannel, support_tol: float) -> _Context:
-    tr_ln = np.array([-_entropy_from_eigs(ch.state_spectra[x], support_tol)
-                      for x in range(ch.input_size)])
-    return _Context(ch.states, tr_ln)
-
-
-def _certificates(p: np.ndarray, ctx: _Context, support_tol: float):
+def _certificates(p: np.ndarray, ch: CqChannel):
     """Per-letter relative entropies to the average state plus both bounds.
 
     Returns (d, lower, upper) where d[x] = D(rho_x || rho_p) with +inf on
     support violations, lower is the Holevo information of p and upper is
     max(d) over every letter including zero-weight ones.
     """
-    rho_p = np.einsum("x,xij->ij", p, ctx.states)
-    w, v = _eigh(rho_p)
-    keep = w > support_tol
-    fw = np.where(keep, np.log(np.maximum(w, support_tol)), 0.0)
-    log_rho_p = (v * fw) @ v.conj().T
-    d = ctx.tr_rho_ln_rho - np.einsum("xij,ji->x", ctx.states, log_rho_p).real
-    if not np.all(keep):
-        vs = v[:, ~keep]
-        overlaps = np.einsum("ik,xij,jk->xk", vs.conj(), ctx.states, vs).real
-        d[np.any(overlaps > support_tol, axis=1)] = math.inf
-    lower = _entropy_from_eigs(w, support_tol) + float(p @ ctx.tr_rho_ln_rho)
+    w, v = _eigh(np.einsum("x,xij->ij", p, ch.states))
+    d = _divergences(ch.states, ch.entropies, w, v)
+    lower = _entropy_from_eigs(w) + float(p @ -ch.entropies)  # as holevo_information
     return d, lower, float(d.max())
 
 
@@ -117,23 +101,21 @@ def _update(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     return r / r.sum()
 
 
-def ba_step(p, ch: CqChannel, support_tol: float = SUPPORT_TOL) -> np.ndarray:
+def ba_step(p, ch: CqChannel) -> np.ndarray:
     """One iteration of the capacity fixed-point update.
 
     Zero-weight letters stay at zero; a +inf relative entropy on a
     positive-weight letter raises SupportViolationError.
     """
     p = validate_distribution(p, n=ch.input_size)
-    ctx = _build_context(ch, support_tol)
-    d, _, _ = _certificates(p, ctx, support_tol)
+    d, _, _ = _certificates(p, ch)
     return _update(p, d)
 
 
-def upper_bound(p, ch: CqChannel, support_tol: float = SUPPORT_TOL) -> float:
+def upper_bound(p, ch: CqChannel) -> float:
     """max_x D(rho_x || rho_p) over all letters (nats, +inf possible)."""
     p = validate_distribution(p, n=ch.input_size)
-    ctx = _build_context(ch, support_tol)
-    return _certificates(p, ctx, support_tol)[2]
+    return _certificates(p, ch)[2]
 
 
 def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:
@@ -145,10 +127,9 @@ def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:
     Non-convergence is reported (converged=False), not raised.
     """
     cfg = cfg or SolverConfig()
-    ctx = _build_context(ch, cfg.support_tol)
     n = ch.input_size
     p = np.full(n, 1.0 / n)
-    d, lower, upper = _certificates(p, ctx, cfg.support_tol)
+    d, lower, upper = _certificates(p, ch)
     history: list[IterateRecord] | None = None
     if cfg.record_history:
         history = [IterateRecord(0, lower, upper, p.copy())]
@@ -160,7 +141,7 @@ def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:
         except SupportViolationError as err:
             log.warning("stopping at iteration %d: %s", t, err)
             break
-        d, lower, upper = _certificates(p, ctx, cfg.support_tol)
+        d, lower, upper = _certificates(p, ch)
         iterations = t
         if history is not None:
             history.append(IterateRecord(t, lower, upper, p.copy()))
@@ -173,15 +154,13 @@ def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:
                        p_star=p, converged=converged, history=history)
 
 
-def optimality_kkt_check(report: SolveReport, ch: CqChannel, tol: float,
-                         support_tol: float = SUPPORT_TOL) -> bool:
+def optimality_kkt_check(report: SolveReport, ch: CqChannel, tol: float) -> bool:
     """Stationarity test at the reported optimum.
 
     True iff max_x D(rho_x || rho*) <= capacity + tol and every letter with
     weight above 10*tol has D within tol of the capacity.
     """
-    ctx = _build_context(ch, support_tol)
-    d, _, _ = _certificates(report.p_star, ctx, support_tol)
+    d, _, _ = _certificates(report.p_star, ch)
     cap = report.capacity_nats
     if float(d.max()) > cap + tol:
         return False

@@ -146,14 +146,14 @@ def test_04_iteration_budget(certified_runs):
 def test_05_benchmark_bands():
     spec_a = BenchSpec((2,), (2,), (1e-3,), trials=200, seed=BENCH_SEED)
     spec_b = BenchSpec((8,), (8,), (1e-5,), trials=200, seed=BENCH_SEED)
-    res_a, logs_a = run_bench(spec_a, return_logs=True)
-    res_b, logs_b = run_bench(spec_b, return_logs=True)
+    res_a = run_bench(spec_a)
+    res_b = run_bench(spec_b)
     cell_a, cell_b = res_a[0], res_b[0]
     ok = (2.0 <= cell_a.avg_iterations <= 21.0
           and 194.0 <= cell_b.avg_iterations <= 1746.0
           and cell_a.trials_failed == 0 and cell_b.trials_failed == 0
-          and check_iteration_budget(res_a, logs_a)
-          and check_iteration_budget(res_b, logs_b))
+          and check_iteration_budget(res_a)
+          and check_iteration_budget(res_b))
     assert _report("05 benchmark-bands", ok,
                    f"(2,2,1e-3) avg={cell_a.avg_iterations:.2f} in [2, 21]; "
                    f"(8,8,1e-5) avg={cell_b.avg_iterations:.2f} in [194, 1746]")

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cqcap.bench import (BenchResult, BenchSpec, check_iteration_budget,
-                         format_bench_table, iteration_budget, random_channel,
+from cqcap.bench import (BenchResult, BenchSpec, _bench_trial,
+                         check_iteration_budget, format_bench_table,
+                         iteration_budget, random_channel,
                          random_density_matrix, run_bench, trial_rng,
                          write_bench_csv)
 
@@ -61,12 +62,13 @@ class TestRunBench:
 
     def test_cell_layout_and_fields(self):
         spec = BenchSpec((2, 3), (2,), (1e-1, 1e-2), trials=3, seed=1)
-        results, logs = run_bench(spec, return_logs=True)
+        results = run_bench(spec)
         assert [(r.n, r.m, r.accuracy) for r in results] == \
             [(2, 2, 1e-1), (2, 2, 1e-2), (3, 2, 1e-1), (3, 2, 1e-2)]
         for r in results:
-            counts = logs[(r.n, r.m, r.accuracy)]
-            assert len(counts) == 3
+            ai = spec.accuracies.index(r.accuracy)
+            counts = [_bench_trial((spec.seed, r.n, r.m, ai, t, r.accuracy))[0]
+                      for t in range(3)]
             assert r.max_iterations == max(counts)
             assert r.avg_iterations == pytest.approx(sum(counts) / 3)
             assert r.avg_iterations <= r.max_iterations
@@ -82,8 +84,9 @@ class TestRunBench:
             BenchSpec((1,), (2,), (1e-3,))
         with pytest.raises(ValueError):
             BenchSpec((2,), (1,), (1e-3,))
-        with pytest.raises(ValueError):
-            BenchSpec((2,), (2,), (0.0,))
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="accuracy"):
+                BenchSpec((2,), (2,), (1e-3, bad))
         with pytest.raises(ValueError):
             BenchSpec((2,), (2,), (1e-3,), trials=0)
 
@@ -95,17 +98,17 @@ class TestIterationBudget:
 
     def test_real_runs_respect_budget(self):
         spec = BenchSpec((2, 5), (2,), (1e-3,), trials=10, seed=11)
-        results, logs = run_bench(spec, return_logs=True)
-        assert check_iteration_budget(results, logs)
+        results = run_bench(spec)
+        assert check_iteration_budget(results)
         assert all(r.trials_failed == 0 for r in results)
 
     def test_synthetic_violation_detected(self):
-        res = [BenchResult(n=2, m=2, accuracy=1e-3, avg_iterations=5.0,
-                           max_iterations=1000, trials_failed=0)]
-        logs = {(2, 2, 1e-3): [3, 1000]}
-        assert not check_iteration_budget(res, logs)
-        logs = {(2, 2, 1e-3): [3, 600]}
-        assert check_iteration_budget(res, logs)
+        # the budget for n = 2 at accuracy 1e-3 is ln(2)/1e-3 ~ 693
+        def cell(max_iterations):
+            return BenchResult(n=2, m=2, accuracy=1e-3, avg_iterations=5.0,
+                               max_iterations=max_iterations, trials_failed=0)
+        assert not check_iteration_budget([cell(600), cell(1000)])
+        assert check_iteration_budget([cell(600)])
 
 
 def test_csv_and_table_rendering(tmp_path):

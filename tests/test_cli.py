@@ -88,7 +88,7 @@ class TestCapacity:
         assert "re, im" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--eps", "0"],
-                                       ["--eps", "nan"]])
+                                       ["--eps", "nan"], ["--eps", "inf"]])
     def test_bad_solver_config_rejected(self, flags, capsys):
         code = main(["capacity", str(CHANNELS / "z_channel.json")] + flags)
         assert code == EXIT_INPUT
@@ -159,6 +159,10 @@ class TestSweep:
     def test_bad_grid_rejected(self, capsys):
         assert main(["sweep", "--lambda-step", "0"]) == EXIT_INPUT
         capsys.readouterr()
+        for flags in (["--lambda-step", "nan"], ["--theta-step", "inf"],
+                      ["--ref-eps", "nan"]):
+            assert main(["sweep"] + flags) == EXIT_INPUT
+            assert "error:" in capsys.readouterr().err
 
 
 class TestBench:

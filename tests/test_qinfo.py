@@ -197,6 +197,9 @@ class TestValidation:
             validate_distribution(np.array([1.1, -0.1]))
         with pytest.raises(ValueError, match="sum"):
             validate_distribution(np.array([0.5, 0.4]))
+        for bad in ([math.nan, math.nan], [math.inf, 0.5], [0.5, 0.5, math.nan]):
+            with pytest.raises(ValueError, match="non-finite"):
+                validate_distribution(np.array(bad))
         validate_distribution(np.array([0.5, 0.5]))
 
     def test_density_validator_passes_valid_inputs(self):

@@ -1,0 +1,29 @@
+"""The benchmark's trace (perfbench/tracing.py) rebinds cqcap names listed
+in its WRAPPED table. A refactor that renames or drops one of them would
+only surface when the benchmark runs with tracing on; this test catches it
+in the unit suite instead."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_resolves_to_a_callable():
+    wrapped = _load_tracing().WRAPPED
+    assert wrapped
+    for module, path, _ in wrapped:
+        assert module.startswith("cqcap."), module
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            assert hasattr(owner, part), f"{module}.{path}: no attribute {part!r}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{path} is not callable"
