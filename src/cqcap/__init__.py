@@ -9,11 +9,10 @@ from .bloch import (BinaryBlochChannel, GradientBoundaryError, SweepCell,
                     SweepGrid, approx_p1, binary_entropy, error_sweep,
                     exact_p1, holevo_bloch, holevo_bloch_gradient,
                     max_error_by_range, realize_channel)
-from .hermitian import (EigenDecomposition, hermitian_eigen, matrix_log,
-                        trace_product, validate_hermitian)
-from .qinfo import (CqChannel, average_state, check_linear_independence,
-                    holevo_information, relative_entropy, validate_density,
-                    validate_distribution, von_neumann_entropy)
+from .hermitian import validate_hermitian
+from .qinfo import (CqChannel, check_linear_independence, holevo_information,
+                    relative_entropy, validate_distribution,
+                    von_neumann_entropy)
 from .solver import (IterateRecord, SolveReport, SolverConfig,
                      SupportViolationError, ba_step, optimality_kkt_check,
                      solve, upper_bound)
@@ -22,15 +21,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchResult", "BenchSpec", "BinaryBlochChannel", "CqChannel",
-    "EigenDecomposition", "GradientBoundaryError", "IterateRecord",
-    "SolveReport", "SolverConfig", "SupportViolationError",
-    "SweepCell", "SweepGrid", "approx_p1", "average_state", "ba_step",
-    "binary_entropy", "check_iteration_budget", "check_linear_independence",
-    "error_sweep", "exact_p1", "hermitian_eigen", "holevo_bloch",
+    "GradientBoundaryError", "IterateRecord", "SolveReport", "SolverConfig",
+    "SupportViolationError", "SweepCell", "SweepGrid", "approx_p1",
+    "ba_step", "binary_entropy", "check_iteration_budget",
+    "check_linear_independence", "error_sweep", "exact_p1", "holevo_bloch",
     "holevo_bloch_gradient", "holevo_information", "iteration_budget",
-    "matrix_log", "max_error_by_range", "optimality_kkt_check",
-    "random_channel", "random_density_matrix", "realize_channel",
-    "relative_entropy", "run_bench", "solve", "trace_product", "trial_rng",
-    "upper_bound", "validate_density", "validate_distribution",
-    "validate_hermitian", "von_neumann_entropy",
+    "max_error_by_range", "optimality_kkt_check", "random_channel",
+    "random_density_matrix", "realize_channel", "relative_entropy",
+    "run_bench", "solve", "trial_rng", "upper_bound",
+    "validate_distribution", "validate_hermitian", "von_neumann_entropy",
 ]

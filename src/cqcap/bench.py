@@ -33,6 +33,9 @@ class BenchSpec:
         object.__setattr__(self, "input_sizes", tuple(int(n) for n in self.input_sizes))
         object.__setattr__(self, "output_dims", tuple(int(m) for m in self.output_dims))
         object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
+        for field in ("input_sizes", "output_dims", "accuracies"):
+            if not getattr(self, field):
+                raise ValueError(f"{field} must not be empty")
         if any(n < 2 for n in self.input_sizes):
             raise ValueError("input sizes must be >= 2")
         if any(m < 2 for m in self.output_dims):

@@ -25,6 +25,7 @@ from .solver import SolverConfig, _require_positive_finite, solve
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EXACT_P1_DPS = 40
+_EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
 
 
 class GradientBoundaryError(ValueError):
@@ -198,26 +199,24 @@ def _holevo_mp(lambda1, lambda2, theta, p1):
     return s2(half + norm) - p * s2(lam1) - (1 - p) * s2(lam2)
 
 
-def exact_p1(ch: BinaryBlochChannel, tol: float = 1e-10) -> float:
-    """Maximizer of holevo_bloch over p1 to within tol, by golden-section
-    search on [0, 1].
+def exact_p1(ch: BinaryBlochChannel) -> float:
+    """Maximizer of holevo_bloch over p1 to within _EXACT_P1_TOL, by
+    golden-section search on [0, 1].
 
     The objective is concave in p1, so the search bracket is valid. It is
     evaluated in extended precision: near the maximum the float64 surface
     is flat to within roundoff once the curvature is small (for example
     when the radii nearly agree), and comparisons at machine precision
-    would stall the bracket around sqrt(eps / |chi''|), well short of the
-    default tol.
+    would stall the bracket around sqrt(eps / |chi''|), well short of
+    _EXACT_P1_TOL.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     with mpmath.workdps(_EXACT_P1_DPS):
         a, b = 0.0, 1.0
         inner = _INV_PHI * (b - a)
         c, d = b - inner, a + inner
         fc = _holevo_mp(ch.lambda1, ch.lambda2, ch.theta, c)
         fd = _holevo_mp(ch.lambda1, ch.lambda2, ch.theta, d)
-        while b - a > tol:
+        while b - a > _EXACT_P1_TOL:
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - _INV_PHI * (b - a)

@@ -24,22 +24,17 @@ LN2 = math.log(2.0)
 
 
 def _density_spectrum(rho, name: str = "rho"):
-    """Validate density-matrix invariants; return (matrix, eigenvalues desc)."""
+    """Validate density-matrix invariants; return (matrix, eigenvalues desc,
+    eigenvector columns)."""
     a = validate_hermitian(rho)
-    w, _ = _eigh(a)
+    w, v = _eigh(a)
     if float(w.min()) < -PSD_TOL:
         raise ValueError(
             f"{name} is not positive semidefinite: min eigenvalue {w.min():.3e}")
     tr = float(a.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} does not have unit trace: Tr = {tr!r}")
-    return a, w
-
-
-def validate_density(rho, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, positive semidefiniteness and unit trace."""
-    a, _ = _density_spectrum(rho, name=name)
-    return a
+    return a, w, v
 
 
 def validate_distribution(p, n: int | None = None) -> np.ndarray:
@@ -83,7 +78,7 @@ class CqChannel:
             raise ValueError(f"need output dimension >= 2, got {m}")
         entropies = np.empty(n)
         for x in range(n):
-            _, w = _density_spectrum(states[x], name=f"states[{x}]")
+            _, w, _ = _density_spectrum(states[x], name=f"states[{x}]")
             entropies[x] = _entropy_from_eigs(w)
         states.flags.writeable = False
         entropies.flags.writeable = False
@@ -128,7 +123,7 @@ def _divergences(states, entropies, w, v) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
-    a, w = _density_spectrum(rho)
+    a, w, _ = _density_spectrum(rho)
     h = _entropy_from_eigs(w)
     hmax = math.log(a.shape[0])
     if not (-1e-10 <= h <= hmax + 1e-10):
@@ -142,19 +137,12 @@ def relative_entropy(rho, sigma) -> float:
     A violation means sigma has an eigenvector with eigenvalue <= SUPPORT_TOL
     that carries more than SUPPORT_TOL of rho's mass.
     """
-    rho_a, w_rho = _density_spectrum(rho, name="rho")
-    sig_a, _ = _density_spectrum(sigma, name="sigma")
+    rho_a, w_rho, _ = _density_spectrum(rho, name="rho")
+    sig_a, w, v = _density_spectrum(sigma, name="sigma")
     if rho_a.shape != sig_a.shape:
         raise ValueError(f"dimension mismatch: {rho_a.shape} vs {sig_a.shape}")
-    w, v = _eigh(sig_a)
     return float(_divergences(rho_a[None], np.array([_entropy_from_eigs(w_rho)]),
                               w, v)[0])
-
-
-def average_state(p, ch: CqChannel) -> np.ndarray:
-    """Convex combination sum_x p_x rho_x of the channel states."""
-    p = validate_distribution(p, n=ch.input_size)
-    return np.einsum("x,xij->ij", p, ch.states)
 
 
 def holevo_information(p, ch: CqChannel) -> float:

@@ -200,7 +200,7 @@ def test_07_theta_zero_exactness():
     for _ in range(50):
         lam1, lam2 = rng.uniform(0.5, 0.99, 2)
         gap = abs(approx_p1(lam1, lam2)
-                  - exact_p1(BinaryBlochChannel(lam1, lam2, 0.0), tol=1e-10))
+                  - exact_p1(BinaryBlochChannel(lam1, lam2, 0.0)))
         worst = max(worst, gap)
     ok = worst <= 1e-7
     assert _report("07 theta-zero-exactness", ok,

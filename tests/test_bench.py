@@ -89,6 +89,11 @@ class TestRunBench:
                 BenchSpec((2,), (2,), (1e-3, bad))
         with pytest.raises(ValueError):
             BenchSpec((2,), (2,), (1e-3,), trials=0)
+        for field, args in (("input_sizes", ((), (2,), (1e-3,))),
+                            ("output_dims", ((2,), (), (1e-3,))),
+                            ("accuracies", ((2,), (2,), ()))):
+            with pytest.raises(ValueError, match=field):
+                BenchSpec(*args)
 
 
 class TestIterationBudget:

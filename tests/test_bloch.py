@@ -128,7 +128,7 @@ class TestGradient:
         for _ in range(20):
             ch = BinaryBlochChannel(*rng.uniform(0.6, 0.95, 2),
                                     rng.uniform(0.0, math.pi))
-            p_star = exact_p1(ch, tol=1e-10)
+            p_star = exact_p1(ch)
             if p_star > 0.06:
                 assert holevo_bloch_gradient(ch, p_star - 0.05) > 0.0
 
@@ -176,11 +176,11 @@ class TestApproxP1:
 
 class TestExactP1:
     def test_symmetric(self):
-        assert exact_p1(BinaryBlochChannel(0.85, 0.85, 1.1), tol=1e-10) \
+        assert exact_p1(BinaryBlochChannel(0.85, 0.85, 1.1)) \
             == pytest.approx(0.5, abs=1e-9)
 
     def test_z_channel(self):
-        assert exact_p1(BinaryBlochChannel(1.0, 0.5, 0.0), tol=1e-10) \
+        assert exact_p1(BinaryBlochChannel(1.0, 0.5, 0.0)) \
             == pytest.approx(0.6, abs=1e-9)
 
     def test_maximizer_dominates_approximation(self):
@@ -188,7 +188,7 @@ class TestExactP1:
         for _ in range(20):
             ch = BinaryBlochChannel(*rng.uniform(0.5, 1.0, 2),
                                     rng.uniform(0.0, math.pi))
-            p_best = exact_p1(ch, tol=1e-10)
+            p_best = exact_p1(ch)
             p_hat = approx_p1(ch.lambda1, ch.lambda2)
             assert holevo_bloch(ch, p_best) >= holevo_bloch(ch, p_hat) - 1e-12
 
@@ -197,11 +197,7 @@ class TestExactP1:
         for _ in range(10):
             lam1, lam2 = rng.uniform(0.5, 0.99, 2)
             ch = BinaryBlochChannel(lam1, lam2, 0.0)
-            assert abs(approx_p1(lam1, lam2) - exact_p1(ch, tol=1e-10)) <= 1e-7
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            exact_p1(BinaryBlochChannel(0.8, 0.8, 0.0), tol=0.0)
+            assert abs(approx_p1(lam1, lam2) - exact_p1(ch)) <= 1e-7
 
 
 class TestErrorSweep:

@@ -189,6 +189,9 @@ class TestBench:
         assert main(["bench", "--n", "two", "--m", "2", "--acc", "1e-3"]) \
             == EXIT_INPUT
         assert "integer list" in capsys.readouterr().err
+        assert main(["bench", "--n", ",", "--m", "2", "--acc", "1e-3"]) \
+            == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
 
 
 def test_usage_error_exits_one():

@@ -4,8 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cqcap.hermitian import (hermitian_eigen, matrix_log, trace_product,
-                             validate_hermitian)
+from cqcap.hermitian import _eigh, validate_hermitian
 
 
 def rand_hermitian(rng, m):
@@ -15,19 +14,19 @@ def rand_hermitian(rng, m):
 
 class TestHermitianEigen:
     def test_identity(self):
-        w, v = hermitian_eigen(np.eye(2, dtype=complex))
+        w, v = _eigh(validate_hermitian(np.eye(2, dtype=complex)))
         assert np.allclose(w, [1.0, 1.0])
         assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
 
     def test_diagonal(self):
-        w, v = hermitian_eigen(np.diag([0.7, 0.3]).astype(complex))
+        w, v = _eigh(validate_hermitian(np.diag([0.7, 0.3]).astype(complex)))
         assert np.allclose(w, [0.7, 0.3], atol=1e-14)
         # standard basis vectors up to phase
         assert np.allclose(np.abs(v), np.eye(2), atol=1e-12)
 
     def test_rank_one_projector(self):
         a = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        w, v = hermitian_eigen(a)
+        w, v = _eigh(validate_hermitian(a))
         assert np.allclose(w, [1.0, 0.0], atol=1e-14)
         assert np.allclose(np.abs(v[:, 0]), [1 / math.sqrt(2)] * 2, atol=1e-12)
         assert np.allclose(np.abs(v[:, 1]), [1 / math.sqrt(2)] * 2, atol=1e-12)
@@ -46,7 +45,7 @@ class TestHermitianEigen:
         inputs.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
         for k, a in enumerate(inputs):
             m = a.shape[0]
-            w, v = hermitian_eigen(a)
+            w, v = _eigh(validate_hermitian(a))
             rec = np.linalg.norm(v @ np.diag(w) @ v.conj().T - a)
             assert rec <= 1e-11 * (1.0 + np.linalg.norm(a))
             assert np.abs(v.conj().T @ v - np.eye(m)).max() <= 1e-12
@@ -60,77 +59,24 @@ class TestHermitianEigen:
 
     def test_descending_order(self):
         rng = np.random.default_rng(5)
-        w, _ = hermitian_eigen(rand_hermitian(rng, 6))
+        w, _ = _eigh(validate_hermitian(rand_hermitian(rng, 6)))
         assert np.all(np.diff(w) <= 0)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            hermitian_eigen(np.ones((2, 3)))
+            validate_hermitian(np.ones((2, 3)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            validate_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_complex_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
-            hermitian_eigen(np.array([[1e-6j, 0.0], [0.0, 1.0]]))
+            validate_hermitian(np.array([[1e-6j, 0.0], [0.0, 1.0]]))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            hermitian_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestMatrixLog:
-    def test_identity_maps_to_zero(self):
-        assert np.abs(matrix_log(np.eye(3, dtype=complex))).max() <= 1e-14
-
-    def test_scalar_case_on_diagonal(self):
-        out = matrix_log(np.diag([math.e, 1.0]).astype(complex))
-        assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-13)
-
-    def test_projector_null_space_convention(self):
-        a = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        assert np.abs(matrix_log(a)).max() <= 1e-13
-
-    def test_matches_scalar_log_on_spectrum(self):
-        rng = np.random.default_rng(77)
-        for _ in range(50):
-            m = int(rng.integers(2, 8))
-            a = rand_hermitian(rng, m)
-            a = a @ a.conj().T + 0.1 * np.eye(m)  # positive definite
-            w_log, _ = hermitian_eigen(matrix_log(a))
-            expected = np.sort(np.log(np.linalg.eigvalsh(a)))[::-1]
-            assert np.abs(w_log - expected).max() <= 1e-10
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            matrix_log(np.diag([1.0, -0.5]).astype(complex))
-
-
-class TestTraceProduct:
-    def test_identity_pair(self):
-        assert trace_product(np.eye(2, dtype=complex), np.eye(2, dtype=complex)) \
-            == pytest.approx(2.0)
-
-    def test_diagonal_pair(self):
-        a = np.diag([0.7, 0.3]).astype(complex)
-        b = np.diag([1.0, 0.0]).astype(complex)
-        assert trace_product(a, b) == pytest.approx(0.7)
-
-    def test_projector_squared(self):
-        a = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        assert trace_product(a, a) == pytest.approx(1.0)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            m = int(rng.integers(2, 8))
-            a, b = rand_hermitian(rng, m), rand_hermitian(rng, m)
-            assert abs(trace_product(a, b) - trace_product(b, a)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            trace_product(np.eye(2), np.eye(3))
+            validate_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_validate_hermitian_accepts_tolerated_asymmetry():

@@ -9,7 +9,6 @@ import numpy as np
 from cqcap.bench import random_channel, trial_rng
 from cqcap.bloch import (BinaryBlochChannel, approx_p1, holevo_bloch,
                          realize_channel)
-from cqcap.hermitian import trace_product
 from cqcap.qinfo import holevo_information, von_neumann_entropy
 from cqcap.solver import ba_step, solve, SolverConfig
 
@@ -74,16 +73,6 @@ def test_entropy_bounds(seed, m):
     rho = random_density_matrix(m, trial_rng(seed, 2, m, 0, 0))
     h = von_neumann_entropy(rho)
     assert -1e-12 <= h <= math.log(m) + 1e-12
-
-
-@hyp.settings(deadline=None, max_examples=25)
-@hyp.given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5))
-def test_trace_product_symmetric_on_random_pairs(seed, m):
-    rng = trial_rng(seed, 3, m, 1, 0)
-    g1 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    g2 = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    a, b = 0.5 * (g1 + g1.conj().T), 0.5 * (g2 + g2.conj().T)
-    assert abs(trace_product(a, b) - trace_product(b, a)) <= 1e-12
 
 
 @hyp.settings(deadline=None, max_examples=10)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from cqcap.bench import random_density_matrix
-from cqcap.qinfo import (CqChannel, average_state, check_linear_independence,
+from cqcap.qinfo import (CqChannel, check_linear_independence,
                          holevo_information, relative_entropy,
-                         validate_density, validate_distribution,
-                         von_neumann_entropy)
+                         validate_distribution, von_neumann_entropy)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -79,31 +78,23 @@ class TestRelativeEntropy:
             relative_entropy(random_density_matrix(2, rng),
                              random_density_matrix(3, rng))
 
-
-class TestAverageState:
-    def test_point_mass(self):
-        rng = np.random.default_rng(4)
-        ch = CqChannel(np.stack([random_density_matrix(3, rng) for _ in range(2)]))
-        out = average_state(np.array([1.0, 0.0]), ch)
-        assert np.allclose(out, ch.states[0])
-
-    def test_uniform_over_equal_states(self):
-        rho = np.diag([0.6, 0.4]).astype(complex)
-        ch = CqChannel(np.stack([rho, rho]))
-        assert np.allclose(average_state(np.array([0.5, 0.5]), ch), rho)
-
-    def test_classical_mixture(self):
-        ch = CqChannel(np.stack([KET0, KET1]))
-        out = average_state(np.array([0.5, 0.5]), ch)
-        assert np.allclose(out, np.eye(2) / 2)
-
-    def test_length_mismatch(self):
-        ch = CqChannel(np.stack([KET0, KET1]))
-        with pytest.raises(ValueError, match="length"):
-            average_state(np.array([0.5, 0.25, 0.25]), ch)
+    def test_diagonalizes_each_argument_once(self, monkeypatch):
+        import cqcap.qinfo as qinfo
+        calls, real_eigh = [], qinfo._eigh
+        monkeypatch.setattr(qinfo, "_eigh",
+                            lambda a: calls.append(a) or real_eigh(a))
+        rng = np.random.default_rng(8)
+        relative_entropy(random_density_matrix(3, rng),
+                         random_density_matrix(3, rng))
+        assert len(calls) == 2
 
 
 class TestHolevoInformation:
+    def test_length_mismatch(self):
+        ch = CqChannel(np.stack([KET0, KET1]))
+        with pytest.raises(ValueError, match="length"):
+            holevo_information(np.array([0.5, 0.25, 0.25]), ch)
+
     def test_identical_states(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
         ch = CqChannel(np.stack([rho, rho, rho]))
@@ -133,7 +124,7 @@ class TestHolevoInformation:
                                      for _ in range(n)]))
             p = rng.dirichlet(np.ones(n))
             sigma_prime = random_density_matrix(m, rng)
-            sigma = average_state(p, ch)
+            sigma = np.einsum("x,xij->ij", p, ch.states)
             lhs = sum(p[x] * relative_entropy(ch.states[x], sigma_prime)
                       for x in range(n))
             rhs = sum(p[x] * relative_entropy(ch.states[x], sigma)
@@ -201,7 +192,3 @@ class TestValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 validate_distribution(np.array(bad))
         validate_distribution(np.array([0.5, 0.5]))
-
-    def test_density_validator_passes_valid_inputs(self):
-        rng = np.random.default_rng(6)
-        validate_density(random_density_matrix(4, rng))

@@ -1,11 +1,14 @@
-"""The benchmark's trace (perfbench/tracing.py) rebinds cqcap names listed
-in its WRAPPED table. A refactor that renames or drops one of them would
-only surface when the benchmark runs with tracing on; this test catches it
-in the unit suite instead."""
+"""Name-resolution guards. The benchmark's trace (perfbench/tracing.py)
+rebinds cqcap names listed in its WRAPPED table, and `cqcap.__all__` lists
+the public API. A refactor that renames or drops one of these names would
+otherwise only surface when the benchmark runs with tracing on or when a
+user star-imports the package; these tests catch it in the unit suite."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import cqcap
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +30,11 @@ def test_every_wrapped_name_resolves_to_a_callable():
             assert hasattr(owner, part), f"{module}.{path}: no attribute {part!r}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{path} is not callable"
+
+
+def test_every_exported_name_resolves():
+    for name in cqcap.__all__:
+        assert hasattr(cqcap, name), f"cqcap.__all__ lists missing {name!r}"
+    namespace = {}
+    exec("from cqcap import *", namespace)
+    assert set(cqcap.__all__) <= set(namespace)
