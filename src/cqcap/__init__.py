@@ -9,10 +9,9 @@ from .bloch import (BinaryBlochChannel, GradientBoundaryError, SweepCell,
                     SweepGrid, approx_p1, binary_entropy, error_sweep,
                     exact_p1, holevo_bloch, holevo_bloch_gradient,
                     max_error_by_range, realize_channel)
-from .hermitian import validate_hermitian
 from .qinfo import (CqChannel, check_linear_independence, holevo_information,
                     relative_entropy, validate_distribution,
-                    von_neumann_entropy)
+                    validate_hermitian, von_neumann_entropy)
 from .solver import (IterateRecord, SolveReport, SolverConfig,
                      SupportViolationError, ba_step, optimality_kkt_check,
                      solve, upper_bound)

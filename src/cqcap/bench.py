@@ -30,12 +30,14 @@ class BenchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "input_sizes", tuple(int(n) for n in self.input_sizes))
-        object.__setattr__(self, "output_dims", tuple(int(m) for m in self.output_dims))
-        object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
-        for field in ("input_sizes", "output_dims", "accuracies"):
-            if not getattr(self, field):
+        for field, kind in (("input_sizes", int), ("output_dims", int),
+                            ("accuracies", float)):
+            values = tuple(kind(v) for v in getattr(self, field))
+            object.__setattr__(self, field, values)
+            if not values:
                 raise ValueError(f"{field} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{field} must not repeat a value, got {values}")
         if any(n < 2 for n in self.input_sizes):
             raise ValueError("input sizes must be >= 2")
         if any(m < 2 for m in self.output_dims):
@@ -44,6 +46,8 @@ class BenchSpec:
             _require_positive_finite("accuracy", a)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

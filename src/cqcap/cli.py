@@ -66,16 +66,27 @@ def load_channel_file(path) -> CqChannel:
         raise CliInputError('"states" must list at least 2 states')
     states = []
     for idx, entry in enumerate(raw_states):
-        arr = np.asarray(entry, dtype=np.float64)
+        expected = f"states[{idx}] must be a {dim}x{dim} array of [re, im] pairs"
+        try:
+            arr = np.asarray(entry, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise CliInputError(f"{expected}: {err}") from err
         if arr.shape != (dim, dim, 2):
-            raise CliInputError(
-                f"states[{idx}] must be a {dim}x{dim} array of [re, im] pairs, "
-                f"got shape {arr.shape}")
+            raise CliInputError(f"{expected}, got shape {arr.shape}")
         states.append(arr[..., 0] + 1j * arr[..., 1])
     try:
         return CqChannel(np.stack(states))
     except ValueError as err:
         raise CliInputError(f"invalid channel: {err}") from err
+
+
+def _require_writable(*paths) -> None:
+    # open or create each output before any solve, so a bad path fails fast
+    try:
+        for path in paths:
+            open(path, "a").close()
+    except OSError as err:
+        raise CliInputError(f"cannot write output: {err}") from err
 
 
 def _fmt_vec(values) -> str:
@@ -150,10 +161,11 @@ def _cmd_sweep(args) -> int:
                          reference_gap_tol=args.ref_eps)
     except ValueError as err:
         raise CliInputError(str(err)) from err
-    cells = error_sweep(grid, jobs=args.jobs)
     out = Path(args.out)
     range_out = Path(args.range_out) if args.range_out else \
         out.with_name(out.stem + "_ranges" + (out.suffix or ".csv"))
+    _require_writable(out, range_out)
+    cells = error_sweep(grid, jobs=args.jobs)
     r_values = [lam for lam in grid.lambda_values() if lam > 0.5]
     ranges = max_error_by_range(cells, r_values)
     try:
@@ -176,30 +188,25 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind) -> tuple:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return tuple(kind(tok) for tok in text.split(",") if tok)
     except ValueError as err:
-        raise CliInputError(f"expected a comma-separated integer list, got {text!r}") \
-            from err
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as err:
-        raise CliInputError(f"expected a comma-separated number list, got {text!r}") \
+        what = "integer" if kind is int else "number"
+        raise CliInputError(f"expected a comma-separated {what} list, got {text!r}") \
             from err
 
 
 def _cmd_bench(args) -> int:
     try:
-        spec = BenchSpec(input_sizes=tuple(_parse_int_list(args.n)),
-                         output_dims=tuple(_parse_int_list(args.m)),
-                         accuracies=tuple(_parse_float_list(args.acc)),
+        spec = BenchSpec(input_sizes=_parse_list(args.n, int),
+                         output_dims=_parse_list(args.m, int),
+                         accuracies=_parse_list(args.acc, float),
                          trials=args.trials, seed=args.seed)
     except ValueError as err:
         raise CliInputError(str(err)) from err
+    if args.out:
+        _require_writable(args.out)
     results = run_bench(spec, jobs=args.jobs)
     print(format_bench_table(results))
     budget_ok = check_iteration_budget(results)

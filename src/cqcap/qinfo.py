@@ -1,6 +1,7 @@
-"""Quantum-information primitives on density matrices: von Neumann entropy,
-relative entropy with support checking, Holevo information, and channel
-containers. All entropic quantities are in nats unless stated otherwise.
+"""Quantum-information primitives on density matrices: validation, the one
+eigendecomposition (LAPACK `eigh`, spectrum descending), von Neumann and
+relative entropy, Holevo information and channel containers. Validation and
+`_eigh` take a matrix or a stack (..., m, m). Entropies are in nats.
 
 SUPPORT_TOL is the one zero-eigenvalue cutoff: eigenvalues at or below it
 count as zero in entropies, in the log of an average state and in the
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import _eigh, validate_hermitian
-
+HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 DIST_SUM_TOL = 1e-12
@@ -23,17 +23,52 @@ RANK_RTOL = 1e-10
 LN2 = math.log(2.0)
 
 
-def _density_spectrum(rho, name: str = "rho"):
-    """Validate density-matrix invariants; return (matrix, eigenvalues desc,
-    eigenvector columns)."""
-    a = validate_hermitian(rho)
+def _eigh(a: np.ndarray):
+    """(eigenvalues desc, eigenvector columns) of a Hermitian matrix or
+    stack. Callers validate first; LAPACK failures raise LinAlgError."""
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    return w[..., ::-1], v[..., ::-1]
+
+
+def _reject(name: str, defect, tol: float, message: str) -> None:
+    """Raise ValueError for the lowest-index slice whose defect (one value
+    per slice) exceeds tol, naming it `name[i]`, or `name` for one matrix."""
+    hits = np.argwhere(defect > tol)
+    if len(hits):
+        idx = tuple(hits[0])
+        label = name + "".join(f"[{k}]" for k in idx)
+        raise ValueError(f"{label} {message.format(defect[idx])}")
+
+
+def _hermitian(a, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    _reject(name, ~np.isfinite(a).all(axis=(-2, -1)), 0, "has non-finite entries")
+    gap = np.triu(np.abs(a - a.conj().swapaxes(-1, -2)), 1)  # diagonal checked next
+    _reject(name, gap.max(axis=(-2, -1), initial=0.0), HERMITIAN_TOL,
+            "is not Hermitian: max |A - A^H| = {:.3e}")
+    _reject(name, np.abs(a.diagonal(axis1=-2, axis2=-1).imag).max(axis=-1, initial=0.0),
+            HERMITIAN_TOL, "has a diagonal that is not real: max |Im A_kk| = {:.3e}")
+    return a
+
+
+def validate_hermitian(a) -> np.ndarray:
+    """Check a square matrix or stack (..., m, m) for finite entries, conjugate
+    symmetry and a real diagonal to HERMITIAN_TOL; return it as complex128."""
+    return _hermitian(a, "matrix")
+
+
+def _density_spectra(a, name: str):
+    """Check a matrix or stack with one eigendecomposition, in the order
+    finite, Hermitian, real diagonal, PSD, unit trace, each over every slice;
+    return (array, eigenvalues desc, eigenvector columns)."""
+    a = _hermitian(a, name)
     w, v = _eigh(a)
-    if float(w.min()) < -PSD_TOL:
-        raise ValueError(
-            f"{name} is not positive semidefinite: min eigenvalue {w.min():.3e}")
-    tr = float(a.trace().real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} does not have unit trace: Tr = {tr!r}")
+    _reject(name, -w.min(axis=-1), PSD_TOL,
+            "is not positive semidefinite: min eigenvalue -{:.3e}")
+    _reject(name, np.abs(np.trace(a, axis1=-2, axis2=-1).real - 1.0), TRACE_TOL,
+            "does not have unit trace: |Tr - 1| = {:.3e}")
     return a, w, v
 
 
@@ -60,9 +95,9 @@ class CqChannel:
     """A classical-quantum channel: one density matrix per input letter.
 
     `states` is an (n, m, m) complex stack; every slice must satisfy the
-    density-matrix invariants. Validation diagonalizes every state, so the
-    von Neumann entropies (n,) in nats are computed once here and kept in
-    `entropies`.
+    density-matrix invariants. Validation diagonalizes the whole stack in one
+    call, so the von Neumann entropies (n,) in nats are computed once here
+    and kept in `entropies`.
     """
 
     states: np.ndarray
@@ -76,10 +111,8 @@ class CqChannel:
             raise ValueError(f"need at least 2 input letters, got {n}")
         if m < 2:
             raise ValueError(f"need output dimension >= 2, got {m}")
-        entropies = np.empty(n)
-        for x in range(n):
-            _, w, _ = _density_spectrum(states[x], name=f"states[{x}]")
-            entropies[x] = _entropy_from_eigs(w)
+        _, w, _ = _density_spectra(states, "states")
+        entropies = _entropy_from_eigs(w)
         states.flags.writeable = False
         entropies.flags.writeable = False
         object.__setattr__(self, "states", states)
@@ -94,12 +127,15 @@ class CqChannel:
         return self.states.shape[1]
 
 
-def _entropy_from_eigs(w) -> float:
+def _entropy_from_eigs(w):
+    """-sum w ln w over the last axis, skipping eigenvalues at or below
+    SUPPORT_TOL; a float for one spectrum, an array for a stack."""
     pos = w > SUPPORT_TOL
-    if not np.any(pos):
-        return 0.0
-    wp = w[pos]
-    return float(-np.dot(wp, np.log(wp)))
+    # a matmul of the masked rows sums like the former dot over the kept
+    # eigenvalues alone; sum(-1) does not, and would move the last bit
+    h = -(np.where(pos, w, 0.0)[..., None, :]
+          @ np.log(np.where(pos, w, 1.0))[..., :, None])[..., 0, 0]
+    return float(h) if h.ndim == 0 else h
 
 
 def _divergences(states, entropies, w, v) -> np.ndarray:
@@ -123,10 +159,11 @@ def _divergences(states, entropies, w, v) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
-    a, w, _ = _density_spectrum(rho)
+    a, w, _ = _density_spectra(rho, "rho")
+    if a.ndim != 2:
+        raise ValueError(f"rho must be a square matrix, got shape {a.shape}")
     h = _entropy_from_eigs(w)
-    hmax = math.log(a.shape[0])
-    if not (-1e-10 <= h <= hmax + 1e-10):
+    if not (-1e-10 <= h <= math.log(a.shape[0]) + 1e-10):
         raise AssertionError(f"entropy {h!r} outside [0, ln m] for m={a.shape[0]}")
     return h
 
@@ -137,12 +174,11 @@ def relative_entropy(rho, sigma) -> float:
     A violation means sigma has an eigenvector with eigenvalue <= SUPPORT_TOL
     that carries more than SUPPORT_TOL of rho's mass.
     """
-    rho_a, w_rho, _ = _density_spectrum(rho, name="rho")
-    sig_a, w, v = _density_spectrum(sigma, name="sigma")
-    if rho_a.shape != sig_a.shape:
-        raise ValueError(f"dimension mismatch: {rho_a.shape} vs {sig_a.shape}")
-    return float(_divergences(rho_a[None], np.array([_entropy_from_eigs(w_rho)]),
-                              w, v)[0])
+    rho_a, w_rho, _ = _density_spectra(rho, "rho")
+    sig_a, w, v = _density_spectra(sigma, "sigma")
+    if rho_a.shape != sig_a.shape or rho_a.ndim != 2:
+        raise ValueError(f"shape mismatch or not m x m: {rho_a.shape} vs {sig_a.shape}")
+    return float(_divergences(rho_a[None], _entropy_from_eigs(w_rho[None]), w, v)[0])
 
 
 def holevo_information(p, ch: CqChannel) -> float:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import _eigh
-from .qinfo import (LN2, CqChannel, _divergences, _entropy_from_eigs,
+from .qinfo import (LN2, CqChannel, _divergences, _eigh, _entropy_from_eigs,
                     validate_distribution)
 
 log = logging.getLogger(__name__)

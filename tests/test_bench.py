@@ -91,9 +91,14 @@ class TestRunBench:
             BenchSpec((2,), (2,), (1e-3,), trials=0)
         for field, args in (("input_sizes", ((), (2,), (1e-3,))),
                             ("output_dims", ((2,), (), (1e-3,))),
-                            ("accuracies", ((2,), (2,), ()))):
+                            ("accuracies", ((2,), (2,), ())),
+                            ("input_sizes", ((2, 3, 2), (2,), (1e-3,))),
+                            ("output_dims", ((2,), (2, 2), (1e-3,))),
+                            ("accuracies", ((2,), (2,), (1e-3, 1e-4, 0.001)))):
             with pytest.raises(ValueError, match=field):
                 BenchSpec(*args)
+        with pytest.raises(ValueError, match="seed"):
+            BenchSpec((2,), (2,), (1e-3,), seed=-1)
 
 
 class TestIterationBudget:

@@ -69,23 +69,33 @@ class TestCapacity:
         assert "malformed JSON" in capsys.readouterr().err
 
     def test_invalid_state_reports_index_and_defect(self, tmp_path, capsys):
-        doc = {"dim": 2, "states": [
-            [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
-            [[[0.9, 0], [0, 0]], [[0, 0], [0.3, 0]]],   # trace 1.2
-        ]}
-        path = tmp_path / "bad_state.json"
-        path.write_text(json.dumps(doc))
-        assert main(["capacity", str(path)]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert "states[1]" in err
-        assert "trace" in err
+        ket0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        for defect, bad in (
+                ("trace", [[[0.9, 0], [0, 0]], [[0, 0], [0.3, 0]]]),
+                ("non-finite", [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]),
+                ("Hermitian", [[[0.5, 0], [0.3, 0]], [[0.1, 0], [0.5, 0]]]),
+                ("diagonal", [[[0.5, 1e-6], [0, 0]], [[0, 0], [0.5, 0]]]),
+                ("semidefinite", [[[1.2, 0], [0, 0]], [[0, 0], [-0.2, 0]]])):
+            path = tmp_path / "bad_state.json"
+            path.write_text(json.dumps({"dim": 2, "states": [ket0, bad]}))
+            assert main(["capacity", str(path)]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert "states[1]" in err
+            assert defect in err
 
     def test_wrong_shape_rejected(self, tmp_path, capsys):
-        doc = {"dim": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
-        path = tmp_path / "bad_shape.json"
-        path.write_text(json.dumps(doc))
-        assert main(["capacity", str(path)]) == EXIT_INPUT
-        assert "re, im" in capsys.readouterr().err
+        ket0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        # a missing [re, im] level, then a string, an object and a ragged entry
+        for idx, states in ((0, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
+                            (1, [ket0, [[[0, 0], [0, 0]], [[0, 0], "a"]]]),
+                            (1, [ket0, [[[0, 0], {"a": 1}], [[0, 0], [1, 0]]]]),
+                            (1, [ket0, [[[0, 0], [0]], [[0, 0], [1, 0]]]])):
+            path = tmp_path / "bad_shape.json"
+            path.write_text(json.dumps({"dim": 2, "states": states}))
+            assert main(["capacity", str(path)]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert "re, im" in err
+            assert f"states[{idx}]" in err
 
     @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--eps", "0"],
                                        ["--eps", "nan"], ["--eps", "inf"]])
@@ -165,6 +175,26 @@ class TestSweep:
             assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    import cqcap.bench
+    import cqcap.bloch
+    calls = []
+    for module in (cqcap.bloch, cqcap.bench):
+        real = module.solve
+        monkeypatch.setattr(module, "solve",
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    missing = str(tmp_path / "missing" / "out.csv")
+    sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
+             "--lambda-max", "0.9", "--ref-eps", "1e-5", "--jobs", "1"]
+    for argv in (sweep + ["--out", missing],
+                 sweep + ["--out", str(tmp_path / "ok.csv"), "--range-out", missing],
+                 ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
+                  "--jobs", "1", "--out", missing]):
+        assert main(argv) == EXIT_INPUT
+        assert "error: cannot write output" in capsys.readouterr().err
+    assert calls == []
+
+
 class TestBench:
     def test_small_run_with_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -189,9 +219,14 @@ class TestBench:
         assert main(["bench", "--n", "two", "--m", "2", "--acc", "1e-3"]) \
             == EXIT_INPUT
         assert "integer list" in capsys.readouterr().err
-        assert main(["bench", "--n", ",", "--m", "2", "--acc", "1e-3"]) \
-            == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
+        for field, flags in (
+                ("input_sizes", ["--n", ",", "--m", "2", "--acc", "1e-3"]),
+                ("input_sizes", ["--n", "2,2", "--m", "2", "--acc", "1e-3"]),
+                ("output_dims", ["--n", "2", "--m", "3,3", "--acc", "1e-3"]),
+                ("accuracies", ["--n", "2", "--m", "2", "--acc", "1e-3,0.001"]),
+                ("seed", ["--n", "2", "--m", "2", "--acc", "1e-3", "--seed", "-1"])):
+            assert main(["bench", "--trials", "2"] + flags) == EXIT_INPUT
+            assert f"error: {field}" in capsys.readouterr().err
 
 
 def test_usage_error_exits_one():

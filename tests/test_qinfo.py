@@ -40,6 +40,8 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="positive semidefinite"):
             von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
+        with pytest.raises(ValueError, match="square matrix"):
+            von_neumann_entropy(np.stack([np.eye(2, dtype=complex) / 2] * 2))
 
 
 class TestRelativeEntropy:
@@ -170,9 +172,29 @@ class TestLinearIndependence:
 
 class TestValidation:
     def test_channel_rejects_bad_state_with_index(self):
-        states = np.stack([KET0, np.diag([1.2, -0.2]).astype(complex)])
-        with pytest.raises(ValueError, match=r"states\[1\]"):
-            CqChannel(states)
+        # letter 2 repeats the defect: the lowest failing letter is named
+        for defect, bad in (
+                ("non-finite", np.array([[np.nan, 0.0], [0.0, 1.0]])),
+                ("Hermitian", np.array([[0.5, 0.3], [0.1, 0.5]])),
+                ("diagonal", np.array([[0.5 + 1e-6j, 0.0], [0.0, 0.5]])),
+                ("positive semidefinite", np.diag([1.2, -0.2])),
+                ("unit trace", np.diag([0.9, 0.3]))):
+            states = np.stack([KET0, bad, bad]).astype(complex)
+            with pytest.raises(ValueError, match=rf"states\[1\] .*{defect}"):
+                CqChannel(states)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_channel_validates_with_one_eigendecomposition(self, n, monkeypatch):
+        import cqcap.qinfo as qinfo
+        calls, real_eigh = [], qinfo._eigh
+        monkeypatch.setattr(qinfo, "_eigh",
+                            lambda a: calls.append(a) or real_eigh(a))
+        rng = np.random.default_rng(n)
+        ch = CqChannel(np.stack([random_density_matrix(3, rng) for _ in range(n)]))
+        assert len(calls) == 1
+        assert calls[0].shape == (n, 3, 3)
+        for x in range(n):
+            assert ch.entropies[x] == von_neumann_entropy(ch.states[x])
 
     def test_channel_requires_two_letters(self):
         with pytest.raises(ValueError, match="letters"):
