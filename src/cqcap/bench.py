@@ -44,6 +44,9 @@ class BenchSpec:
             raise ValueError("output dimensions must be >= 2")
         for a in self.accuracies:
             _require_positive_finite("accuracy", a)
+            if not math.isfinite(iteration_budget(max(self.input_sizes), a)):
+                raise ValueError(f"accuracies: {a!r} makes the iteration budget "
+                                 "ln(n)/accuracy infinite")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -130,23 +133,3 @@ def check_iteration_budget(results: list[BenchResult]) -> bool:
     return all(r.max_iterations <= iteration_budget(r.n, r.accuracy)
                for r in results)
 
-
-def write_bench_csv(results: list[BenchResult], path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write("n,m,accuracy,avg_iterations,max_iterations,trials_failed\n")
-        for r in results:
-            f.write(f"{r.n},{r.m},{r.accuracy:.10g},{r.avg_iterations:.10g},"
-                    f"{r.max_iterations},{r.trials_failed}\n")
-
-
-def format_bench_table(results: list[BenchResult]) -> str:
-    """Aligned text table of the per-cell statistics."""
-    headers = ("input n", "output m", "accuracy", "avg iter", "max iter", "failed")
-    rows = [(str(r.n), str(r.m), f"{r.accuracy:.0e}", f"{r.avg_iterations:.1f}",
-             str(r.max_iterations), str(r.trials_failed)) for r in results]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)

@@ -69,6 +69,11 @@ class SweepGrid:
         _require_positive_finite("reference_gap_tol", self.reference_gap_tol)
         if not 0.5 < self.lambda_max <= 1.0:
             raise ValueError(f"lambda_max must be in (0.5, 1], got {self.lambda_max!r}")
+        for field, step, span in (
+                ("lambda_step", self.lambda_step, self.lambda_max - 0.5),
+                ("theta_step", self.theta_step, math.pi)):
+            if not math.isfinite(span / step):
+                raise ValueError(f"{field} {step!r} makes the axis length infinite")
 
     def lambda_values(self) -> list[float]:
         return _axis(0.5, self.lambda_max, self.lambda_step)
@@ -281,16 +286,3 @@ def max_error_by_range(cells: list[SweepCell], r_values) -> list[tuple[float, fl
         rows.append((r, max(vals)))
     return rows
 
-
-def write_sweep_csv(cells: list[SweepCell], path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write("lambda1,lambda2,error_bits\n")
-        for c in cells:
-            f.write(f"{c.lambda1:.10g},{c.lambda2:.10g},{c.error_bits:.10g}\n")
-
-
-def write_range_csv(rows: list[tuple[float, float]], path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write("R,max_error_bits\n")
-        for r, err in rows:
-            f.write(f"{r:.10g},{err:.10g}\n")

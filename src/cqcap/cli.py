@@ -17,11 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (BenchSpec, check_iteration_budget, format_bench_table,
-                    run_bench, write_bench_csv)
+from .bench import BenchSpec, check_iteration_budget, run_bench
 from .bloch import (BinaryBlochChannel, SweepGrid, approx_p1, error_sweep,
-                    exact_p1, holevo_bloch, max_error_by_range,
-                    write_range_csv, write_sweep_csv)
+                    exact_p1, holevo_bloch, max_error_by_range)
 from .qinfo import CqChannel
 from .solver import SolverConfig, solve
 
@@ -54,7 +52,7 @@ def load_channel_file(path) -> CqChannel:
             doc = json.load(f)
     except OSError as err:
         raise CliInputError(f"cannot read channel file: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise CliInputError(f"malformed JSON in {path}: {err}") from err
     if not isinstance(doc, dict) or "dim" not in doc or "states" not in doc:
         raise CliInputError('channel file must be {"dim": m, "states": [...]}')
@@ -85,6 +83,14 @@ def _require_writable(*paths) -> None:
     try:
         for path in paths:
             open(path, "a").close()
+    except OSError as err:
+        raise CliInputError(f"cannot write output: {err}") from err
+
+
+def _write_lines(path, lines) -> None:
+    try:
+        with open(path, "w", newline="") as f:
+            f.writelines(line + "\n" for line in lines)
     except OSError as err:
         raise CliInputError(f"cannot write output: {err}") from err
 
@@ -164,15 +170,16 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     range_out = Path(args.range_out) if args.range_out else \
         out.with_name(out.stem + "_ranges" + (out.suffix or ".csv"))
+    if out.resolve() == range_out.resolve():
+        raise CliInputError(f"--out and --range-out name the same file: {out}")
     _require_writable(out, range_out)
     cells = error_sweep(grid, jobs=args.jobs)
     r_values = [lam for lam in grid.lambda_values() if lam > 0.5]
     ranges = max_error_by_range(cells, r_values)
-    try:
-        write_sweep_csv(cells, out)
-        write_range_csv(ranges, range_out)
-    except OSError as err:
-        raise CliInputError(f"cannot write output: {err}") from err
+    _write_lines(out, ["lambda1,lambda2,error_bits"] + [
+        f"{c.lambda1:.10g},{c.lambda2:.10g},{c.error_bits:.10g}" for c in cells])
+    _write_lines(range_out, ["R,max_error_bits"] +
+                 [f"{r:.10g},{err:.10g}" for r, err in ranges])
     flagged = sum(1 for c in cells if not c.ba_converged)
     capped = [c.error_bits for c in cells
               if c.lambda1 <= 0.95 + 1e-9 and c.lambda2 <= 0.95 + 1e-9]
@@ -197,6 +204,19 @@ def _parse_list(text: str, kind) -> tuple:
             from err
 
 
+def _format_bench_table(results) -> str:
+    """Aligned text table of the per-cell statistics."""
+    headers = ("input n", "output m", "accuracy", "avg iter", "max iter", "failed")
+    rows = [(str(r.n), str(r.m), f"{r.accuracy:.0e}", f"{r.avg_iterations:.1f}",
+             str(r.max_iterations), str(r.trials_failed)) for r in results]
+    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
+              for i, h in enumerate(headers)]
+    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
+    for row in rows:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
 def _cmd_bench(args) -> int:
     try:
         spec = BenchSpec(input_sizes=_parse_list(args.n, int),
@@ -208,14 +228,14 @@ def _cmd_bench(args) -> int:
     if args.out:
         _require_writable(args.out)
     results = run_bench(spec, jobs=args.jobs)
-    print(format_bench_table(results))
+    print(_format_bench_table(results))
     budget_ok = check_iteration_budget(results)
     print(f"iteration budget ln(n)/accuracy respected: {'yes' if budget_ok else 'NO'}")
     if args.out:
-        try:
-            write_bench_csv(results, args.out)
-        except OSError as err:
-            raise CliInputError(f"cannot write output: {err}") from err
+        _write_lines(args.out, [
+            "n,m,accuracy,avg_iterations,max_iterations,trials_failed"] + [
+            f"{r.n},{r.m},{r.accuracy:.10g},{r.avg_iterations:.10g},"
+            f"{r.max_iterations},{r.trials_failed}" for r in results])
         print(f"wrote {args.out}")
     failed = sum(r.trials_failed for r in results)
     if failed:

@@ -32,8 +32,9 @@ def _eigh(a: np.ndarray):
 
 def _reject(name: str, defect, tol: float, message: str) -> None:
     """Raise ValueError for the lowest-index slice whose defect (one value
-    per slice) exceeds tol, naming it `name[i]`, or `name` for one matrix."""
-    hits = np.argwhere(defect > tol)
+    per slice) exceeds tol or is NaN, naming it `name[i]`, or `name` for one
+    matrix."""
+    hits = np.argwhere(~(defect <= tol))
     if len(hits):
         idx = tuple(hits[0])
         label = name + "".join(f"[{k}]" for k in idx)

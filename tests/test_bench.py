@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cqcap.bench import (BenchResult, BenchSpec, _bench_trial,
-                         check_iteration_budget, format_bench_table,
-                         iteration_budget, random_channel,
-                         random_density_matrix, run_bench, trial_rng,
-                         write_bench_csv)
+                         check_iteration_budget, iteration_budget,
+                         random_channel, random_density_matrix, run_bench,
+                         trial_rng)
+from cqcap.cli import main
 
 
 class TestRandomDensityMatrix:
@@ -99,6 +99,10 @@ class TestRunBench:
                 BenchSpec(*args)
         with pytest.raises(ValueError, match="seed"):
             BenchSpec((2,), (2,), (1e-3,), seed=-1)
+        # ln(n)/accuracy overflows: at the largest n only, or at every n
+        for sizes, acc in (((2, 8), 6e-309), ((2,), 1e-320)):
+            with pytest.raises(ValueError, match="accuracies"):
+                BenchSpec(sizes, (2,), (1e-3, acc))
 
 
 class TestIterationBudget:
@@ -121,14 +125,20 @@ class TestIterationBudget:
         assert check_iteration_budget([cell(600)])
 
 
-def test_csv_and_table_rendering(tmp_path):
-    spec = BenchSpec((2,), (2,), (1e-2,), trials=2, seed=3)
-    results = run_bench(spec)
+def test_csv_and_table_rendering(tmp_path, capsys):
+    cells = 1   # (n, m, accuracy) = (2, 2, 1e-2)
     path = tmp_path / "bench.csv"
-    write_bench_csv(results, path)
+    argv = ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
+            "--seed", "3", "--jobs", "1", "--out", str(path)]
+    assert main(argv) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "n,m,accuracy,avg_iterations,max_iterations,trials_failed"
     assert lines[1].startswith("2,2,0.01,")
-    table = format_bench_table(results)
+    # the table is everything printed before the budget line
+    table = capsys.readouterr().out.split("\niteration budget")[0]
     assert "input n" in table.splitlines()[0]
-    assert len(table.splitlines()) == len(results) + 1
+    assert len(table.splitlines()) == cells + 1
+    # byte determinism on re-export
+    text = path.read_text()
+    assert main(argv) == 0
+    assert path.read_text() == text

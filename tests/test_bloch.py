@@ -7,8 +7,8 @@ import pytest
 from cqcap.bloch import (BinaryBlochChannel, GradientBoundaryError, SweepGrid,
                          approx_p1, binary_entropy, error_sweep, exact_p1,
                          holevo_bloch, holevo_bloch_gradient,
-                         max_error_by_range, realize_channel, write_range_csv,
-                         write_sweep_csv)
+                         max_error_by_range, realize_channel)
+from cqcap.cli import main
 from cqcap.qinfo import holevo_information
 from cqcap.solver import SolverConfig, solve
 
@@ -234,6 +234,9 @@ class TestErrorSweep:
             SweepGrid(lambda_max=0.5)
         with pytest.raises(ValueError):
             SweepGrid(reference_gap_tol=-1.0)
+        for field in ("lambda_step", "theta_step"):
+            with pytest.raises(ValueError, match=field):
+                SweepGrid(**{field: 1e-320})
 
     def test_default_axes_stay_inside_domains(self):
         # i * (pi/50) overshoots pi by one ulp at i = 50 without clamping
@@ -272,22 +275,24 @@ class TestMaxErrorByRange:
             max_error_by_range(cells, [1.2])
 
 
-def test_csv_export_formats(tmp_path):
+def test_csv_export_formats(tmp_path, capsys):
     grid = SweepGrid(lambda_step=0.25, theta_step=2.0, lambda_max=1.0,
                      reference_gap_tol=1e-4)
-    cells = error_sweep(grid)
+    cells = len(grid.lambda_values()) ** 2
     sweep_path = tmp_path / "cells.csv"
     range_path = tmp_path / "ranges.csv"
-    write_sweep_csv(cells, sweep_path)
-    write_range_csv(max_error_by_range(cells, [0.75, 1.0]), range_path)
+    argv = ["sweep", "--lambda-step", "0.25", "--theta-step", "2.0",
+            "--lambda-max", "1.0", "--ref-eps", "1e-4", "--jobs", "1",
+            "--out", str(sweep_path), "--range-out", str(range_path)]
+    assert main(argv) == 0
     lines = sweep_path.read_text().splitlines()
     assert lines[0] == "lambda1,lambda2,error_bits"
-    assert len(lines) == len(cells) + 1
+    assert len(lines) == cells + 1
     assert lines[1].startswith("0.5,0.5,")
     assert range_path.read_text().splitlines()[0] == "R,max_error_bits"
     # byte determinism on re-export
     text = sweep_path.read_text()
-    write_sweep_csv(error_sweep(grid), sweep_path)
+    assert main(argv) == 0
     assert sweep_path.read_text() == text
 
 

@@ -67,6 +67,9 @@ class TestCapacity:
         bad.write_text("{not json")
         assert main(["capacity", str(bad)]) == EXIT_INPUT
         assert "malformed JSON" in capsys.readouterr().err
+        bad.write_bytes(bytes(range(256)))  # not UTF-8 from byte 0x80 on
+        assert main(["capacity", str(bad)]) == EXIT_INPUT
+        assert "malformed JSON" in capsys.readouterr().err
 
     def test_invalid_state_reports_index_and_defect(self, tmp_path, capsys):
         ket0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
@@ -75,7 +78,8 @@ class TestCapacity:
                 ("non-finite", [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]),
                 ("Hermitian", [[[0.5, 0], [0.3, 0]], [[0.1, 0], [0.5, 0]]]),
                 ("diagonal", [[[0.5, 1e-6], [0, 0]], [[0, 0], [0.5, 0]]]),
-                ("semidefinite", [[[1.2, 0], [0, 0]], [[0, 0], [-0.2, 0]]])):
+                ("semidefinite", [[[1.2, 0], [0, 0]], [[0, 0], [-0.2, 0]]]),
+                ("semidefinite", [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]])):
             path = tmp_path / "bad_state.json"
             path.write_text(json.dumps({"dim": 2, "states": [ket0, bad]}))
             assert main(["capacity", str(path)]) == EXIT_INPUT
@@ -173,6 +177,11 @@ class TestSweep:
                       ["--ref-eps", "nan"]):
             assert main(["sweep"] + flags) == EXIT_INPUT
             assert "error:" in capsys.readouterr().err
+        # a subnormal step overflows the axis length to inf
+        for field in ("lambda_step", "theta_step"):
+            flag = "--" + field.replace("_", "-")
+            assert main(["sweep", flag, "1e-320"]) == EXIT_INPUT
+            assert f"error: {field}" in capsys.readouterr().err
 
 
 def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys):
@@ -193,6 +202,24 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
         assert main(argv) == EXIT_INPUT
         assert "error: cannot write output" in capsys.readouterr().err
     assert calls == []
+
+
+def test_same_sweep_outputs_fail_before_any_solve(tmp_path, monkeypatch, capsys):
+    import cqcap.bloch
+    calls = []
+    real = cqcap.bloch.solve
+    monkeypatch.setattr(cqcap.bloch, "solve",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    monkeypatch.chdir(tmp_path)
+    sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
+             "--lambda-max", "0.9", "--ref-eps", "1e-5", "--jobs", "1"]
+    for out, range_out in (("same.csv", "same.csv"), ("same.csv", "./same.csv"),
+                           (str(tmp_path / "same.csv"), "same.csv")):
+        assert main(sweep + ["--out", out, "--range-out", range_out]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: --out and --range-out" in err
+    assert calls == []
+    assert not (tmp_path / "same.csv").exists()
 
 
 class TestBench:
@@ -224,7 +251,9 @@ class TestBench:
                 ("input_sizes", ["--n", "2,2", "--m", "2", "--acc", "1e-3"]),
                 ("output_dims", ["--n", "2", "--m", "3,3", "--acc", "1e-3"]),
                 ("accuracies", ["--n", "2", "--m", "2", "--acc", "1e-3,0.001"]),
-                ("seed", ["--n", "2", "--m", "2", "--acc", "1e-3", "--seed", "-1"])):
+                ("seed", ["--n", "2", "--m", "2", "--acc", "1e-3", "--seed", "-1"]),
+                # ln(2)/1e-320 overflows to an infinite iteration budget
+                ("accuracies", ["--n", "2", "--m", "2", "--acc", "1e-320"])):
             assert main(["bench", "--trials", "2"] + flags) == EXIT_INPUT
             assert f"error: {field}" in capsys.readouterr().err
 

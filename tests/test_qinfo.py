@@ -178,7 +178,9 @@ class TestValidation:
                 ("Hermitian", np.array([[0.5, 0.3], [0.1, 0.5]])),
                 ("diagonal", np.array([[0.5 + 1e-6j, 0.0], [0.0, 0.5]])),
                 ("positive semidefinite", np.diag([1.2, -0.2])),
-                ("unit trace", np.diag([0.9, 0.3]))):
+                ("unit trace", np.diag([0.9, 0.3])),
+                # eigenvalues +-1e308: A + A^H overflows and eigh returns NaN
+                ("positive semidefinite", np.array([[0.5, 1e308], [1e308, 0.5]]))):
             states = np.stack([KET0, bad, bad]).astype(complex)
             with pytest.raises(ValueError, match=rf"states\[1\] .*{defect}"):
                 CqChannel(states)

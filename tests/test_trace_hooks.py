@@ -2,7 +2,8 @@
 rebinds cqcap names listed in its WRAPPED table, and `cqcap.__all__` lists
 the public API. A refactor that renames or drops one of these names would
 otherwise only surface when the benchmark runs with tracing on or when a
-user star-imports the package; these tests catch it in the unit suite."""
+user star-imports the package; these tests catch it in the unit suite. One
+more guard keeps file output in the CLI."""
 
 import importlib
 import importlib.util
@@ -30,6 +31,14 @@ def test_every_wrapped_name_resolves_to_a_callable():
             assert hasattr(owner, part), f"{module}.{path}: no attribute {part!r}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{path} is not callable"
+
+
+def test_only_the_cli_opens_files():
+    # file output belongs to the front end; the other modules only compute
+    package = Path(cqcap.__file__).resolve().parent
+    openers = sorted(str(path.relative_to(package)) for path in package.rglob("*.py")
+                     if path.name != "cli.py" and "open(" in path.read_text())
+    assert openers == []
 
 
 def test_every_exported_name_resolves():
