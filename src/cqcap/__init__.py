@@ -14,7 +14,7 @@ from .qinfo import (CqChannel, check_linear_independence, holevo_information,
                     validate_hermitian, von_neumann_entropy)
 from .solver import (IterateRecord, SolveReport, SolverConfig,
                      SupportViolationError, ba_step, optimality_kkt_check,
-                     solve, upper_bound)
+                     solve, solve_batch, upper_bound)
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,6 @@ __all__ = [
     "holevo_bloch_gradient", "holevo_information", "iteration_budget",
     "max_error_by_range", "optimality_kkt_check", "random_channel",
     "random_density_matrix", "realize_channel", "relative_entropy",
-    "run_bench", "solve", "trial_rng", "upper_bound",
+    "run_bench", "solve", "solve_batch", "trial_rng", "upper_bound",
     "validate_distribution", "validate_hermitian", "von_neumann_entropy",
 ]

@@ -4,21 +4,22 @@ seeded ensembles of classical-quantum channels.
 States are drawn from the Ginibre construction G G^H / Tr(G G^H), which is
 full-rank with probability one. Every trial owns a counter-based RNG
 stream derived from (seed, n, m, accuracy index, trial index), so cells
-and trials are reproducible individually and independent of the worker
-count used to run them.
+and trials are reproducible individually. A cell's trials are solved
+together with `solve_batch`, and each trial's count is the one `solve`
+gives for its channel alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .qinfo import CqChannel
-from .solver import SolverConfig, _require_positive_finite, solve
+from .solver import BATCH_CHUNK, SolverConfig, _require_positive_finite, solve_batch
+from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 
 @dataclass(frozen=True)
@@ -89,41 +90,28 @@ def iteration_budget(n: int, accuracy: float) -> float:
     return math.log(n) / accuracy
 
 
-def _bench_trial(task) -> tuple[int, bool]:
-    seed, n, m, acc_index, trial_index, accuracy = task
-    rng = trial_rng(seed, n, m, acc_index, trial_index)
-    ch = random_channel(n, m, rng)
-    cfg = SolverConfig(gap_tol=accuracy,
-                       max_iters=int(math.ceil(iteration_budget(n, accuracy))) + 1)
-    report = solve(ch, cfg)
-    return report.iterations, report.converged
-
-
-def run_bench(spec: BenchSpec, jobs: int = 1) -> list[BenchResult]:
+def run_bench(spec: BenchSpec) -> list[BenchResult]:
     """Aggregate iteration counts per (n, m, accuracy) cell.
 
-    Returns a list of BenchResult in cell order. Averages are exact
-    (integer sums) and independent of the worker count.
+    Returns a list of BenchResult in cell order. Each cell's trials are
+    solved with `solve_batch`, BATCH_CHUNK at a time, under the budget
+    ceil(ln(n)/accuracy) + 1. Averages are exact (integer sums).
     """
-    cells = list(product(spec.input_sizes, spec.output_dims,
-                         enumerate(spec.accuracies)))
-    tasks = [(spec.seed, n, m, ai, trial, acc)
-             for n, m, (ai, acc) in cells for trial in range(spec.trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_bench_trial, tasks, chunksize=4))
-    else:
-        outcomes = [_bench_trial(t) for t in tasks]
-
     results = []
-    for idx, (n, m, (ai, acc)) in enumerate(cells):
-        chunk = outcomes[idx * spec.trials:(idx + 1) * spec.trials]
-        counts = [it for it, _ in chunk]
-        failed = sum(1 for _, ok in chunk if not ok)
+    for n, m, (ai, acc) in product(spec.input_sizes, spec.output_dims,
+                                   enumerate(spec.accuracies)):
+        cfg = SolverConfig(gap_tol=acc,
+                           max_iters=int(math.ceil(iteration_budget(n, acc))) + 1)
+        reports = []
+        for start in range(0, spec.trials, BATCH_CHUNK):
+            reports += solve_batch(
+                (random_channel(n, m, trial_rng(spec.seed, n, m, ai, trial))
+                 for trial in range(start, min(start + BATCH_CHUNK, spec.trials))), cfg)
+        counts = [r.iterations for r in reports]
         results.append(BenchResult(n=n, m=m, accuracy=acc,
                                    avg_iterations=sum(counts) / spec.trials,
                                    max_iterations=max(counts),
-                                   trials_failed=failed))
+                                   trials_failed=sum(not r.converged for r in reports)))
     return results
 
 

@@ -14,18 +14,23 @@ Holevo values in this module are in bits, matching the binary entropy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
 from .qinfo import LN2, CqChannel
-from .solver import SolverConfig, _require_positive_finite, solve
+from .solver import BATCH_CHUNK, SolverConfig, _require_positive_finite, solve_batch
+from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EXACT_P1_DPS = 40
 _EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
+# Largest sweep accepted, in solves (lambda values^2 * theta values): 15x the
+# paper-scale default grid of 132,651 solves, which takes about a minute on
+# one core, so a mistyped step is refused at once instead of filling memory
+# or running for days.
+MAX_SWEEP_SOLVES = 2_000_000
 
 
 class GradientBoundaryError(ValueError):
@@ -74,6 +79,12 @@ class SweepGrid:
                 ("theta_step", self.theta_step, math.pi)):
             if not math.isfinite(span / step):
                 raise ValueError(f"{field} {step!r} makes the axis length infinite")
+        lams = _axis_count(0.5, self.lambda_max, self.lambda_step)
+        thetas = _axis_count(0.0, math.pi, self.theta_step)
+        if lams ** 2 * thetas > MAX_SWEEP_SOLVES:
+            raise ValueError(f"lambda_step {self.lambda_step!r} and theta_step "
+                             f"{self.theta_step!r} make {lams:.4g}^2 x {thetas:.4g} "
+                             f"solves, more than the {MAX_SWEEP_SOLVES} a sweep may run")
 
     def lambda_values(self) -> list[float]:
         return _axis(0.5, self.lambda_max, self.lambda_step)
@@ -90,10 +101,13 @@ class SweepCell:
     ba_converged: bool    # False flags a cell where some reference run failed
 
 
+def _axis_count(start: float, stop: float, step: float) -> int:
+    return int(math.floor((stop - start) / step + 1e-9)) + 1
+
+
 def _axis(start: float, stop: float, step: float) -> list[float]:
     # clamp the last point: start + count*step can overshoot stop by one ulp
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [min(start + i * step, stop) for i in range(count)]
+    return [min(start + i * step, stop) for i in range(_axis_count(start, stop, step))]
 
 
 def binary_entropy(x: float) -> float:
@@ -233,42 +247,37 @@ def exact_p1(ch: BinaryBlochChannel) -> float:
     return 0.5 * (a + b)
 
 
-def _sweep_cell(task) -> tuple[float, bool]:
-    lam1, lam2, thetas, ref_tol = task
-    p_hat = approx_p1(lam1, lam2)
-    worst = 0.0
-    ok = True
-    for theta in thetas:
-        ch = BinaryBlochChannel(lam1, lam2, theta)
-        chi_hat = holevo_bloch(ch, p_hat)
-        report = solve(realize_channel(ch), SolverConfig(gap_tol=ref_tol))
-        if not report.converged:
-            ok = False
-            continue
-        worst = max(worst, abs(chi_hat - report.lower / LN2))
-    return worst, ok
-
-
-def error_sweep(grid: SweepGrid, jobs: int = 1) -> list[SweepCell]:
+def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     """Approximation error over the (lambda1, lambda2) grid.
 
     Each cell's error is the max over the theta grid of the absolute gap,
     in bits, between the Holevo value at the closed-form p1 and the
     iterative solver's converged value. Cells come back sorted
     lexicographically by (lambda1, lambda2); a failed reference run flags
-    the cell instead of aborting the sweep. Output is independent of the
-    worker count.
+    the cell instead of aborting the sweep. The channels are solved with
+    `solve_batch`, BATCH_CHUNK at a time, and each gets the same result as
+    from `solve`.
     """
     lams = grid.lambda_values()
-    thetas = tuple(grid.theta_values())
-    tasks = [(l1, l2, thetas, grid.reference_gap_tol) for l1 in lams for l2 in lams]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_cell, tasks, chunksize=8))
-    else:
-        outcomes = [_sweep_cell(t) for t in tasks]
-    return [SweepCell(l1, l2, err, ok)
-            for (l1, l2, _, _), (err, ok) in zip(tasks, outcomes)]
+    thetas = grid.theta_values()
+    cfg = SolverConfig(gap_tol=grid.reference_gap_tol)
+    cells = [(l1, l2) for l1 in lams for l2 in lams]
+    p_hat = [approx_p1(l1, l2) for l1, l2 in cells]
+    worst = [0.0] * len(cells)
+    ok = [True] * len(cells)
+    total = len(cells) * len(thetas)
+    for start in range(0, total, BATCH_CHUNK):
+        tasks = [divmod(k, len(thetas)) for k in range(start, min(start + BATCH_CHUNK, total))]
+        chans = [BinaryBlochChannel(*cells[c], thetas[j]) for c, j in tasks]
+        # a generator, so each CqChannel is freed once solve_batch stacks it
+        reports = solve_batch((realize_channel(ch) for ch in chans), cfg)
+        for (c, _), ch, report in zip(tasks, chans, reports):
+            if not report.converged:
+                ok[c] = False
+                continue
+            err = abs(holevo_bloch(ch, p_hat[c]) - report.lower / LN2)
+            worst[c] = max(worst[c], err)
+    return [SweepCell(l1, l2, err, flag) for (l1, l2), err, flag in zip(cells, worst, ok)]
 
 
 def max_error_by_range(cells: list[SweepCell], r_values) -> list[tuple[float, float]]:

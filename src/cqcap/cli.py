@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -173,7 +172,7 @@ def _cmd_sweep(args) -> int:
     if out.resolve() == range_out.resolve():
         raise CliInputError(f"--out and --range-out name the same file: {out}")
     _require_writable(out, range_out)
-    cells = error_sweep(grid, jobs=args.jobs)
+    cells = error_sweep(grid)
     r_values = [lam for lam in grid.lambda_values() if lam > 0.5]
     ranges = max_error_by_range(cells, r_values)
     _write_lines(out, ["lambda1,lambda2,error_bits"] + [
@@ -227,7 +226,7 @@ def _cmd_bench(args) -> int:
         raise CliInputError(str(err)) from err
     if args.out:
         _require_writable(args.out)
-    results = run_bench(spec, jobs=args.jobs)
+    results = run_bench(spec)
     print(_format_bench_table(results))
     budget_ok = check_iteration_budget(results)
     print(f"iteration budget ln(n)/accuracy respected: {'yes' if budget_ok else 'NO'}")
@@ -244,18 +243,7 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _jobs_count(text: str) -> int:
-    # argparse also applies this to the string default, the CQCAP_JOBS
-    # value, but only in the subcommand that runs: `capacity` never reads it.
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--jobs and CQCAP_JOBS take an integer, got {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
-    default_jobs = os.environ.get("CQCAP_JOBS", "1")
     parser = _Parser(prog="cqcap",
                      description="Classical-quantum channel capacity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -287,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", default="sweep.csv")
     sw.add_argument("--range-out", default=None,
                     help="range-maxima CSV (default: derived from --out)")
-    sw.add_argument("--jobs", type=_jobs_count, default=default_jobs)
     sw.set_defaults(func=_cmd_sweep)
 
     be = sub.add_parser("bench", help="random-channel iteration benchmark")
@@ -297,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--trials", type=int, default=200)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--out", default=None)
-    be.add_argument("--jobs", type=_jobs_count, default=default_jobs)
     be.set_defaults(func=_cmd_bench)
     return parser
 

@@ -65,7 +65,10 @@ def _density_spectra(a, name: str):
     finite, Hermitian, real diagonal, PSD, unit trace, each over every slice;
     return (array, eigenvalues desc, eigenvector columns)."""
     a = _hermitian(a, name)
-    w, v = _eigh(a)
+    # entries near the float64 limit overflow in _eigh's symmetrization; the
+    # NaN spectrum that follows is rejected below, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, v = _eigh(a)
     _reject(name, -w.min(axis=-1), PSD_TOL,
             "is not positive semidefinite: min eigenvalue -{:.3e}")
     _reject(name, np.abs(np.trace(a, axis1=-2, axis2=-1).real - 1.0), TRACE_TOL,
@@ -140,21 +143,31 @@ def _entropy_from_eigs(w):
 
 
 def _divergences(states, entropies, w, v) -> np.ndarray:
-    """D(rho_x || sigma) in nats for every slice rho_x of `states`.
+    """D(rho_x || sigma_b) in nats for every slice rho_x = states[b, x], as a
+    (B, n) array.
 
-    `entropies` holds H(rho_x) and (w, v) is sigma's eigendecomposition.
+    `states` is a (B, n, m, m) stack, `entropies` (B, n) holds H(rho_x) and
+    (w, v) are the (B, m) and (B, m, m) eigendecompositions of the sigma_b.
     Eigenvalues at or below SUPPORT_TOL are dropped from ln sigma; a letter
     whose mass along such an eigenvector exceeds SUPPORT_TOL lies outside
     sigma's support and gets +inf.
     """
+    b, n, m = states.shape[:3]
     keep = w > SUPPORT_TOL
-    fw = np.where(keep, np.log(np.maximum(w, SUPPORT_TOL)), 0.0)
-    log_sigma = (v * fw) @ v.conj().T
-    d = -entropies - np.einsum("xij,ji->x", states, log_sigma).real
-    if not np.all(keep):
-        vs = v[:, ~keep]
-        overlaps = np.einsum("ik,xij,jk->xk", vs.conj(), states, vs).real
-        d[np.any(overlaps > SUPPORT_TOL, axis=1)] = math.inf
+    fw = np.log(np.where(keep, w, 1.0))
+    # (ln sigma)^T = conj(V) diag(ln w) V^T, so that Tr(rho_x ln sigma) is the
+    # flat product of rho_x with it: one matmul per channel, which sums each
+    # row in the same order whatever B is, so a channel's bits do not depend
+    # on its batch (einsum("bxij,bji->bx") does not keep that)
+    log_sigma_t = (v.conj() * fw[:, None, :]) @ v.swapaxes(-1, -2)
+    trace = (states.reshape(b, n, m * m) @ log_sigma_t.reshape(b, m * m, 1))[..., 0]
+    d = -entropies - trace.real
+    if not keep.all():
+        cut = np.flatnonzero(~keep.all(axis=1))
+        vc = v[cut]
+        overlaps = np.einsum("bik,bxij,bjk->bxk", vc.conj(), states[cut], vc).real
+        outside = np.any((overlaps > SUPPORT_TOL) & ~keep[cut, None, :], axis=2)
+        d[cut] = np.where(outside, math.inf, d[cut])
     return d
 
 
@@ -179,7 +192,8 @@ def relative_entropy(rho, sigma) -> float:
     sig_a, w, v = _density_spectra(sigma, "sigma")
     if rho_a.shape != sig_a.shape or rho_a.ndim != 2:
         raise ValueError(f"shape mismatch or not m x m: {rho_a.shape} vs {sig_a.shape}")
-    return float(_divergences(rho_a[None], _entropy_from_eigs(w_rho[None]), w, v)[0])
+    return float(_divergences(rho_a[None, None], _entropy_from_eigs(w_rho[None, None]),
+                              w[None], v[None])[0, 0])
 
 
 def holevo_information(p, ch: CqChannel) -> float:

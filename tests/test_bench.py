@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cqcap.bench import (BenchResult, BenchSpec, _bench_trial,
-                         check_iteration_budget, iteration_budget,
-                         random_channel, random_density_matrix, run_bench,
-                         trial_rng)
+from cqcap.bench import (BenchResult, BenchSpec, check_iteration_budget,
+                         iteration_budget, random_channel, random_density_matrix,
+                         run_bench, trial_rng)
 from cqcap.cli import main
+from cqcap.solver import SolverConfig, solve
 
 
 class TestRandomDensityMatrix:
@@ -56,10 +56,6 @@ class TestRunBench:
         spec = BenchSpec((2,), (2,), (1e-2,), trials=5, seed=42)
         assert run_bench(spec) == run_bench(spec)
 
-    def test_independent_of_worker_count(self):
-        spec = BenchSpec((2,), (2, 3), (1e-2,), trials=4, seed=9)
-        assert run_bench(spec, jobs=1) == run_bench(spec, jobs=2)
-
     def test_cell_layout_and_fields(self):
         spec = BenchSpec((2, 3), (2,), (1e-1, 1e-2), trials=3, seed=1)
         results = run_bench(spec)
@@ -67,8 +63,11 @@ class TestRunBench:
             [(2, 2, 1e-1), (2, 2, 1e-2), (3, 2, 1e-1), (3, 2, 1e-2)]
         for r in results:
             ai = spec.accuracies.index(r.accuracy)
-            counts = [_bench_trial((spec.seed, r.n, r.m, ai, t, r.accuracy))[0]
-                      for t in range(3)]
+            # each trial solved alone, under the same budget
+            cfg = SolverConfig(gap_tol=r.accuracy,
+                               max_iters=math.ceil(iteration_budget(r.n, r.accuracy)) + 1)
+            counts = [solve(random_channel(r.n, r.m, trial_rng(spec.seed, r.n, r.m, ai, t)),
+                            cfg).iterations for t in range(3)]
             assert r.max_iterations == max(counts)
             assert r.avg_iterations == pytest.approx(sum(counts) / 3)
             assert r.avg_iterations <= r.max_iterations
@@ -129,7 +128,7 @@ def test_csv_and_table_rendering(tmp_path, capsys):
     cells = 1   # (n, m, accuracy) = (2, 2, 1e-2)
     path = tmp_path / "bench.csv"
     argv = ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
-            "--seed", "3", "--jobs", "1", "--out", str(path)]
+            "--seed", "3", "--out", str(path)]
     assert main(argv) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "n,m,accuracy,avg_iterations,max_iterations,trials_failed"

@@ -4,9 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from cqcap.bloch import (BinaryBlochChannel, GradientBoundaryError, SweepGrid,
-                         approx_p1, binary_entropy, error_sweep, exact_p1,
-                         holevo_bloch, holevo_bloch_gradient,
+from cqcap.bloch import (MAX_SWEEP_SOLVES, BinaryBlochChannel, GradientBoundaryError,
+                         SweepGrid, approx_p1, binary_entropy, error_sweep,
+                         exact_p1, holevo_bloch, holevo_bloch_gradient,
                          max_error_by_range, realize_channel)
 from cqcap.cli import main
 from cqcap.qinfo import holevo_information
@@ -237,6 +237,13 @@ class TestErrorSweep:
         for field in ("lambda_step", "theta_step"):
             with pytest.raises(ValueError, match=field):
                 SweepGrid(**{field: 1e-320})
+        # finite axes whose grid is too large to run are refused up front
+        for field, step in (("lambda_step", 1e-300), ("theta_step", 1e-300),
+                            ("lambda_step", 1e-4)):
+            with pytest.raises(ValueError, match=f"{field} {step!r}.* more than the"):
+                SweepGrid(**{field: step})
+        assert len(SweepGrid(lambda_step=0.003).lambda_values()) ** 2 * 51 \
+            <= MAX_SWEEP_SOLVES
 
     def test_default_axes_stay_inside_domains(self):
         # i * (pi/50) overshoots pi by one ulp at i = 50 without clamping
@@ -282,7 +289,7 @@ def test_csv_export_formats(tmp_path, capsys):
     sweep_path = tmp_path / "cells.csv"
     range_path = tmp_path / "ranges.csv"
     argv = ["sweep", "--lambda-step", "0.25", "--theta-step", "2.0",
-            "--lambda-max", "1.0", "--ref-eps", "1e-4", "--jobs", "1",
+            "--lambda-max", "1.0", "--ref-eps", "1e-4",
             "--out", str(sweep_path), "--range-out", str(range_path)]
     assert main(argv) == 0
     lines = sweep_path.read_text().splitlines()

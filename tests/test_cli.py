@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
-from cqcap.cli import (EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, build_parser,
-                       load_channel_file, main)
+from cqcap.cli import (EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, load_channel_file,
+                       main)
 
 CHANNELS = Path(__file__).resolve().parent.parent / "channels"
 
@@ -82,8 +83,13 @@ class TestCapacity:
                 ("semidefinite", [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]])):
             path = tmp_path / "bad_state.json"
             path.write_text(json.dumps({"dim": 2, "states": [ket0, bad]}))
-            assert main(["capacity", str(path)]) == EXIT_INPUT
+            with warnings.catch_warnings():
+                # entries near 1e308 overflow inside validation; numpy must not
+                # print its warnings ahead of the error line
+                warnings.simplefilter("error")
+                assert main(["capacity", str(path)]) == EXIT_INPUT
             err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
             assert "states[1]" in err
             assert defect in err
 
@@ -182,6 +188,10 @@ class TestSweep:
             flag = "--" + field.replace("_", "-")
             assert main(["sweep", flag, "1e-320"]) == EXIT_INPUT
             assert f"error: {field}" in capsys.readouterr().err
+            # a finite step can still ask for far too many solves
+            assert main(["sweep", flag, "1e-300"]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error: lambda_step") and f"{field} 1e-300" in err
 
 
 def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys):
@@ -189,16 +199,16 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
     import cqcap.bloch
     calls = []
     for module in (cqcap.bloch, cqcap.bench):
-        real = module.solve
-        monkeypatch.setattr(module, "solve",
+        real = module.solve_batch
+        monkeypatch.setattr(module, "solve_batch",
                             lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
     missing = str(tmp_path / "missing" / "out.csv")
     sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
-             "--lambda-max", "0.9", "--ref-eps", "1e-5", "--jobs", "1"]
+             "--lambda-max", "0.9", "--ref-eps", "1e-5"]
     for argv in (sweep + ["--out", missing],
                  sweep + ["--out", str(tmp_path / "ok.csv"), "--range-out", missing],
                  ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
-                  "--jobs", "1", "--out", missing]):
+                  "--out", missing]):
         assert main(argv) == EXIT_INPUT
         assert "error: cannot write output" in capsys.readouterr().err
     assert calls == []
@@ -207,12 +217,12 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
 def test_same_sweep_outputs_fail_before_any_solve(tmp_path, monkeypatch, capsys):
     import cqcap.bloch
     calls = []
-    real = cqcap.bloch.solve
-    monkeypatch.setattr(cqcap.bloch, "solve",
+    real = cqcap.bloch.solve_batch
+    monkeypatch.setattr(cqcap.bloch, "solve_batch",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     monkeypatch.chdir(tmp_path)
     sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
-             "--lambda-max", "0.9", "--ref-eps", "1e-5", "--jobs", "1"]
+             "--lambda-max", "0.9", "--ref-eps", "1e-5"]
     for out, range_out in (("same.csv", "same.csv"), ("same.csv", "./same.csv"),
                            (str(tmp_path / "same.csv"), "same.csv")):
         assert main(sweep + ["--out", out, "--range-out", range_out]) == EXIT_INPUT
@@ -262,28 +272,3 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == EXIT_INPUT
-
-
-def test_jobs_env_variable_sets_default(monkeypatch):
-    monkeypatch.setenv("CQCAP_JOBS", "3")
-    args = build_parser().parse_args(["sweep"])
-    assert args.jobs == 3
-    monkeypatch.delenv("CQCAP_JOBS")
-    args = build_parser().parse_args(["sweep"])
-    assert args.jobs == 1
-
-
-def test_capacity_ignores_jobs_env_variable(monkeypatch, capsys):
-    monkeypatch.setenv("CQCAP_JOBS", "two")
-    assert main(["capacity", str(CHANNELS / "z_channel.json")]) == EXIT_OK
-    assert "converged   : yes" in capsys.readouterr().out
-
-
-def test_bench_rejects_bad_jobs_env_variable(monkeypatch, capsys):
-    monkeypatch.setenv("CQCAP_JOBS", "two")
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "1"])
-    assert exc.value.code == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "error:" in err
-    assert "CQCAP_JOBS" in err

@@ -8,7 +8,7 @@ from cqcap.bloch import BinaryBlochChannel, realize_channel
 from cqcap.qinfo import CqChannel, holevo_information
 from cqcap.solver import (IterateRecord, SolveReport, SolverConfig,
                           SupportViolationError, _update, ba_step,
-                          optimality_kkt_check, solve, upper_bound)
+                          optimality_kkt_check, solve, solve_batch, upper_bound)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -76,6 +76,12 @@ class TestBaStep:
     def test_inf_at_positive_weight_raises(self):
         with pytest.raises(SupportViolationError):
             _update(np.array([0.5, 0.5]), np.array([math.inf, 0.0]))
+        # on a stack, +inf at a zero weight is allowed; at a positive one it raises
+        p = np.array([[0.5, 0.5], [1.0, 0.0]])
+        assert np.array_equal(_update(p, np.array([[0.1, 0.0], [0.0, math.inf]]))[1],
+                              [1.0, 0.0])
+        with pytest.raises(SupportViolationError):
+            _update(p, np.array([[0.1, 0.0], [math.inf, 0.0]]))
 
 
 class TestUpperBound:
@@ -154,7 +160,7 @@ class TestSolve:
         from cqcap.solver import _certificates
         ch = random_channel(3, 3, trial_rng(13, 3, 3, 0, 0))
         p = np.array([0.2, 0.5, 0.3])
-        d, _, _ = _certificates(p, ch)
+        d = _certificates(p[None], ch.states[None], ch.entropies[None])[0][0]
         ell2 = np.log2(p) + d / LN2
         r2 = np.power(2.0, ell2 - ell2.max())
         expected = r2 / r2.sum()
@@ -175,6 +181,80 @@ class TestSolve:
             SolverConfig(gap_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
+
+
+def _bits(report):
+    """Everything a report says, as comparable bytes."""
+    hist = None if report.history is None else [
+        (rec.t, np.float64([rec.lower, rec.upper]).tobytes(), rec.p.tobytes())
+        for rec in report.history]
+    return (report.iterations, report.converged,
+            np.float64([report.lower, report.upper, report.capacity_nats]).tobytes(),
+            report.p_star.tobytes(), hist)
+
+
+def support_violating_channel():
+    """From the uniform start, the average state's weight 0.75e-10 along |1>
+    falls below SUPPORT_TOL while letter 0 keeps 1.5e-10 there, so letter 0
+    has +inf relative entropy at positive weight before the first update."""
+    rho0 = np.diag([1.0 - 1.5e-10, 1.5e-10]).astype(complex)
+    return CqChannel(np.stack([rho0, KET0]))
+
+
+class TestSolveBatch:
+    @staticmethod
+    def mixed_2x2():
+        blochs = [realize_channel(BinaryBlochChannel(l1, l2, th))
+                  for l1 in (0.5, 0.8, 1.0) for l2 in (0.6, 0.95, 1.0)
+                  for th in (0.0, 1.1, math.pi)]
+        seeded = [random_channel(2, 2, trial_rng(5, 2, 2, 0, k)) for k in range(10)]
+        return blochs + seeded + [noiseless_bit(), z_channel()]
+
+    @pytest.mark.parametrize("shape, gap", [((2, 2), 1e-6), ((3, 5), 1e-4),
+                                            ((8, 8), 1e-3)])
+    def test_rows_match_solo_solves_bit_for_bit(self, shape, gap):
+        if shape == (2, 2):
+            channels = self.mixed_2x2()
+        else:
+            channels = [random_channel(*shape, trial_rng(6, *shape, 0, k))
+                        for k in range(9)]
+        cfg = SolverConfig(gap_tol=gap, record_history=True)
+        solo = [_bits(solve(ch, cfg)) for ch in channels]
+        for size in (1, 7, len(channels)):
+            batched = []
+            for start in range(0, len(channels), size):
+                batched += solve_batch(channels[start:start + size], cfg)
+            assert [_bits(r) for r in batched] == solo
+
+    def test_max_iters_stops_only_the_slow_rows(self):
+        rho = np.diag([0.6, 0.4]).astype(complex)
+        channels = self.mixed_2x2() + [CqChannel(np.stack([rho, rho]))]
+        cfg = SolverConfig(gap_tol=1e-9, max_iters=25)
+        reports = solve_batch(channels, cfg)
+        assert [_bits(r) for r in reports] == [_bits(solve(ch, cfg)) for ch in channels]
+        capped = [r for r in reports if r.iterations == 25]
+        assert capped and not any(r.converged for r in capped)
+        assert any(r.converged and r.iterations < 25 for r in reports)
+
+    def test_support_violation_stops_only_its_row(self):
+        bad = support_violating_channel()
+        alone = solve(bad)
+        assert (alone.iterations, alone.converged, alone.upper) == (0, False, math.inf)
+        channels = self.mixed_2x2()[:5]
+        channels.insert(2, bad)
+        reports = solve_batch(channels)
+        assert _bits(reports[2]) == _bits(alone)
+        assert [_bits(r) for i, r in enumerate(reports) if i != 2] == \
+            [_bits(solve(ch)) for i, ch in enumerate(channels) if i != 2]
+        assert all(r.converged for i, r in enumerate(reports) if i != 2)
+
+    def test_rejects_empty_and_mixed_shapes(self):
+        with pytest.raises(ValueError, match="at least one"):
+            solve_batch([])
+        with pytest.raises(ValueError, match="one shape"):
+            solve_batch([z_channel(), random_channel(3, 2, trial_rng(0, 3, 2, 0, 0))])
+        with pytest.raises(ValueError, match="one shape"):
+            solve_batch([z_channel(), random_channel(2, 3, trial_rng(0, 2, 3, 0, 0))])
 
 
 class TestKktCheck:
