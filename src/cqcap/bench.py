@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .qinfo import CqChannel
-from .solver import BATCH_CHUNK, SolverConfig, _require_positive_finite, solve_batch
+from .solver import SolverConfig, _require_positive_finite, batch_size, solve_batch
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 
@@ -80,9 +80,14 @@ def random_density_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
     return a / a.trace().real
 
 
+def _ginibre_states(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n, m, m) states of random_channel, not validated."""
+    return np.stack([random_density_matrix(m, rng) for _ in range(n)])
+
+
 def random_channel(n: int, m: int, rng: np.random.Generator) -> CqChannel:
     """Channel of n independent Ginibre states of dimension m."""
-    return CqChannel(np.stack([random_density_matrix(m, rng) for _ in range(n)]))
+    return CqChannel(_ginibre_states(n, m, rng))
 
 
 def iteration_budget(n: int, accuracy: float) -> float:
@@ -94,19 +99,20 @@ def run_bench(spec: BenchSpec) -> list[BenchResult]:
     """Aggregate iteration counts per (n, m, accuracy) cell.
 
     Returns a list of BenchResult in cell order. Each cell's trials are
-    solved with `solve_batch`, BATCH_CHUNK at a time, under the budget
-    ceil(ln(n)/accuracy) + 1. Averages are exact (integer sums).
+    stacked and solved with `solve_batch`, `batch_size(n, m)` trials per
+    call, under the budget ceil(ln(n)/accuracy) + 1. Averages are exact
+    (integer sums).
     """
     results = []
     for n, m, (ai, acc) in product(spec.input_sizes, spec.output_dims,
                                    enumerate(spec.accuracies)):
         cfg = SolverConfig(gap_tol=acc,
                            max_iters=int(math.ceil(iteration_budget(n, acc))) + 1)
-        reports = []
-        for start in range(0, spec.trials, BATCH_CHUNK):
-            reports += solve_batch(
-                (random_channel(n, m, trial_rng(spec.seed, n, m, ai, trial))
-                 for trial in range(start, min(start + BATCH_CHUNK, spec.trials))), cfg)
+        reports, size = [], batch_size(n, m)
+        for start in range(0, spec.trials, size):
+            reports += solve_batch(np.stack([
+                _ginibre_states(n, m, trial_rng(spec.seed, n, m, ai, trial))
+                for trial in range(start, min(start + size, spec.trials))]), cfg)
         counts = [r.iterations for r in reports]
         results.append(BenchResult(n=n, m=m, accuracy=acc,
                                    avg_iterations=sum(counts) / spec.trials,

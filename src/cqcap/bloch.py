@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 
 from .qinfo import LN2, CqChannel
-from .solver import BATCH_CHUNK, SolverConfig, _require_positive_finite, solve_batch
+from .solver import SolverConfig, _require_positive_finite, batch_size, solve_batch
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -117,17 +117,20 @@ def binary_entropy(x: float) -> float:
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
+def _bloch_states(ch: BinaryBlochChannel) -> np.ndarray:
+    """The (2, 2, 2) states of realize_channel, not validated."""
+    lam1, lam2 = ch.lambda1, ch.lambda2
+    c, s = math.cos(ch.theta / 2.0), math.sin(ch.theta / 2.0)
+    off = (2.0 * lam2 - 1.0) * c * s
+    return np.array([[[lam1, 0.0], [0.0, 1.0 - lam1]],
+                     [[lam2 * c * c + (1.0 - lam2) * s * s, off],
+                      [off, lam2 * s * s + (1.0 - lam2) * c * c]]], dtype=np.complex128)
+
+
 def realize_channel(ch: BinaryBlochChannel) -> CqChannel:
     """Concrete 2x2 states: state 1 on the Z axis, state 2 tilted by theta
     in the X-Z plane. Eigenvalues come out as {lambda_i, 1 - lambda_i}."""
-    lam1, lam2 = ch.lambda1, ch.lambda2
-    c, s = math.cos(ch.theta / 2.0), math.sin(ch.theta / 2.0)
-    rho1 = np.array([[lam1, 0.0], [0.0, 1.0 - lam1]], dtype=np.complex128)
-    off = (2.0 * lam2 - 1.0) * c * s
-    rho2 = np.array([[lam2 * c * c + (1.0 - lam2) * s * s, off],
-                     [off, lam2 * s * s + (1.0 - lam2) * c * c]],
-                    dtype=np.complex128)
-    return CqChannel(np.stack([rho1, rho2]))
+    return CqChannel(_bloch_states(ch))
 
 
 def _mixture_norm_sq(ch: BinaryBlochChannel, p1: float) -> float:
@@ -254,9 +257,9 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     in bits, between the Holevo value at the closed-form p1 and the
     iterative solver's converged value. Cells come back sorted
     lexicographically by (lambda1, lambda2); a failed reference run flags
-    the cell instead of aborting the sweep. The channels are solved with
-    `solve_batch`, BATCH_CHUNK at a time, and each gets the same result as
-    from `solve`.
+    the cell instead of aborting the sweep. The channels' states are stacked
+    and solved with `solve_batch`, `batch_size(2, 2)` channels per call, and
+    each gets the same result as from `solve`.
     """
     lams = grid.lambda_values()
     thetas = grid.theta_values()
@@ -265,12 +268,11 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     p_hat = [approx_p1(l1, l2) for l1, l2 in cells]
     worst = [0.0] * len(cells)
     ok = [True] * len(cells)
-    total = len(cells) * len(thetas)
-    for start in range(0, total, BATCH_CHUNK):
-        tasks = [divmod(k, len(thetas)) for k in range(start, min(start + BATCH_CHUNK, total))]
+    total, size = len(cells) * len(thetas), batch_size(2, 2)
+    for start in range(0, total, size):
+        tasks = [divmod(k, len(thetas)) for k in range(start, min(start + size, total))]
         chans = [BinaryBlochChannel(*cells[c], thetas[j]) for c, j in tasks]
-        # a generator, so each CqChannel is freed once solve_batch stacks it
-        reports = solve_batch((realize_channel(ch) for ch in chans), cfg)
+        reports = solve_batch(np.stack([_bloch_states(ch) for ch in chans]), cfg)
         for (c, _), ch, report in zip(tasks, chans, reports):
             if not report.converged:
                 ok[c] = False

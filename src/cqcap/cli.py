@@ -51,7 +51,9 @@ def load_channel_file(path) -> CqChannel:
             doc = json.load(f)
     except OSError as err:
         raise CliInputError(f"cannot read channel file: {err}") from err
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
+        # literals past Python's digit limit; RecursionError deep nesting
         raise CliInputError(f"malformed JSON in {path}: {err}") from err
     if not isinstance(doc, dict) or "dim" not in doc or "states" not in doc:
         raise CliInputError('channel file must be {"dim": m, "states": [...]}')
@@ -66,7 +68,7 @@ def load_channel_file(path) -> CqChannel:
         expected = f"states[{idx}] must be a {dim}x{dim} array of [re, im] pairs"
         try:
             arr = np.asarray(entry, dtype=np.float64)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise CliInputError(f"{expected}: {err}") from err
         if arr.shape != (dim, dim, 2):
             raise CliInputError(f"{expected}, got shape {arr.shape}")

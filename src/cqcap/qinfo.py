@@ -41,6 +41,10 @@ def _reject(name: str, defect, tol: float, message: str) -> None:
         raise ValueError(f"{label} {message.format(defect[idx])}")
 
 
+# entries near the float64 limit overflow in these checks (A - A^H, the trace,
+# _eigh's symmetrization); the inf or NaN that follows is rejected by name, so
+# numpy's warnings would only be noise ahead of the error
+@np.errstate(over="ignore", invalid="ignore")
 def _hermitian(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -60,15 +64,13 @@ def validate_hermitian(a) -> np.ndarray:
     return _hermitian(a, "matrix")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _density_spectra(a, name: str):
     """Check a matrix or stack with one eigendecomposition, in the order
     finite, Hermitian, real diagonal, PSD, unit trace, each over every slice;
     return (array, eigenvalues desc, eigenvector columns)."""
     a = _hermitian(a, name)
-    # entries near the float64 limit overflow in _eigh's symmetrization; the
-    # NaN spectrum that follows is rejected below, so numpy's warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        w, v = _eigh(a)
+    w, v = _eigh(a)
     _reject(name, -w.min(axis=-1), PSD_TOL,
             "is not positive semidefinite: min eigenvalue -{:.3e}")
     _reject(name, np.abs(np.trace(a, axis1=-2, axis2=-1).real - 1.0), TRACE_TOL,
@@ -94,6 +96,27 @@ def validate_distribution(p, n: int | None = None) -> np.ndarray:
     return p
 
 
+def _channel_states(states, batch: bool):
+    """Check the states of one channel (n, m, m), or with `batch` a stack of
+    channels (B, n, m, m), for B >= 1, n >= 2, m >= 2 and the density-matrix
+    invariants of every slice, named `states[x]` or `states[k][x]`. Return
+    the states as a contiguous complex128 array, the caller's own when it
+    already is one, and their von Neumann entropies (n,) or (B, n) in nats."""
+    states = np.ascontiguousarray(states, dtype=np.complex128)
+    form = "(B, n, m, m)" if batch else "(n, m, m)"
+    if states.ndim != 3 + batch or states.shape[-1] != states.shape[-2]:
+        raise ValueError(f"expected a stack of shape {form}, got shape {states.shape}")
+    if batch and states.shape[0] < 1:
+        raise ValueError("need at least one channel, got an empty stack")
+    n, m = states.shape[-3:-1]
+    if n < 2:
+        raise ValueError(f"need at least 2 input letters, got {n}")
+    if m < 2:
+        raise ValueError(f"need output dimension >= 2, got {m}")
+    _, w, _ = _density_spectra(states, "states")
+    return states, _entropy_from_eigs(w)
+
+
 @dataclass(frozen=True, eq=False)
 class CqChannel:
     """A classical-quantum channel: one density matrix per input letter.
@@ -107,16 +130,7 @@ class CqChannel:
     states: np.ndarray
 
     def __post_init__(self):
-        states = np.ascontiguousarray(np.asarray(self.states, dtype=np.complex128))
-        if states.ndim != 3 or states.shape[1] != states.shape[2]:
-            raise ValueError(f"expected an (n, m, m) stack, got shape {states.shape}")
-        n, m = states.shape[0], states.shape[1]
-        if n < 2:
-            raise ValueError(f"need at least 2 input letters, got {n}")
-        if m < 2:
-            raise ValueError(f"need output dimension >= 2, got {m}")
-        _, w, _ = _density_spectra(states, "states")
-        entropies = _entropy_from_eigs(w)
+        states, entropies = _channel_states(self.states, batch=False)
         states.flags.writeable = False
         entropies.flags.writeable = False
         object.__setattr__(self, "states", states)

@@ -6,8 +6,9 @@ each weight by exp(D(rho_x || rho_p)) before renormalizing; rho_p is the
 p-average output state. The Holevo information of the current iterate
 bounds the capacity from below, max_x D(rho_x || rho_p) bounds it from
 above, and the solver stops once the two certificates pinch to gap_tol.
-`solve_batch` runs the iteration for many channels of one shape in
-lockstep over stacked arrays; `solve` is its one-channel case.
+`solve_batch` runs the iteration for a (B, n, m, m) stack of channels in
+lockstep; `solve` is its one-channel case. The sweep and the benchmark
+split their stacks into calls of `batch_size(n, m)` channels.
 """
 
 from __future__ import annotations
@@ -18,17 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qinfo import (LN2, CqChannel, _divergences, _eigh, _entropy_from_eigs,
-                    validate_distribution)
+from .qinfo import (LN2, CqChannel, _channel_states, _divergences, _eigh,
+                    _entropy_from_eigs, validate_distribution)
 
 log = logging.getLogger(__name__)
 
 UNDERFLOW_CLAMP = 1e-300
-# Channels the sweep and the benchmark pass to one solve_batch call. The
-# coarse sweep's 1331 channels fit in one call, and the arrays of a call stay
-# bounded whatever the grid or trial count: 0.5 MB of stacked states for
-# 4096 2x2 binary channels, 34 MB for 4096 channels with n = m = 8.
-BATCH_CHUNK = 4096
+# Bytes of stacked states the sweep and the benchmark pass to one solve_batch
+# call: 4096 binary qubit channels (the coarse sweep's 1331 in one call) or 64
+# with n = m = 8. A stack is validated as a whole, so its temporaries grow with
+# its bytes: `cqcap bench --n 8 --m 8 --acc 1e-2 --trials 4096` peaked at
+# 171 MB in calls of 4096 channels and at 46 MB in calls of 64, which were
+# also faster (3.1 s against 3.7 s; 2-core x86-64, numpy 2.4).
+BATCH_BYTES = 512 << 10
+
+
+def batch_size(n: int, m: int) -> int:
+    """Channels of n states of dimension m that fit in BATCH_BYTES, at least 1."""
+    return max(1, BATCH_BYTES // (16 * n * m * m))
 
 
 class SupportViolationError(RuntimeError):
@@ -133,28 +141,25 @@ def upper_bound(p, ch: CqChannel) -> float:
     return _certificates_of(p, ch)[2]
 
 
-def solve_batch(channels, cfg: SolverConfig | None = None) -> list[SolveReport]:
-    """Solve channels of one shape (n, m) together; one report per channel,
-    in order.
+def solve_batch(states, cfg: SolverConfig | None = None) -> list[SolveReport]:
+    """Solve a stack of channels of one shape together; one report per
+    channel, in order.
 
-    Every channel runs the iteration of `solve` from the uniform
-    distribution, all of them in lockstep over stacked arrays, and leaves the
-    batch when its certificate gap closes, when a positive-weight letter gets
-    +inf relative entropy (reported as converged=False) or at max_iters. Each
-    channel's report is the same, bit for bit, whichever batch it is in.
-    `channels` may be any iterable; only the stacked states and entropies are
-    kept, so channels from a generator are freed once stacked.
+    `states` is a complex (B, n, m, m) array, `states[k]` the states of
+    channel k. It is validated once with the checks of CqChannel, a defect
+    named as `states[k][x]`, and left unchanged. Every channel runs the
+    iteration of `solve` from the uniform distribution, all of them in
+    lockstep, and leaves the batch when its certificate gap closes, when a
+    positive-weight letter gets +inf relative entropy (reported as
+    converged=False) or at max_iters. Report k equals, bit for bit,
+    `solve(CqChannel(states[k]), cfg)`.
     """
-    cfg = cfg or SolverConfig()
-    channels = list(channels)
-    if not channels:
-        raise ValueError("solve_batch needs at least one channel")
-    shapes = {ch.states.shape for ch in channels}
-    if len(shapes) > 1:
-        raise ValueError(f"channels must share one shape (n, m, m), got {sorted(shapes)}")
-    states = np.stack([ch.states for ch in channels])
-    entropies = np.stack([ch.entropies for ch in channels])
-    del channels
+    return _solve_stacked(*_channel_states(states, batch=True), cfg or SolverConfig())
+
+
+def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
+    """The iteration loop of solve_batch and solve, on validated states
+    (B, n, m, m) and their entropies (B, n)."""
     size, n = entropies.shape
     p = np.full((size, n), 1.0 / n)
     rows = np.arange(size)        # batch index of each active row
@@ -208,13 +213,14 @@ def solve_batch(channels, cfg: SolverConfig | None = None) -> list[SolveReport]:
 
 def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the iteration from the uniform distribution until the certificate
-    gap closes or max_iters is hit: `solve_batch` with one channel.
+    gap closes or max_iters is hit: the loop of `solve_batch` with one
+    channel, whose states CqChannel has already validated.
 
     The report carries both certificates, so the true capacity C satisfies
     report.lower <= C <= report.upper whenever the upper bound is finite.
     Non-convergence is reported (converged=False), not raised.
     """
-    return solve_batch([ch], cfg)[0]
+    return _solve_stacked(ch.states[None], ch.entropies[None], cfg or SolverConfig())[0]
 
 
 def optimality_kkt_check(report: SolveReport, ch: CqChannel, tol: float) -> bool:

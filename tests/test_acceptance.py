@@ -184,7 +184,7 @@ def test_06b_approximation_error_bound_interior(coarse_sweep_cells):
     worst = coarse_interior
     window = [BinaryBlochChannel(0.80 + 0.01 * i, 0.88 + 0.01 * j, k * math.pi / 50)
               for i in range(15) for j in range(7) for k in range(51)]
-    reports = solve_batch([realize_channel(ch) for ch in window],
+    reports = solve_batch(np.stack([realize_channel(ch).states for ch in window]),
                           SolverConfig(gap_tol=1e-6))
     for ch, report in zip(window, reports):
         assert report.converged

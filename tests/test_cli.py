@@ -72,6 +72,26 @@ class TestCapacity:
         assert main(["capacity", str(bad)]) == EXIT_INPUT
         assert "malformed JSON" in capsys.readouterr().err
 
+    def test_integer_too_large_for_float(self, tmp_path, capsys):
+        path = tmp_path / "huge_entry.json"
+        path.write_text('{"dim": 2, "states": [[[[1' + "0" * 400 + ', 0], [0, 0]], '
+                        '[[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}')
+        assert main(["capacity", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: states[0] must be a 2x2 array of [re, im] pairs")
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "long_dim.json"
+        path.write_text('{"dim": ' + "1" * 5000 + ', "states": []}')
+        assert main(["capacity", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: malformed JSON")
+
+    def test_nesting_too_deep(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim": 2, "states": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["capacity", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: malformed JSON")
+
     def test_invalid_state_reports_index_and_defect(self, tmp_path, capsys):
         ket0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
         for defect, bad in (
@@ -80,7 +100,8 @@ class TestCapacity:
                 ("Hermitian", [[[0.5, 0], [0.3, 0]], [[0.1, 0], [0.5, 0]]]),
                 ("diagonal", [[[0.5, 1e-6], [0, 0]], [[0, 0], [0.5, 0]]]),
                 ("semidefinite", [[[1.2, 0], [0, 0]], [[0, 0], [-0.2, 0]]]),
-                ("semidefinite", [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]])):
+                ("semidefinite", [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]),
+                ("Hermitian", [[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]])):
             path = tmp_path / "bad_state.json"
             path.write_text(json.dumps({"dim": 2, "states": [ket0, bad]}))
             with warnings.catch_warnings():

@@ -185,6 +185,16 @@ class TestValidation:
             with pytest.raises(ValueError, match=rf"states\[1\] .*{defect}"):
                 CqChannel(states)
 
+    def test_overflow_is_rejected_without_warnings(self):
+        # A - A^H and the trace overflow to inf; the pytest settings turn a
+        # numpy RuntimeWarning into a failure
+        ket0 = np.diag([1.0, 0.0, 0.0])
+        for defect, bad in (
+                ("Hermitian", np.array([[0.5, 1e308, 0], [-1e308, 0.5, 0], [0, 0, 0]])),
+                ("unit trace", np.diag([8e307, 8e307, 8e307]))):
+            with pytest.raises(ValueError, match=rf"states\[1\] .*{defect}.* = inf"):
+                CqChannel(np.stack([ket0, bad]).astype(complex))
+
     @pytest.mark.parametrize("n", [2, 8])
     def test_channel_validates_with_one_eigendecomposition(self, n, monkeypatch):
         import cqcap.qinfo as qinfo

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cqcap.bench import random_channel, trial_rng
-from cqcap.bloch import BinaryBlochChannel, realize_channel
+import cqcap.bench
+import cqcap.bloch
+import cqcap.solver
+from cqcap.bench import BenchSpec, iteration_budget, random_channel, run_bench, trial_rng
+from cqcap.bloch import (BinaryBlochChannel, SweepGrid, approx_p1, error_sweep,
+                         holevo_bloch, realize_channel)
 from cqcap.qinfo import CqChannel, holevo_information
 from cqcap.solver import (IterateRecord, SolveReport, SolverConfig,
-                          SupportViolationError, _update, ba_step,
+                          SupportViolationError, _update, ba_step, batch_size,
                           optimality_kkt_check, solve, solve_batch, upper_bound)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -201,6 +205,11 @@ def support_violating_channel():
     return CqChannel(np.stack([rho0, KET0]))
 
 
+def stack(channels):
+    """The (B, n, m, m) states of channels of one shape."""
+    return np.stack([ch.states for ch in channels])
+
+
 class TestSolveBatch:
     @staticmethod
     def mixed_2x2():
@@ -223,14 +232,14 @@ class TestSolveBatch:
         for size in (1, 7, len(channels)):
             batched = []
             for start in range(0, len(channels), size):
-                batched += solve_batch(channels[start:start + size], cfg)
+                batched += solve_batch(stack(channels[start:start + size]), cfg)
             assert [_bits(r) for r in batched] == solo
 
     def test_max_iters_stops_only_the_slow_rows(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
         channels = self.mixed_2x2() + [CqChannel(np.stack([rho, rho]))]
         cfg = SolverConfig(gap_tol=1e-9, max_iters=25)
-        reports = solve_batch(channels, cfg)
+        reports = solve_batch(stack(channels), cfg)
         assert [_bits(r) for r in reports] == [_bits(solve(ch, cfg)) for ch in channels]
         capped = [r for r in reports if r.iterations == 25]
         assert capped and not any(r.converged for r in capped)
@@ -242,19 +251,76 @@ class TestSolveBatch:
         assert (alone.iterations, alone.converged, alone.upper) == (0, False, math.inf)
         channels = self.mixed_2x2()[:5]
         channels.insert(2, bad)
-        reports = solve_batch(channels)
+        reports = solve_batch(stack(channels))
         assert _bits(reports[2]) == _bits(alone)
         assert [_bits(r) for i, r in enumerate(reports) if i != 2] == \
             [_bits(solve(ch)) for i, ch in enumerate(channels) if i != 2]
         assert all(r.converged for i, r in enumerate(reports) if i != 2)
 
-    def test_rejects_empty_and_mixed_shapes(self):
-        with pytest.raises(ValueError, match="at least one"):
-            solve_batch([])
-        with pytest.raises(ValueError, match="one shape"):
-            solve_batch([z_channel(), random_channel(3, 2, trial_rng(0, 3, 2, 0, 0))])
-        with pytest.raises(ValueError, match="one shape"):
-            solve_batch([z_channel(), random_channel(2, 3, trial_rng(0, 2, 3, 0, 0))])
+    def test_names_the_bad_slice(self):
+        states = stack(self.mixed_2x2()[:5])
+        states[3, 1] = np.diag([1.2, -0.2])
+        with pytest.raises(ValueError, match=r"^states\[3\]\[1\] is not positive semidefinite"):
+            solve_batch(states)
+        states = stack(self.mixed_2x2()[:5])
+        states[0, 0, 0, 1] = 0.1
+        with pytest.raises(ValueError, match=r"^states\[0\]\[0\] is not Hermitian"):
+            solve_batch(states)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match=r"shape \(B, n, m, m\), got shape \(2, 2, 2\)"):
+            solve_batch(z_channel().states)
+        with pytest.raises(ValueError, match=r"got shape \(1, 2, 2, 3\)"):
+            solve_batch(np.zeros((1, 2, 2, 3), dtype=complex))
+        with pytest.raises(ValueError, match="at least one channel"):
+            solve_batch(np.zeros((0, 2, 2, 2), dtype=complex))
+        with pytest.raises(ValueError, match="at least 2 input letters, got 1"):
+            solve_batch(stack([z_channel()])[:, :1])
+
+    def test_leaves_the_callers_array_alone(self):
+        states = stack(self.mixed_2x2())
+        before = states.copy()
+        solve_batch(states)
+        assert states.flags.writeable
+        assert np.array_equal(states, before)
+
+    def test_batch_size_follows_the_byte_budget(self):
+        assert batch_size(2, 2) == 4096
+        assert batch_size(8, 8) == 64
+        assert batch_size(2, 10**6) == 1
+
+    def test_harnesses_split_at_the_byte_budget(self, monkeypatch):
+        # 640 bytes hold 5 channels with n = m = 2 or 3 with n = 3, m = 2
+        monkeypatch.setattr(cqcap.solver, "BATCH_BYTES", 640)
+        calls = []
+        real = cqcap.solver.solve_batch
+        for module in (cqcap.bloch, cqcap.bench):
+            monkeypatch.setattr(module, "solve_batch",
+                                lambda states, cfg: calls.append(len(states)) or real(states, cfg))
+        grid = SweepGrid(lambda_step=0.25, theta_step=1.5, reference_gap_tol=1e-6)
+        cells = error_sweep(grid)
+        assert calls == [5] * 5 + [2]
+        cfg = SolverConfig(gap_tol=1e-6)
+        for cell in cells:
+            errors = []
+            for theta in grid.theta_values():
+                ch = BinaryBlochChannel(cell.lambda1, cell.lambda2, theta)
+                report = solve(realize_channel(ch), cfg)
+                assert report.converged
+                p_hat = approx_p1(ch.lambda1, ch.lambda2)
+                errors.append(abs(holevo_bloch(ch, p_hat) - report.lower / LN2))
+            assert (cell.error_bits, cell.ba_converged) == (max(errors), True)
+        calls.clear()
+        spec = BenchSpec((2, 3), (2,), (1e-2,), trials=7, seed=3)
+        results = run_bench(spec)
+        assert calls == [5, 2, 3, 3, 1]
+        for r in results:
+            cfg = SolverConfig(gap_tol=r.accuracy,
+                               max_iters=math.ceil(iteration_budget(r.n, r.accuracy)) + 1)
+            counts = [solve(random_channel(r.n, r.m, trial_rng(3, r.n, r.m, 0, t)),
+                            cfg).iterations for t in range(7)]
+            assert (r.max_iterations, r.avg_iterations, r.trials_failed) == \
+                (max(counts), sum(counts) / 7, 0)
 
 
 class TestKktCheck:
