@@ -41,8 +41,8 @@ def batch_size(n: int, m: int) -> int:
 
 class SupportViolationError(RuntimeError):
     """A positive-weight letter has +inf relative entropy to the average
-    state. Cannot happen from an interior start; indicates numerically
-    degenerate inputs."""
+    state, so the update is undefined. Raised by `ba_step`; `solve` and
+    `solve_batch` stop the channel instead and report converged=False."""
 
 
 def _require_positive_finite(name: str, value: float) -> None:
@@ -107,14 +107,9 @@ def _certificates_of(p: np.ndarray, ch: CqChannel):
 
 def _update(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     """One multiplicative step p_x <- p_x exp(d_x) / Z, done in log domain,
-    for a distribution (n,) or for each row of a stack (B, n)."""
+    for a distribution (n,) or for each row of a stack (B, n). Every d_x at
+    a positive weight must be finite."""
     pos = p > 0.0
-    if np.isinf(d).any():
-        bad = pos & np.isinf(d)
-        if bad.any():
-            raise SupportViolationError(
-                f"+inf relative entropy at positive-weight letters "
-                f"{np.argwhere(bad).tolist()} (weights {p[bad].tolist()})")
     ell = np.where(pos, np.log(np.where(pos, p, 1.0)) + d, -math.inf)
     r = np.exp(ell - ell.max(axis=-1, keepdims=True))
     under = pos & (r == 0.0)
@@ -132,7 +127,13 @@ def ba_step(p, ch: CqChannel) -> np.ndarray:
     positive-weight letter raises SupportViolationError.
     """
     p = validate_distribution(p, n=ch.input_size)
-    return _update(p, _certificates_of(p, ch)[0])
+    d = _certificates_of(p, ch)[0]
+    bad = (p > 0.0) & np.isinf(d)
+    if bad.any():
+        raise SupportViolationError(
+            f"+inf relative entropy at positive-weight letters "
+            f"{np.flatnonzero(bad).tolist()} (weights {p[bad].tolist()})")
+    return _update(p, d)
 
 
 def upper_bound(p, ch: CqChannel) -> float:
@@ -163,32 +164,31 @@ def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
     size, n = entropies.shape
     p = np.full((size, n), 1.0 / n)
     rows = np.arange(size)        # batch index of each active row
-    d, lower, upper = _certificates(p, states, entropies)
-    histories = [[IterateRecord(0, float(lo), float(up), q.copy())]
-                 for lo, up, q in zip(lower, upper, p)] if cfg.record_history else None
+    histories = [[] for _ in range(size)] if cfg.record_history else None
     reports: list[SolveReport | None] = [None] * size
     t = 0
     while True:
+        d, lower, upper = _certificates(p, states, entropies)
+        if histories:
+            for k, b in enumerate(rows):
+                histories[b].append(IterateRecord(t, float(lower[k]), float(upper[k]),
+                                                  p[k].copy()))
         gap = upper - lower
         tol = cfg.gap_tol if t else -math.inf   # the gap counts from the first update on
-        step = None
-        if t < cfg.max_iters and gap.min() > tol:
-            try:
-                step = _update(p, d)
-            except SupportViolationError:
-                pass
-        if step is None:
-            # Some row stops here: its gap closed, it reached max_iters, or a
-            # positive-weight letter has +inf divergence, which ends the run
-            # before the update it would break. (Or a gap is NaN: none stops.)
+        # A row stops when its gap closes, at max_iters, or when a positive-
+        # weight letter has +inf divergence, which would break the update; the
+        # last implies upper = inf, so only then is the exact test made. A NaN
+        # gap stops no row.
+        if t == cfg.max_iters or not (gap.min() > tol and upper.max() < math.inf):
             closed = gap <= tol
             stop = closed | (t == cfg.max_iters)
-            violated = ((p > 0.0) & np.isinf(d)).any(axis=1) & ~stop
+            bad = (p > 0.0) & np.isinf(d)
+            violated = bad.any(axis=1) & ~stop
             for k in np.flatnonzero(violated):
-                letters = np.flatnonzero((p[k] > 0.0) & np.isinf(d[k]))
-                log.warning("channel %d: stopping at iteration %d: +inf relative "
+                letters = np.flatnonzero(bad[k])
+                log.warning("channel %d: stopping after %d iterations: +inf relative "
                             "entropy at positive-weight letters %s (weights %s)",
-                            rows[k], t + 1, letters.tolist(), p[k, letters].tolist())
+                            rows[k], t, letters.tolist(), p[k, letters].tolist())
             stop |= violated
             for k in np.flatnonzero(stop):
                 b, lo, up = rows[k], float(lower[k]), float(upper[k])
@@ -201,14 +201,8 @@ def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
             if not go.any():
                 return reports
             p, d, states, entropies, rows = p[go], d[go], states[go], entropies[go], rows[go]
-            step = _update(p, d)
-        p = step
-        d, lower, upper = _certificates(p, states, entropies)
+        p = _update(p, d)
         t += 1
-        if histories:
-            for k, b in enumerate(rows):
-                histories[b].append(IterateRecord(t, float(lower[k]), float(upper[k]),
-                                                  p[k].copy()))
 
 
 def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:

@@ -58,6 +58,19 @@ class TestCapacity:
         assert code == EXIT_NOT_CONVERGED
         assert "converged   : no" in out
 
+    def test_support_violation_json(self, tmp_path, capsys):
+        # letter 0 keeps 1.5e-10 along |1>, where the uniform average state
+        # has 0.75e-10 <= SUPPORT_TOL: +inf divergence before the first update
+        states = [[[[1.0 - 1.5e-10, 0], [0, 0]], [[0, 0], [1.5e-10, 0]]],
+                  [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]
+        path = tmp_path / "support_violation.json"
+        path.write_text(json.dumps({"dim": 2, "states": states}))
+        code = main(["capacity", str(path), "--format", "json"])
+        assert code == EXIT_NOT_CONVERGED
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["upper_nats"], payload["converged"], payload["iterations"]) == \
+            (None, False, 0)
+
     def test_missing_file(self, capsys):
         code = main(["capacity", "no_such_file.json"])
         assert code == EXIT_INPUT
