@@ -121,6 +121,7 @@ def _cmd_capacity(args) -> int:
             "gap_nats": _json_float(report.upper - report.lower),
             "iterations": report.iterations,
             "converged": report.converged,
+            "stop_reason": report.stop_reason,
             "p_star": list(report.p_star),
         }
         if report.history is not None:
@@ -169,6 +170,8 @@ def _cmd_sweep(args) -> int:
     except ValueError as err:
         raise CliInputError(str(err)) from err
     out = Path(args.out)
+    if not out.name:   # "", "." and "/" leave no name to derive --range-out from
+        raise CliInputError(f"cannot write output: --out {args.out!r} names no file")
     range_out = Path(args.range_out) if args.range_out else \
         out.with_name(out.stem + "_ranges" + (out.suffix or ".csv"))
     if out.resolve() == range_out.resolve():

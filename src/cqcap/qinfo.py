@@ -3,9 +3,9 @@ eigendecomposition (LAPACK `eigh`, spectrum descending), von Neumann and
 relative entropy, Holevo information and channel containers. Validation and
 `_eigh` take a matrix or a stack (..., m, m). Entropies are in nats.
 
-SUPPORT_TOL is the one zero-eigenvalue cutoff: eigenvalues at or below it
-count as zero in entropies, in the log of an average state and in the
-support test of a relative entropy."""
+Entropies keep every positive eigenvalue (0 ln 0 = 0). SUPPORT_TOL is the
+cutoff of the log of an average state and of the support test of a relative
+entropy: eigenvalues at or below it count as zero there."""
 
 from __future__ import annotations
 
@@ -146,9 +146,9 @@ class CqChannel:
 
 
 def _entropy_from_eigs(w):
-    """-sum w ln w over the last axis, skipping eigenvalues at or below
-    SUPPORT_TOL; a float for one spectrum, an array for a stack."""
-    pos = w > SUPPORT_TOL
+    """-sum w ln w over the last axis, skipping eigenvalues at or below 0;
+    a float for one spectrum, an array for a stack."""
+    pos = w > 0.0
     # a matmul of the masked rows sums like the former dot over the kept
     # eigenvalues alone; sum(-1) does not, and would move the last bit
     h = -(np.where(pos, w, 0.0)[..., None, :]

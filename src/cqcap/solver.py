@@ -3,9 +3,11 @@ capacity, with a two-sided certificate at every iterate.
 
 The iteration keeps a distribution p over input letters and multiplies
 each weight by exp(D(rho_x || rho_p)) before renormalizing; rho_p is the
-p-average output state. The Holevo information of the current iterate
-bounds the capacity from below, max_x D(rho_x || rho_p) bounds it from
-above, and the solver stops once the two certificates pinch to gap_tol.
+p-average output state. The loop carries ln p, so the step is an addition
+and a log-sum-exp, and a weight may fall below the float64 range. The
+Holevo information of the current iterate bounds the capacity from below,
+max_x D(rho_x || rho_p) bounds it from above, and the solver stops once the
+two certificates pinch to gap_tol.
 `solve_batch` runs the iteration for a (B, n, m, m) stack of channels in
 lockstep; `solve` is its one-channel case. The sweep and the benchmark
 split their stacks into calls of `batch_size(n, m)` channels.
@@ -24,7 +26,6 @@ from .qinfo import (LN2, CqChannel, _channel_states, _divergences, _eigh,
 
 log = logging.getLogger(__name__)
 
-UNDERFLOW_CLAMP = 1e-300
 # Bytes of stacked states the sweep and the benchmark pass to one solve_batch
 # call: 4096 binary qubit channels (the coarse sweep's 1331 in one call) or 64
 # with n = m = 8. A stack is validated as a whole, so its temporaries grow with
@@ -80,6 +81,7 @@ class SolveReport:
     iterations: int
     p_star: np.ndarray
     converged: bool
+    stop_reason: str   # "gap", "max_iters" or "support_violation"
     history: list[IterateRecord] | None = None
 
 
@@ -105,19 +107,12 @@ def _certificates_of(p: np.ndarray, ch: CqChannel):
     return d[0], float(lower[0]), float(upper[0])
 
 
-def _update(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """One multiplicative step p_x <- p_x exp(d_x) / Z, done in log domain,
-    for a distribution (n,) or for each row of a stack (B, n). Every d_x at
-    a positive weight must be finite."""
-    pos = p > 0.0
-    ell = np.where(pos, np.log(np.where(pos, p, 1.0)) + d, -math.inf)
-    r = np.exp(ell - ell.max(axis=-1, keepdims=True))
-    under = pos & (r == 0.0)
-    if under.any():
-        log.warning("update underflow clamped to %g at letters %s",
-                    UNDERFLOW_CLAMP, np.argwhere(under).tolist())
-        r[under] = UNDERFLOW_CLAMP
-    return r / r.sum(axis=-1, keepdims=True)
+def _log_normalize(ell: np.ndarray) -> np.ndarray:
+    """ell - ln sum exp(ell) over the last axis of a vector (n,) or stack
+    (B, n): the log of the distribution proportional to exp(ell). The step
+    p_x <- p_x exp(d_x) / Z is ln p <- _log_normalize(ln p + d)."""
+    ell = ell - ell.max(axis=-1, keepdims=True)
+    return ell - np.log(np.exp(ell).sum(axis=-1, keepdims=True))
 
 
 def ba_step(p, ch: CqChannel) -> np.ndarray:
@@ -128,12 +123,14 @@ def ba_step(p, ch: CqChannel) -> np.ndarray:
     """
     p = validate_distribution(p, n=ch.input_size)
     d = _certificates_of(p, ch)[0]
-    bad = (p > 0.0) & np.isinf(d)
+    pos = p > 0.0
+    bad = pos & np.isinf(d)
     if bad.any():
         raise SupportViolationError(
             f"+inf relative entropy at positive-weight letters "
             f"{np.flatnonzero(bad).tolist()} (weights {p[bad].tolist()})")
-    return _update(p, d)
+    return np.exp(_log_normalize(np.where(pos, np.log(np.where(pos, p, 1.0)) + d,
+                                          -math.inf)))
 
 
 def upper_bound(p, ch: CqChannel) -> float:
@@ -151,8 +148,9 @@ def solve_batch(states, cfg: SolverConfig | None = None) -> list[SolveReport]:
     named as `states[k][x]`, and left unchanged. Every channel runs the
     iteration of `solve` from the uniform distribution, all of them in
     lockstep, and leaves the batch when its certificate gap closes, when a
-    positive-weight letter gets +inf relative entropy (reported as
-    converged=False) or at max_iters. Report k equals, bit for bit,
+    letter gets +inf relative entropy or at max_iters: stop_reason "gap",
+    "support_violation" or "max_iters", and converged only for "gap" (a gap
+    that closes at max_iters counts as "gap"). Report k equals, bit for bit,
     `solve(CqChannel(states[k]), cfg)`.
     """
     return _solve_stacked(*_channel_states(states, batch=True), cfg or SolverConfig())
@@ -162,12 +160,13 @@ def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
     """The iteration loop of solve_batch and solve, on validated states
     (B, n, m, m) and their entropies (B, n)."""
     size, n = entropies.shape
-    p = np.full((size, n), 1.0 / n)
+    q = np.full((size, n), -math.log(n))   # ln p, every weight positive
     rows = np.arange(size)        # batch index of each active row
     histories = [[] for _ in range(size)] if cfg.record_history else None
     reports: list[SolveReport | None] = [None] * size
     t = 0
     while True:
+        p = np.exp(q)   # a weight below the float64 range reads as 0
         d, lower, upper = _certificates(p, states, entropies)
         if histories:
             for k, b in enumerate(rows):
@@ -175,17 +174,15 @@ def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
                                                   p[k].copy()))
         gap = upper - lower
         tol = cfg.gap_tol if t else -math.inf   # the gap counts from the first update on
-        # A row stops when its gap closes, at max_iters, or when a positive-
-        # weight letter has +inf divergence, which would break the update; the
-        # last implies upper = inf, so only then is the exact test made. A NaN
-        # gap stops no row.
+        # A row stops when its gap closes, at max_iters, or when a letter has
+        # +inf divergence (upper = inf), which would break the step: every
+        # weight of the loop is positive. A NaN gap stops no row.
         if t == cfg.max_iters or not (gap.min() > tol and upper.max() < math.inf):
             closed = gap <= tol
             stop = closed | (t == cfg.max_iters)
-            bad = (p > 0.0) & np.isinf(d)
-            violated = bad.any(axis=1) & ~stop
+            violated = np.isinf(upper) & ~stop
             for k in np.flatnonzero(violated):
-                letters = np.flatnonzero(bad[k])
+                letters = np.flatnonzero(np.isinf(d[k]))
                 log.warning("channel %d: stopping after %d iterations: +inf relative "
                             "entropy at positive-weight letters %s (weights %s)",
                             rows[k], t, letters.tolist(), p[k, letters].tolist())
@@ -196,12 +193,14 @@ def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
                 reports[b] = SolveReport(
                     capacity_nats=capacity, capacity_bits=capacity / LN2, lower=lo,
                     upper=up, iterations=t, p_star=p[k].copy(), converged=bool(closed[k]),
+                    stop_reason="gap" if closed[k] else
+                    "support_violation" if violated[k] else "max_iters",
                     history=histories[b] if histories else None)
             go = ~stop
             if not go.any():
                 return reports
-            p, d, states, entropies, rows = p[go], d[go], states[go], entropies[go], rows[go]
-        p = _update(p, d)
+            q, d, states, entropies, rows = q[go], d[go], states[go], entropies[go], rows[go]
+        q = _log_normalize(q + d)
         t += 1
 
 

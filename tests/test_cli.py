@@ -32,7 +32,7 @@ class TestCapacity:
                      "--eps", "1e-6", "--format", "json"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["converged"] is True
+        assert (payload["converged"], payload["stop_reason"]) == (True, "gap")
         assert payload["capacity_bits"] == pytest.approx(math.log2(1.25), abs=1e-5)
         assert payload["p_star"][0] == pytest.approx(0.6, abs=1e-4)
         assert payload["gap_nats"] <= 1e-6
@@ -57,6 +57,11 @@ class TestCapacity:
         out = capsys.readouterr().out
         assert code == EXIT_NOT_CONVERGED
         assert "converged   : no" in out
+        code = main(["capacity", str(CHANNELS / "z_channel.json"), "--format", "json",
+                     "--eps", "1e-12", "--max-iter", "2"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_NOT_CONVERGED
+        assert (payload["converged"], payload["stop_reason"]) == (False, "max_iters")
 
     def test_support_violation_json(self, tmp_path, capsys):
         # letter 0 keeps 1.5e-10 along |1>, where the uniform average state
@@ -68,8 +73,8 @@ class TestCapacity:
         code = main(["capacity", str(path), "--format", "json"])
         assert code == EXIT_NOT_CONVERGED
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["upper_nats"], payload["converged"], payload["iterations"]) == \
-            (None, False, 0)
+        assert (payload["upper_nats"], payload["converged"], payload["iterations"],
+                payload["stop_reason"]) == (None, False, 0, "support_violation")
 
     def test_missing_file(self, capsys):
         code = main(["capacity", "no_such_file.json"])
@@ -240,6 +245,7 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
     sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
              "--lambda-max", "0.9", "--ref-eps", "1e-5"]
     for argv in (sweep + ["--out", missing],
+                 sweep + ["--out", ""], sweep + ["--out", "."], sweep + ["--out", "/"],
                  sweep + ["--out", str(tmp_path / "ok.csv"), "--range-out", missing],
                  ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
                   "--out", missing]):
