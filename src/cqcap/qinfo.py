@@ -3,9 +3,10 @@ eigendecomposition (LAPACK `eigh`, spectrum descending), von Neumann and
 relative entropy, Holevo information and channel containers. Validation and
 `_eigh` take a matrix or a stack (..., m, m). Entropies are in nats.
 
-Entropies keep every positive eigenvalue (0 ln 0 = 0). SUPPORT_TOL is the
-cutoff of the log of an average state and of the support test of a relative
-entropy: eigenvalues at or below it count as zero there."""
+Entropies and the log of an average state keep every positive eigenvalue
+(0 ln 0 = 0). SUPPORT_TOL is the cutoff of the support test of a relative
+entropy only: mass above it along an eigenvector whose eigenvalue is at or
+below it makes the divergence +inf."""
 
 from __future__ import annotations
 
@@ -162,13 +163,13 @@ def _divergences(states, entropies, w, v) -> np.ndarray:
 
     `states` is a (B, n, m, m) stack, `entropies` (B, n) holds H(rho_x) and
     (w, v) are the (B, m) and (B, m, m) eigendecompositions of the sigma_b.
-    Eigenvalues at or below SUPPORT_TOL are dropped from ln sigma; a letter
-    whose mass along such an eigenvector exceeds SUPPORT_TOL lies outside
-    sigma's support and gets +inf.
+    ln sigma keeps every positive eigenvalue, the cutoff of the entropies; a
+    letter whose mass along an eigenvector with eigenvalue at or below
+    SUPPORT_TOL exceeds SUPPORT_TOL lies outside sigma's support and gets +inf.
     """
     b, n, m = states.shape[:3]
     keep = w > SUPPORT_TOL
-    fw = np.log(np.where(keep, w, 1.0))
+    fw = np.log(np.where(w > 0.0, w, 1.0))
     # (ln sigma)^T = conj(V) diag(ln w) V^T, so that Tr(rho_x ln sigma) is the
     # flat product of rho_x with it: one matmul per channel, which sums each
     # row in the same order whatever B is, so a channel's bits do not depend

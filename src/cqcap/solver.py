@@ -80,9 +80,13 @@ class SolveReport:
     upper: float
     iterations: int
     p_star: np.ndarray
-    converged: bool
     stop_reason: str   # "gap", "max_iters" or "support_violation"
     history: list[IterateRecord] | None = None
+
+    @property
+    def converged(self) -> bool:
+        """The certificate gap closed to gap_tol."""
+        return self.stop_reason == "gap"
 
 
 def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
@@ -118,7 +122,8 @@ def _log_normalize(ell: np.ndarray) -> np.ndarray:
 def ba_step(p, ch: CqChannel) -> np.ndarray:
     """One iteration of the capacity fixed-point update.
 
-    Zero-weight letters stay at zero; a +inf relative entropy on a
+    Zero-weight letters stay at zero, and a weight whose update falls below
+    the float64 range comes back as 0; a +inf relative entropy on a
     positive-weight letter raises SupportViolationError.
     """
     p = validate_distribution(p, n=ch.input_size)
@@ -176,7 +181,7 @@ def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
         tol = cfg.gap_tol if t else -math.inf   # the gap counts from the first update on
         # A row stops when its gap closes, at max_iters, or when a letter has
         # +inf divergence (upper = inf), which would break the step: every
-        # weight of the loop is positive. A NaN gap stops no row.
+        # ln p of the loop is finite. A NaN gap stops no row.
         if t == cfg.max_iters or not (gap.min() > tol and upper.max() < math.inf):
             closed = gap <= tol
             stop = closed | (t == cfg.max_iters)
@@ -184,7 +189,7 @@ def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
             for k in np.flatnonzero(violated):
                 letters = np.flatnonzero(np.isinf(d[k]))
                 log.warning("channel %d: stopping after %d iterations: +inf relative "
-                            "entropy at positive-weight letters %s (weights %s)",
+                            "entropy at letters %s (weights %s)",
                             rows[k], t, letters.tolist(), p[k, letters].tolist())
             stop |= violated
             for k in np.flatnonzero(stop):
@@ -192,7 +197,7 @@ def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
                 capacity = 0.5 * (lo + up) if math.isfinite(up) else lo
                 reports[b] = SolveReport(
                     capacity_nats=capacity, capacity_bits=capacity / LN2, lower=lo,
-                    upper=up, iterations=t, p_star=p[k].copy(), converged=bool(closed[k]),
+                    upper=up, iterations=t, p_star=p[k].copy(),
                     stop_reason="gap" if closed[k] else
                     "support_violation" if violated[k] else "max_iters",
                     history=histories[b] if histories else None)

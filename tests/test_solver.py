@@ -195,6 +195,21 @@ class TestSolve:
         assert report.lower <= capacity + 1e-13
         assert report.upper >= capacity - 1e-13
 
+    def test_enclosure_with_a_shared_eigenvalue_below_support_tol(self):
+        # both states carry eps on a shared third direction, so at the
+        # optimum p = (1/2, 1/2) the average state has eigenvalue eps there,
+        # and both bounds must keep it: C = (1 - eps) ln 2
+        eps = 5e-11
+        assert eps <= SUPPORT_TOL
+        rho0 = np.diag([1.0 - eps, 0.0, eps]).astype(complex)
+        rho1 = np.diag([0.0, 1.0 - eps, eps]).astype(complex)
+        report = solve(CqChannel(np.stack([rho0, rho1])), SolverConfig(gap_tol=1e-12))
+        assert (report.converged, report.stop_reason) == (True, "gap")
+        with mpmath.workdps(40):
+            capacity = float((1 - mpmath.mpf(eps)) * mpmath.log(2))
+        assert report.lower <= capacity + 1e-13
+        assert report.upper >= capacity - 1e-13
+
     def test_weights_fall_below_the_float64_range_without_warnings(self, caplog):
         # the loop carries ln p, so a decaying weight is not pinned at the
         # subnormal floor (3e-323 with a p loop); its ln p ends near -773, an
@@ -295,7 +310,7 @@ class TestSolveBatch:
             solve_batch(stack(channels))
         assert [r.getMessage() for r in caplog.records] == [
             "channel 3: stopping after 0 iterations: +inf relative entropy at "
-            "positive-weight letters [0] (weights [0.5])"]
+            "letters [0] (weights [0.5])"]
 
     def test_names_the_bad_slice(self):
         states = stack(self.mixed_2x2()[:5])
@@ -379,5 +394,5 @@ class TestKktCheck:
         chi = holevo_information(p_bad, ch)
         fake = SolveReport(capacity_nats=chi, capacity_bits=chi / LN2,
                            lower=chi, upper=chi, iterations=0,
-                           p_star=p_bad, converged=True, stop_reason="gap")
+                           p_star=p_bad, stop_reason="gap")
         assert not optimality_kkt_check(fake, ch, tol=1e-5)
