@@ -27,9 +27,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EXACT_P1_DPS = 40
 _EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
 # Largest sweep accepted, in solves (lambda values^2 * theta values): 15x the
-# paper-scale default grid of 132,651 solves, which takes about a minute on
-# one core, so a mistyped step is refused at once instead of filling memory
-# or running for days.
+# paper-scale default grid of 132,651 solves, which takes about 11 s on a
+# 2-core x86-64 host, so a mistyped step is refused at once instead of
+# filling memory or running for days.
 MAX_SWEEP_SOLVES = 2_000_000
 
 
@@ -99,6 +99,8 @@ class SweepCell:
     lambda2: float
     error_bits: float     # max over theta of |chi(p1_hat) - solver reference|
     ba_converged: bool    # False flags a cell where some reference run failed
+    iterations: int       # total over the cell's reference solves
+    max_iterations: int   # largest count among the cell's reference solves
 
 
 def _axis_count(start: float, stop: float, step: float) -> int:
@@ -258,8 +260,11 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     iterative solver's converged value. Cells come back sorted
     lexicographically by (lambda1, lambda2); a failed reference run flags
     the cell instead of aborting the sweep. The channels' states are stacked
-    and solved with `solve_batch`, `batch_size(2, 2)` channels per call, and
-    each gets the same result as from `solve`.
+    and solved with `solve_batch`, `batch_size(2, 2)` channels per call,
+    each started at the cell's closed-form input [p1_hat, 1 - p1_hat]. The
+    certificates hold at every iterate, so a reference stays within
+    reference_gap_tol of the capacity whatever its start, but it equals a
+    solo solve only from the same start, not `solve`'s uniform one.
     """
     lams = grid.lambda_values()
     thetas = grid.theta_values()
@@ -268,18 +273,25 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     p_hat = [approx_p1(l1, l2) for l1, l2 in cells]
     worst = [0.0] * len(cells)
     ok = [True] * len(cells)
+    iters = [0] * len(cells)
+    longest = [0] * len(cells)
     total, size = len(cells) * len(thetas), batch_size(2, 2)
-    for start in range(0, total, size):
-        tasks = [divmod(k, len(thetas)) for k in range(start, min(start + size, total))]
+    for first in range(0, total, size):
+        tasks = [divmod(k, len(thetas)) for k in range(first, min(first + size, total))]
         chans = [BinaryBlochChannel(*cells[c], thetas[j]) for c, j in tasks]
-        reports = solve_batch(np.stack([_bloch_states(ch) for ch in chans]), cfg)
+        p1 = np.array([p_hat[c] for c, _ in tasks])
+        reports = solve_batch(np.stack([_bloch_states(ch) for ch in chans]), cfg,
+                              start=np.stack([p1, 1.0 - p1], axis=1))
         for (c, _), ch, report in zip(tasks, chans, reports):
+            iters[c] += report.iterations
+            longest[c] = max(longest[c], report.iterations)
             if not report.converged:
                 ok[c] = False
                 continue
             err = abs(holevo_bloch(ch, p_hat[c]) - report.lower / LN2)
             worst[c] = max(worst[c], err)
-    return [SweepCell(l1, l2, err, flag) for (l1, l2), err, flag in zip(cells, worst, ok)]
+    return [SweepCell(l1, l2, err, flag, count, top) for (l1, l2), err, flag, count, top
+            in zip(cells, worst, ok, iters, longest)]
 
 
 def max_error_by_range(cells: list[SweepCell], r_values) -> list[tuple[float, float]]:

@@ -138,6 +138,7 @@ def _cmd_capacity(args) -> int:
         print(f"gap         : {report.upper - report.lower:.6f} nats")
         print(f"iterations  : {report.iterations}")
         print(f"converged   : {'yes' if report.converged else 'no'}")
+        print(f"stop reason : {report.stop_reason}")
         print(f"p_star      : {_fmt_vec(report.p_star)}")
         if report.history is not None:
             print("history (t, lower nats, upper nats):")
@@ -191,6 +192,8 @@ def _cmd_sweep(args) -> int:
           f"({len(grid.lambda_values())}^2 lambda grid, "
           f"{len(grid.theta_values())} theta values)")
     print(f"flagged     : {flagged}")
+    print(f"iterations  : {sum(c.iterations for c in cells)} total, "
+          f"{max(c.max_iterations for c in cells)} max per reference solve")
     if capped:
         print(f"max error (lambda <= 0.95): {max(capped):.6f} bits")
     print(f"max error (full grid)     : {max(c.error_bits for c in cells):.6f} bits")

@@ -79,21 +79,25 @@ def _density_spectra(a, name: str):
     return a, w, v
 
 
-def validate_distribution(p, n: int | None = None) -> np.ndarray:
-    """Check finiteness, nonnegativity and normalization of an input
-    distribution."""
+def validate_distribution(p, n: int | None = None, *, rows: int | None = None,
+                          positive: bool = False, name: str = "distribution") -> np.ndarray:
+    """Check an input distribution of n weights: finite, nonnegative (above 0
+    with `positive`) and summing to 1 within DIST_SUM_TOL. With `rows` = B
+    and n given, check a stack (B, n) of them instead, a defect named for its
+    lowest row as `name[k]`. Return the weights as float64; the caller's
+    array is not changed."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"distribution must be a vector, got shape {p.shape}")
-    if n is not None and p.shape[0] != n:
-        raise ValueError(f"length mismatch: expected {n} weights, got {p.shape[0]}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"non-finite weight in {p.tolist()!r}")
-    if float(p.min()) < 0.0:
-        raise ValueError(f"negative weight {p.min()!r}")
-    s = float(p.sum())
-    if abs(s - 1.0) > DIST_SUM_TOL:
-        raise ValueError(f"weights sum to {s!r}, not 1")
+    want = (n,) if rows is None else (rows, n)
+    if p.ndim != len(want) or (n is not None and p.shape != want):
+        raise ValueError(f"{name} has the wrong length or shape: expected "
+                         f"{'(n,)' if n is None else want}, got {p.shape}")
+    _reject(name, ~np.isfinite(p).all(axis=-1), 0, "has a non-finite weight")
+    if positive:
+        _reject(name, p.min(axis=-1) <= 0.0, 0, "has a weight that is not above 0")
+    else:
+        _reject(name, -p.min(axis=-1), 0.0, "has a negative weight -{:.3e}")
+    _reject(name, np.abs(p.sum(axis=-1) - 1.0), DIST_SUM_TOL,
+            "does not sum to 1: |sum - 1| = {:.3e}")
     return p
 
 
@@ -193,7 +197,8 @@ def von_neumann_entropy(rho) -> float:
         raise ValueError(f"rho must be a square matrix, got shape {a.shape}")
     h = _entropy_from_eigs(w)
     if not (-1e-10 <= h <= math.log(a.shape[0]) + 1e-10):
-        raise AssertionError(f"entropy {h!r} outside [0, ln m] for m={a.shape[0]}")
+        raise ValueError(f"von Neumann entropy {h!r} nats outside [0, ln m] = "
+                         f"[0, {math.log(a.shape[0])!r}] for m = {a.shape[0]}")
     return h
 
 
@@ -220,7 +225,8 @@ def holevo_information(p, ch: CqChannel) -> float:
     chi = _entropy_from_eigs(w) + float(p @ -ch.entropies)
     cap = math.log(min(ch.input_size, ch.output_dim))
     if not (-1e-10 <= chi <= cap + 1e-10):
-        raise AssertionError(f"Holevo information {chi!r} outside [0, {cap!r}]")
+        raise ValueError(f"Holevo information {chi!r} nats outside [0, ln min(n, m)] "
+                         f"= [0, {cap!r}]")
     return chi
 
 

@@ -9,7 +9,8 @@ Holevo information of the current iterate bounds the capacity from below,
 max_x D(rho_x || rho_p) bounds it from above, and the solver stops once the
 two certificates pinch to gap_tol.
 `solve_batch` runs the iteration for a (B, n, m, m) stack of channels in
-lockstep; `solve` is its one-channel case. The sweep and the benchmark
+lockstep, from the uniform distribution or from given ones; `solve` is its
+one-channel case from the uniform distribution. The sweep and the benchmark
 split their stacks into calls of `batch_size(n, m)` channels.
 """
 
@@ -144,28 +145,41 @@ def upper_bound(p, ch: CqChannel) -> float:
     return _certificates_of(p, ch)[2]
 
 
-def solve_batch(states, cfg: SolverConfig | None = None) -> list[SolveReport]:
+def solve_batch(states, cfg: SolverConfig | None = None, *,
+                start=None) -> list[SolveReport]:
     """Solve a stack of channels of one shape together; one report per
     channel, in order.
 
     `states` is a complex (B, n, m, m) array, `states[k]` the states of
     channel k. It is validated once with the checks of CqChannel, a defect
     named as `states[k][x]`, and left unchanged. Every channel runs the
-    iteration of `solve` from the uniform distribution, all of them in
-    lockstep, and leaves the batch when its certificate gap closes, when a
-    letter gets +inf relative entropy or at max_iters: stop_reason "gap",
-    "support_violation" or "max_iters", and converged only for "gap" (a gap
-    that closes at max_iters counts as "gap"). Report k equals, bit for bit,
-    `solve(CqChannel(states[k]), cfg)`.
+    iteration of `solve`, all of them in lockstep, from the uniform
+    distribution or from `start[k]`. `start` is a (B, n) array of
+    distributions with every weight above 0 (a zero weight would stay zero
+    for good); it is checked before any iteration, a defect named as
+    `start[k]`, and left unchanged. A channel leaves the batch when its
+    certificate gap closes, when a letter gets +inf relative entropy or at
+    max_iters: stop_reason "gap", "support_violation" or "max_iters", and
+    converged only for "gap" (a gap that closes at max_iters counts as
+    "gap"). The certificates hold at every iterate, so a start changes how
+    soon a channel stops and where inside the gap, not the enclosure.
+    Report k equals, bit for bit, the B = 1 call on `states[k:k+1]` and
+    `start[k:k+1]`; without `start`, `solve(CqChannel(states[k]), cfg)`.
     """
-    return _solve_stacked(*_channel_states(states, batch=True), cfg or SolverConfig())
+    states, entropies = _channel_states(states, batch=True)
+    if start is not None:
+        size, n = entropies.shape
+        start = validate_distribution(start, n, rows=size, positive=True, name="start")
+    return _solve_stacked(states, entropies, cfg or SolverConfig(), start)
 
 
-def _solve_stacked(states, entropies, cfg: SolverConfig) -> list[SolveReport]:
+def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> list[SolveReport]:
     """The iteration loop of solve_batch and solve, on validated states
-    (B, n, m, m) and their entropies (B, n)."""
+    (B, n, m, m) and their entropies (B, n), from the checked (B, n)
+    distributions `start` or the uniform one."""
     size, n = entropies.shape
-    q = np.full((size, n), -math.log(n))   # ln p, every weight positive
+    # ln p, every weight positive
+    q = np.full((size, n), -math.log(n)) if start is None else np.log(start)
     rows = np.arange(size)        # batch index of each active row
     histories = [[] for _ in range(size)] if cfg.record_history else None
     reports: list[SolveReport | None] = [None] * size

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,11 @@ from cqcap.cli import (EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, load_channel_fil
                        main)
 
 CHANNELS = Path(__file__).resolve().parent.parent / "channels"
+# letter 0 keeps 1.5e-10 along |1>, where the uniform average state has
+# 0.75e-10 <= SUPPORT_TOL: +inf divergence before the first update
+SUPPORT_VIOLATING = {"dim": 2, "states": [
+    [[[1.0 - 1.5e-10, 0], [0, 0]], [[0, 0], [1.5e-10, 0]]],
+    [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]}
 
 
 class TestCapacity:
@@ -64,17 +70,24 @@ class TestCapacity:
         assert (payload["converged"], payload["stop_reason"]) == (False, "max_iters")
 
     def test_support_violation_json(self, tmp_path, capsys):
-        # letter 0 keeps 1.5e-10 along |1>, where the uniform average state
-        # has 0.75e-10 <= SUPPORT_TOL: +inf divergence before the first update
-        states = [[[[1.0 - 1.5e-10, 0], [0, 0]], [[0, 0], [1.5e-10, 0]]],
-                  [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]
         path = tmp_path / "support_violation.json"
-        path.write_text(json.dumps({"dim": 2, "states": states}))
+        path.write_text(json.dumps(SUPPORT_VIOLATING))
         code = main(["capacity", str(path), "--format", "json"])
         assert code == EXIT_NOT_CONVERGED
         payload = json.loads(capsys.readouterr().out)
         assert (payload["upper_nats"], payload["converged"], payload["iterations"],
                 payload["stop_reason"]) == (None, False, 0, "support_violation")
+
+    def test_stop_reason_in_text_mode(self, tmp_path, capsys):
+        violating = tmp_path / "support_violation.json"
+        violating.write_text(json.dumps(SUPPORT_VIOLATING))
+        z = str(CHANNELS / "z_channel.json")
+        for argv, code, reason in (
+                ([z], EXIT_OK, "gap"),
+                ([z, "--eps", "1e-12", "--max-iter", "2"], EXIT_NOT_CONVERGED, "max_iters"),
+                ([str(violating)], EXIT_NOT_CONVERGED, "support_violation")):
+            assert main(["capacity"] + argv) == code
+            assert f"\nstop reason : {reason}\n" in capsys.readouterr().out
 
     def test_missing_file(self, capsys):
         code = main(["capacity", "no_such_file.json"])
@@ -199,6 +212,9 @@ class TestSweep:
         text = capsys.readouterr().out
         assert code == EXIT_OK
         assert "max error" in text
+        assert "\nflagged     : 0\n" in text
+        assert re.search(r"^iterations  : \d+ total, \d+ max per reference solve$", text,
+                         re.MULTILINE)
         assert out.exists()
         ranges = tmp_path / "sweep_ranges.csv"
         assert ranges.exists()

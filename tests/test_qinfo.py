@@ -44,6 +44,19 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(np.stack([np.eye(2, dtype=complex) / 2] * 2))
 
 
+@pytest.mark.parametrize("h", [-1.0, 5.0])
+def test_range_checks_raise_named_errors(h, monkeypatch):
+    import cqcap.qinfo as qinfo
+    ch = CqChannel(np.stack([KET0, KET1]))
+    monkeypatch.setattr(qinfo, "_entropy_from_eigs", lambda w: h)
+    with pytest.raises(ValueError, match=r"^von Neumann entropy .* nats outside "
+                                         r"\[0, ln m\] = \[0, 0.693.*\] for m = 2$"):
+        von_neumann_entropy(np.eye(2, dtype=complex) / 2)
+    with pytest.raises(ValueError, match=r"^Holevo information .* nats outside "
+                                         r"\[0, ln min\(n, m\)\] = \[0, 0.693.*\]$"):
+        holevo_information(np.array([0.5, 0.5]), ch)
+
+
 class TestRelativeEntropy:
     def test_self_is_zero(self):
         rng = np.random.default_rng(3)

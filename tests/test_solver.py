@@ -277,6 +277,54 @@ class TestSolveBatch:
                 batched += solve_batch(stack(channels[start:start + size]), cfg)
             assert [_bits(r) for r in batched] == solo
 
+    @pytest.mark.parametrize("shape, gap", [((2, 2), 1e-6), ((3, 5), 1e-4),
+                                            ((8, 8), 1e-3)])
+    def test_rows_with_start_match_their_solo_calls(self, shape, gap):
+        if shape == (2, 2):
+            states = stack(self.mixed_2x2())
+        else:
+            states = stack([random_channel(*shape, trial_rng(6, *shape, 0, k))
+                            for k in range(9)])
+        w = np.random.default_rng(13).uniform(0.05, 1.0, states.shape[:2])
+        start = w / w.sum(axis=1, keepdims=True)
+        cfg = SolverConfig(gap_tol=gap, record_history=True)
+        solo = [solve_batch(states[k:k + 1], cfg, start=start[k:k + 1])[0]
+                for k in range(len(states))]
+        for k, report in enumerate(solo):
+            assert np.allclose(report.history[0].p, start[k], rtol=1e-15, atol=0)
+        solo = [_bits(r) for r in solo]
+        for size in (1, 7, len(states)):
+            batched = []
+            for first in range(0, len(states), size):
+                batched += solve_batch(states[first:first + size], cfg,
+                                       start=start[first:first + size])
+            assert [_bits(r) for r in batched] == solo
+
+    def test_rejects_bad_starts_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(cqcap.solver, "_solve_stacked", lambda *args: "solved")
+        states = stack(self.mixed_2x2()[:3])
+        good = np.full((3, 2), 0.5)
+        assert solve_batch(states, start=good) == "solved"
+        assert solve_batch(states, start=good + [[0.0, 5e-13]] * 3) == "solved"
+        for rows, message in (
+                (good[:2], r"start has the wrong length or shape: expected \(3, 2\), "
+                           r"got \(2, 2\)"),
+                (np.full((3, 3), 1 / 3), r"start has .* expected \(3, 2\), got \(3, 3\)"),
+                (good[0], r"start has .* expected \(3, 2\), got \(2,\)"),
+                ({1: [1.0, 0.0]}, r"start\[1\] has a weight that is not above 0"),
+                ({2: [1.5, -0.5]}, r"start\[2\] has a weight that is not above 0"),
+                ({0: [math.nan, 0.5]}, r"start\[0\] has a non-finite weight"),
+                ({1: [math.inf, 0.5], 2: [math.nan, 0.5]},
+                 r"start\[1\] has a non-finite weight"),
+                ({2: [0.5, 0.4]}, r"start\[2\] does not sum to 1: \|sum - 1\| = 1.000e-01")):
+            if isinstance(rows, dict):
+                bad = good.copy()
+                for k, row in rows.items():
+                    bad[k] = row
+                rows = bad
+            with pytest.raises(ValueError, match="^" + message):
+                solve_batch(states, start=rows)
+
     def test_max_iters_stops_only_the_slow_rows(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
         channels = self.mixed_2x2() + [CqChannel(np.stack([rho, rho]))]
@@ -334,10 +382,12 @@ class TestSolveBatch:
 
     def test_leaves_the_callers_array_alone(self):
         states = stack(self.mixed_2x2())
-        before = states.copy()
+        start = np.random.default_rng(4).dirichlet([1.0, 1.0], len(states))
+        before = states.copy(), start.copy()
         solve_batch(states)
-        assert states.flags.writeable
-        assert np.array_equal(states, before)
+        solve_batch(states, start=start)
+        assert states.flags.writeable and start.flags.writeable
+        assert np.array_equal(states, before[0]) and np.array_equal(start, before[1])
 
     def test_batch_size_follows_the_byte_budget(self):
         assert batch_size(2, 2) == 4096
@@ -351,20 +401,24 @@ class TestSolveBatch:
         real = cqcap.solver.solve_batch
         for module in (cqcap.bloch, cqcap.bench):
             monkeypatch.setattr(module, "solve_batch",
-                                lambda states, cfg: calls.append(len(states)) or real(states, cfg))
+                                lambda states, cfg, **kw: calls.append(len(states))
+                                or real(states, cfg, **kw))
         grid = SweepGrid(lambda_step=0.25, theta_step=1.5, reference_gap_tol=1e-6)
         cells = error_sweep(grid)
         assert calls == [5] * 5 + [2]
         cfg = SolverConfig(gap_tol=1e-6)
         for cell in cells:
-            errors = []
+            errors, counts = [], []
+            p_hat = approx_p1(cell.lambda1, cell.lambda2)
             for theta in grid.theta_values():
                 ch = BinaryBlochChannel(cell.lambda1, cell.lambda2, theta)
-                report = solve(realize_channel(ch), cfg)
+                report, = real(realize_channel(ch).states[None], cfg,
+                               start=[[p_hat, 1.0 - p_hat]])
                 assert report.converged
-                p_hat = approx_p1(ch.lambda1, ch.lambda2)
                 errors.append(abs(holevo_bloch(ch, p_hat) - report.lower / LN2))
-            assert (cell.error_bits, cell.ba_converged) == (max(errors), True)
+                counts.append(report.iterations)
+            assert (cell.error_bits, cell.ba_converged, cell.iterations,
+                    cell.max_iterations) == (max(errors), True, sum(counts), max(counts))
         calls.clear()
         spec = BenchSpec((2, 3), (2,), (1e-2,), trials=7, seed=3)
         results = run_bench(spec)
