@@ -27,7 +27,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EXACT_P1_DPS = 40
 _EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
 # Largest sweep accepted, in solves (lambda values^2 * theta values): 15x the
-# paper-scale default grid of 132,651 solves, which takes about 11 s on a
+# paper-scale default grid of 132,651 solves, which takes about 6 s on a
 # 2-core x86-64 host, so a mistyped step is refused at once instead of
 # filling memory or running for days.
 MAX_SWEEP_SOLVES = 2_000_000
@@ -261,14 +261,17 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     lexicographically by (lambda1, lambda2); a failed reference run flags
     the cell instead of aborting the sweep. The channels' states are stacked
     and solved with `solve_batch`, `batch_size(2, 2)` channels per call,
-    each started at the cell's closed-form input [p1_hat, 1 - p1_hat]. The
-    certificates hold at every iterate, so a reference stays within
-    reference_gap_tol of the capacity whatever its start, but it equals a
-    solo solve only from the same start, not `solve`'s uniform one.
+    each started at the cell's closed-form input [p1_hat, 1 - p1_hat] and
+    run with the adaptive step. The certificates hold at every iterate, so a
+    reference stays within reference_gap_tol of the capacity whatever its
+    start and step, but it equals a solo solve only with the same start and
+    step, not `solve`'s uniform start and plain step. A cell's `iterations`
+    and `max_iterations` count certificate evaluations after the first,
+    rejected adaptive trials included.
     """
     lams = grid.lambda_values()
     thetas = grid.theta_values()
-    cfg = SolverConfig(gap_tol=grid.reference_gap_tol)
+    cfg = SolverConfig(gap_tol=grid.reference_gap_tol, step="adaptive")
     cells = [(l1, l2) for l1 in lams for l2 in lams]
     p_hat = [approx_p1(l1, l2) for l1, l2 in cells]
     worst = [0.0] * len(cells)

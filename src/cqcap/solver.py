@@ -4,7 +4,9 @@ capacity, with a two-sided certificate at every iterate.
 The iteration keeps a distribution p over input letters and multiplies
 each weight by exp(D(rho_x || rho_p)) before renormalizing; rho_p is the
 p-average output state. The loop carries ln p, so the step is an addition
-and a log-sum-exp, and a weight may fall below the float64 range. The
+and a log-sum-exp, and a weight may fall below the float64 range; the
+adaptive step (SolverConfig.step) scales the addition by a per-channel
+gamma that grows while the lower bound rises. The
 Holevo information of the current iterate bounds the capacity from below,
 max_x D(rho_x || rho_p) bounds it from above, and the solver stops once the
 two certificates pinch to gap_tol.
@@ -53,16 +55,35 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+STEPS = ("plain", "adaptive")
+MAX_STEP = 64.0   # the adaptive step's largest multiple of d
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """How a solve runs and when it stops.
+
+    step "plain" is the paper's update ln p <- ln p + d - ln Z, one
+    certificate evaluation per iteration. step "adaptive" tries
+    ln p + gamma d - ln Z with one gamma per channel: gamma starts at 1,
+    doubles (up to MAX_STEP) after every accepted trial, and resets to 1
+    after a trial whose lower bound falls below that of the iterate held,
+    which is then kept. A trial with gamma = 1 is always accepted. Under both
+    steps `iterations` counts certificate evaluations after the first, so a
+    rejected trial counts as one, and the bounds, stop test and history read
+    the iterate held.
+    """
     gap_tol: float = 1e-6          # stop when upper - lower <= gap_tol (nats)
     max_iters: int = 100_000
     record_history: bool = False
+    step: str = "plain"            # "plain" or "adaptive"
 
     def __post_init__(self):
         _require_positive_finite("gap_tol", self.gap_tol)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        if self.step not in STEPS:
+            raise ValueError(f"step must be 'plain' or 'adaptive', got {self.step!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +182,13 @@ def solve_batch(states, cfg: SolverConfig | None = None, *,
     certificate gap closes, when a letter gets +inf relative entropy or at
     max_iters: stop_reason "gap", "support_violation" or "max_iters", and
     converged only for "gap" (a gap that closes at max_iters counts as
-    "gap"). The certificates hold at every iterate, so a start changes how
-    soon a channel stops and where inside the gap, not the enclosure.
-    Report k equals, bit for bit, the B = 1 call on `states[k:k+1]` and
-    `start[k:k+1]`; without `start`, `solve(CqChannel(states[k]), cfg)`.
+    "gap"). The certificates hold at every iterate, so a start or a step
+    changes how soon a channel stops and where inside the gap, not the
+    enclosure. `iterations` counts certificate evaluations after the first:
+    one per update under cfg.step "plain", one per trial, taken or
+    rejected, under "adaptive". Report k equals, bit for bit, the B = 1 call
+    on `states[k:k+1]` and `start[k:k+1]`; without `start`,
+    `solve(CqChannel(states[k]), cfg)`.
     """
     states, entropies = _channel_states(states, batch=True)
     if start is not None:
@@ -178,15 +202,16 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> list[Sol
     (B, n, m, m) and their entropies (B, n), from the checked (B, n)
     distributions `start` or the uniform one."""
     size, n = entropies.shape
-    # ln p, every weight positive
+    # ln p of the iterate each row holds, every weight positive
     q = np.full((size, n), -math.log(n)) if start is None else np.log(start)
+    p = np.exp(q)   # a weight below the float64 range reads as 0
+    d, lower, upper = _certificates(p, states, entropies)
+    gamma = np.ones(size) if cfg.step == "adaptive" else None
     rows = np.arange(size)        # batch index of each active row
     histories = [[] for _ in range(size)] if cfg.record_history else None
     reports: list[SolveReport | None] = [None] * size
     t = 0
     while True:
-        p = np.exp(q)   # a weight below the float64 range reads as 0
-        d, lower, upper = _certificates(p, states, entropies)
         if histories:
             for k, b in enumerate(rows):
                 histories[b].append(IterateRecord(t, float(lower[k]), float(upper[k]),
@@ -218,8 +243,23 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> list[Sol
             go = ~stop
             if not go.any():
                 return reports
-            q, d, states, entropies, rows = q[go], d[go], states[go], entropies[go], rows[go]
-        q = _log_normalize(q + d)
+            q, p, d, lower, upper = q[go], p[go], d[go], lower[go], upper[go]
+            states, entropies, rows = states[go], entropies[go], rows[go]
+            if gamma is not None:
+                gamma = gamma[go]
+        trial = _log_normalize(q + d if gamma is None else q + gamma[:, None] * d)
+        p_trial = np.exp(trial)
+        d_trial, lower_trial, upper_trial = _certificates(p_trial, states, entropies)
+        if gamma is None:
+            q, p, d, lower, upper = trial, p_trial, d_trial, lower_trial, upper_trial
+        else:
+            # a row takes its trial unless the lower bound fell at gamma > 1
+            take = (lower_trial >= lower) | (gamma == 1.0)
+            gamma = np.where(take, np.minimum(2.0 * gamma, MAX_STEP), 1.0)
+            q, p, d = (np.where(take[:, None], new, old)
+                       for new, old in ((trial, q), (p_trial, p), (d_trial, d)))
+            lower, upper = (np.where(take, new, old)
+                            for new, old in ((lower_trial, lower), (upper_trial, upper)))
         t += 1
 
 

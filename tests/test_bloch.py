@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -221,14 +222,20 @@ class TestErrorSweep:
                 assert c.error_bits <= grid.reference_gap_tol / LN2 + 1e-9
 
     def test_warm_start_matches_the_uniform_start_within_the_gap(self, monkeypatch):
-        # the acceptance grid; the references start at [p1_hat, 1 - p1_hat]
+        # the acceptance grid; the references start at [p1_hat, 1 - p1_hat].
+        # Both runs take the plain step, so the cut is the warm start's alone
         grid = SweepGrid(lambda_step=0.05, theta_step=math.pi / 10,
                          reference_gap_tol=1e-6)
+        default = error_sweep(grid)
+        monkeypatch.setattr(cqcap.bloch, "solve_batch",
+                            lambda states, cfg, start: solve_batch(
+                                states, replace(cfg, step="plain"), start=start))
         warm = error_sweep(grid)
         monkeypatch.setattr(cqcap.bloch, "solve_batch",
-                            lambda states, cfg, start: solve_batch(states, cfg))
+                            lambda states, cfg, start: solve_batch(
+                                states, replace(cfg, step="plain")))
         uniform = error_sweep(grid)
-        assert all(c.ba_converged for c in warm + uniform)
+        assert all(c.ba_converged for c in default + warm + uniform)
         for w, u in zip(warm, uniform):
             assert (w.lambda1, w.lambda2) == (u.lambda1, u.lambda2)
             assert abs(w.error_bits - u.error_bits) <= grid.reference_gap_tol / LN2
@@ -236,6 +243,8 @@ class TestErrorSweep:
         assert sum(c.iterations for c in warm) < sum(c.iterations for c in uniform) / 3
         assert max(c.max_iterations for c in warm) < \
             max(c.max_iterations for c in uniform) / 3
+        # the sweep's own adaptive step from the warm start: 9,117 and 18
+        assert sum(c.iterations for c in default) < sum(c.iterations for c in warm)
 
     def test_warm_started_lower_bound_against_the_1d_maximum(self):
         rng = np.random.default_rng(1909)

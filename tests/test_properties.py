@@ -6,11 +6,13 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import numpy as np
 
+import pytest
+
 from cqcap.bench import random_channel, trial_rng
 from cqcap.bloch import (BinaryBlochChannel, approx_p1, holevo_bloch,
                          realize_channel)
-from cqcap.qinfo import holevo_information, von_neumann_entropy
-from cqcap.solver import ba_step, solve, SolverConfig
+from cqcap.qinfo import CqChannel, holevo_information, von_neumann_entropy
+from cqcap.solver import STEPS, ba_step, solve, SolverConfig
 
 LN2 = math.log(2.0)
 
@@ -83,3 +85,62 @@ def test_solve_certificates_bracket_each_other(seed):
     assert report.converged
     assert report.lower <= report.upper + 1e-9
     assert report.lower <= report.capacity_nats <= report.upper
+
+
+def classical_capacity(w, gap=1e-10, max_iters=50_000):
+    """Blahut-Arimoto for the classical channel with rows w[x] (each a
+    distribution over outputs), with its own certificates: returns
+    (I(p; w), max_x D(w_x || p w)) in nats at the last iterate."""
+    p = np.full(len(w), 1.0 / len(w))
+    logw = np.log(np.where(w > 0.0, w, 1.0))
+    for _ in range(max_iters):
+        out = p @ w
+        d = (w * (logw - np.log(out))).sum(axis=1)   # D(w_x || out), out > 0
+        lower, upper = float(p @ d), float(d.max())
+        if upper - lower <= gap:
+            break
+        p = p * np.exp(d - upper)
+        p /= p.sum()
+    return lower, upper
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 4), (4, 3), (6, 5)])
+def test_commuting_channels_match_classical_blahut_arimoto(n, m):
+    # diagonal states commute, so the capacity is that of the classical
+    # channel whose rows are their diagonals
+    rng = np.random.default_rng([n, m, 19])
+    for _ in range(4):
+        w = rng.dirichlet(np.full(m, 0.7), size=n)
+        lower, upper = classical_capacity(w)
+        assert upper - lower <= 1e-10
+        states = np.stack([np.diag(row) for row in w]).astype(complex)
+        for step in STEPS:
+            report = solve(CqChannel(states), SolverConfig(gap_tol=1e-7, step=step))
+            assert report.converged
+            assert report.lower <= upper + 1e-12 and lower <= report.upper + 1e-12
+
+
+def _haar_unitary(m, rng):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@hyp.settings(deadline=None, max_examples=12)
+@hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 4),
+           step=st.sampled_from(STEPS))
+def test_capacity_invariant_under_relabelling_rotation_and_duplication(seed, n, m, step):
+    rng = trial_rng(seed, n, m, 4, 0)
+    ch = random_channel(n, m, rng)
+    u = _haar_unitary(m, rng)
+    rotated = u @ ch.states @ u.conj().T
+    variants = (ch.states[rng.permutation(n)],
+                0.5 * (rotated + rotated.conj().transpose(0, 2, 1)),
+                np.concatenate([ch.states, ch.states[rng.integers(n)][None]]))
+    cfg = SolverConfig(gap_tol=1e-6, step=step)
+    base = solve(ch, cfg)
+    assert base.converged
+    for states in variants:
+        report = solve(CqChannel(states), cfg)
+        assert report.converged
+        # both enclose the one capacity, up to roundoff in the rotated states
+        assert report.lower <= base.upper + 1e-12 and base.lower <= report.upper + 1e-12

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from cqcap.bench import BenchSpec, iteration_budget, random_channel, run_bench, 
 from cqcap.bloch import (BinaryBlochChannel, SweepGrid, approx_p1, error_sweep,
                          holevo_bloch, realize_channel)
 from cqcap.qinfo import SUPPORT_TOL, CqChannel, holevo_information
-from cqcap.solver import (IterateRecord, SolveReport, SolverConfig,
+from cqcap.solver import (STEPS, IterateRecord, SolveReport, SolverConfig,
                           SupportViolationError, ba_step, batch_size,
                           optimality_kkt_check, solve, solve_batch, upper_bound)
 
@@ -227,6 +228,10 @@ class TestSolve:
             SolverConfig(gap_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
+        for step in ("fast", "Plain", "", None):
+            with pytest.raises(ValueError, match=r"^step must be 'plain' or 'adaptive'"):
+                SolverConfig(step=step)
+        assert SolverConfig().step == "plain"
 
 
 def _bits(report):
@@ -269,13 +274,14 @@ class TestSolveBatch:
         else:
             channels = [random_channel(*shape, trial_rng(6, *shape, 0, k))
                         for k in range(9)]
-        cfg = SolverConfig(gap_tol=gap, record_history=True)
-        solo = [_bits(solve(ch, cfg)) for ch in channels]
-        for size in (1, 7, len(channels)):
-            batched = []
-            for start in range(0, len(channels), size):
-                batched += solve_batch(stack(channels[start:start + size]), cfg)
-            assert [_bits(r) for r in batched] == solo
+        for step in STEPS:
+            cfg = SolverConfig(gap_tol=gap, record_history=True, step=step)
+            solo = [_bits(solve(ch, cfg)) for ch in channels]
+            for size in (1, 7, len(channels)):
+                batched = []
+                for start in range(0, len(channels), size):
+                    batched += solve_batch(stack(channels[start:start + size]), cfg)
+                assert [_bits(r) for r in batched] == solo
 
     @pytest.mark.parametrize("shape, gap", [((2, 2), 1e-6), ((3, 5), 1e-4),
                                             ((8, 8), 1e-3)])
@@ -287,18 +293,19 @@ class TestSolveBatch:
                             for k in range(9)])
         w = np.random.default_rng(13).uniform(0.05, 1.0, states.shape[:2])
         start = w / w.sum(axis=1, keepdims=True)
-        cfg = SolverConfig(gap_tol=gap, record_history=True)
-        solo = [solve_batch(states[k:k + 1], cfg, start=start[k:k + 1])[0]
-                for k in range(len(states))]
-        for k, report in enumerate(solo):
-            assert np.allclose(report.history[0].p, start[k], rtol=1e-15, atol=0)
-        solo = [_bits(r) for r in solo]
-        for size in (1, 7, len(states)):
-            batched = []
-            for first in range(0, len(states), size):
-                batched += solve_batch(states[first:first + size], cfg,
-                                       start=start[first:first + size])
-            assert [_bits(r) for r in batched] == solo
+        for step in STEPS:
+            cfg = SolverConfig(gap_tol=gap, record_history=True, step=step)
+            solo = [solve_batch(states[k:k + 1], cfg, start=start[k:k + 1])[0]
+                    for k in range(len(states))]
+            for k, report in enumerate(solo):
+                assert np.allclose(report.history[0].p, start[k], rtol=1e-15, atol=0)
+            solo = [_bits(r) for r in solo]
+            for size in (1, 7, len(states)):
+                batched = []
+                for first in range(0, len(states), size):
+                    batched += solve_batch(states[first:first + size], cfg,
+                                           start=start[first:first + size])
+                assert [_bits(r) for r in batched] == solo
 
     def test_rejects_bad_starts_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(cqcap.solver, "_solve_stacked", lambda *args: "solved")
@@ -406,7 +413,7 @@ class TestSolveBatch:
         grid = SweepGrid(lambda_step=0.25, theta_step=1.5, reference_gap_tol=1e-6)
         cells = error_sweep(grid)
         assert calls == [5] * 5 + [2]
-        cfg = SolverConfig(gap_tol=1e-6)
+        cfg = SolverConfig(gap_tol=1e-6, step="adaptive")
         for cell in cells:
             errors, counts = [], []
             p_hat = approx_p1(cell.lambda1, cell.lambda2)
@@ -430,6 +437,100 @@ class TestSolveBatch:
                             cfg).iterations for t in range(7)]
             assert (r.max_iterations, r.avg_iterations, r.trials_failed) == \
                 (max(counts), sum(counts) / 7, 0)
+
+
+@pytest.fixture(scope="module")
+def adaptive_runs():
+    """(n, gap, channel, adaptive report, plain reference) for the acceptance
+    suite's certified_runs ensemble at its gap 1e-3 and for 40 seeded
+    Ginibre channels at (n, m, gap) = (8, 8, 1e-5). The references take the
+    plain step towards gap 1e-12; max_iters keeps their slow letters (a
+    weight that decays like 1/t) from running for seconds, and every
+    reference gap stays at least ten times below the gap it checks."""
+    cells = [(n, m, 1e-3, [random_channel(n, m, trial_rng(3141, n, m, 0, k))
+                           for k in range(12 if n == m == 2 else 11)])
+             for n in (2, 5, 8) for m in (2, 5, 8)]
+    cells.append((8, 8, 1e-5, [random_channel(8, 8, trial_rng(2024, 8, 8, 0, k))
+                               for k in range(40)]))
+    runs = []
+    for n, m, gap, channels in cells:
+        states = stack(channels)
+        reports = solve_batch(states, SolverConfig(gap_tol=gap, step="adaptive",
+                                                   record_history=True))
+        refs = solve_batch(states, SolverConfig(gap_tol=1e-12, max_iters=1500))
+        runs += [(n, gap, ch, r, ref) for ch, r, ref in zip(channels, reports, refs)]
+    assert len(runs) == 140
+    return runs
+
+
+class TestAdaptiveStep:
+    def test_enclosures_contain_plain_references(self, adaptive_runs):
+        for _, gap, _, report, ref in adaptive_runs:
+            assert (report.converged, report.stop_reason) == (True, "gap")
+            assert report.upper - report.lower <= gap
+            assert ref.upper - ref.lower <= gap / 10
+            assert report.lower <= ref.upper and ref.lower <= report.upper
+
+    def test_bounds_belong_to_the_reported_input(self, adaptive_runs):
+        # lower = chi(p*) and upper = max_x D(rho_x || rho_p*) for one p*,
+        # even when the last trial was rejected
+        for _, _, ch, report, _ in adaptive_runs:
+            assert report.lower == pytest.approx(holevo_information(report.p_star, ch),
+                                                 rel=0, abs=1e-13)
+            assert report.upper == pytest.approx(upper_bound(report.p_star, ch),
+                                                 rel=0, abs=1e-13)
+            last = report.history[-1]
+            assert (last.t, last.lower, last.upper, last.p.tobytes()) == \
+                (report.iterations, report.lower, report.upper, report.p_star.tobytes())
+
+    def test_history_lower_bound_never_falls(self, adaptive_runs):
+        for _, _, _, report, _ in adaptive_runs:
+            lows = [rec.lower for rec in report.history]
+            assert all(b >= a for a, b in zip(lows, lows[1:]))
+            assert [rec.t for rec in report.history] == list(range(report.iterations + 1))
+
+    def test_counts_within_budget_and_below_the_plain_ones(self, adaptive_runs):
+        for n, gap, _, report, _ in adaptive_runs:
+            assert report.iterations <= iteration_budget(n, gap)
+        # plain: mean 307 iterations at (8, 8, 1e-5); adaptive: 40.7, at most 88
+        counts = [r.iterations for _, gap, _, r, _ in adaptive_runs if gap == 1e-5]
+        assert sum(counts) / len(counts) < 60 and max(counts) < 120
+
+    def test_rejected_trials_count_as_iterations(self, monkeypatch):
+        # gamma runs 1, 2, 4, 8, ... until a trial's lower bound falls; the
+        # row then keeps its iterate, which the history repeats
+        ch = random_channel(3, 3, trial_rng(7, 3, 3, 0, 0))
+        evaluations = []
+        real = cqcap.solver._certificates
+        monkeypatch.setattr(cqcap.solver, "_certificates",
+                            lambda p, *args: evaluations.append(len(p)) or real(p, *args))
+        report = solve(ch, SolverConfig(gap_tol=1e-8, step="adaptive", record_history=True))
+        assert report.converged
+        assert len(evaluations) == report.iterations + 1
+        held = [a.t for a, b in zip(report.history, report.history[1:])
+                if (a.lower, a.upper, a.p.tobytes()) == (b.lower, b.upper, b.p.tobytes())]
+        assert held and held[0] == 4
+
+    def test_first_trial_is_the_plain_step(self):
+        ch = random_channel(5, 3, trial_rng(8, 5, 3, 0, 0))
+        plain, adaptive = (solve(ch, SolverConfig(gap_tol=1e-6, max_iters=1, step=step,
+                                                  record_history=True))
+                           for step in STEPS)
+        assert _bits(plain) == _bits(adaptive)
+
+    def test_plain_counts_are_unchanged(self, monkeypatch):
+        spec = BenchSpec((8,), (8,), (1e-5,), trials=40, seed=0)
+        cell, = run_bench(spec)
+        assert (cell.avg_iterations * 40, cell.max_iterations) == (10319, 1028)
+        cell, = run_bench(replace(spec, step="adaptive"))
+        assert (cell.avg_iterations * 40, cell.max_iterations) == (1651, 140)
+        real = cqcap.solver.solve_batch
+        monkeypatch.setattr(cqcap.bloch, "solve_batch", lambda states, cfg, start: real(
+            states, replace(cfg, step="plain"), start=start))
+        cells = error_sweep(SweepGrid(lambda_step=0.05, theta_step=math.pi / 10,
+                                      reference_gap_tol=1e-6))
+        assert (sum(c.iterations for c in cells), max(c.max_iterations for c in cells)) \
+            == (27977, 177)
 
 
 class TestKktCheck:
