@@ -29,7 +29,6 @@ class BenchSpec:
     accuracies: tuple[float, ...]   # certificate gap thresholds, nats
     trials: int = 200
     seed: int = 0
-    step: str = "plain"             # SolverConfig.step of every trial
 
     def __post_init__(self):
         for field, kind in (("input_sizes", int), ("output_dims", int),
@@ -53,7 +52,6 @@ class BenchSpec:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        SolverConfig(step=self.step)   # rejects an unknown step
 
 
 @dataclass(frozen=True)
@@ -102,14 +100,13 @@ def run_bench(spec: BenchSpec) -> list[BenchResult]:
 
     Returns a list of BenchResult in cell order. Each cell's trials are
     stacked and solved with `solve_batch`, `batch_size(n, m)` trials per
-    call, under the budget ceil(ln(n)/accuracy) + 1, with the spec's step.
-    A trial's count is its `iterations`, which under the adaptive step
-    include rejected trials. Averages are exact (integer sums).
+    call, under the budget ceil(ln(n)/accuracy) + 1. Averages are exact
+    (integer sums).
     """
     results = []
     for n, m, (ai, acc) in product(spec.input_sizes, spec.output_dims,
                                    enumerate(spec.accuracies)):
-        cfg = SolverConfig(gap_tol=acc, step=spec.step,
+        cfg = SolverConfig(gap_tol=acc,
                            max_iters=int(math.ceil(iteration_budget(n, acc))) + 1)
         reports, size = [], batch_size(n, m)
         for start in range(0, spec.trials, size):

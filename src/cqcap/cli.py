@@ -108,7 +108,7 @@ def _cmd_capacity(args) -> int:
     ch = load_channel_file(args.channel_file)
     try:
         cfg = SolverConfig(gap_tol=args.eps, max_iters=args.max_iter,
-                           record_history=args.history, step=args.step)
+                           record_history=args.history)
     except ValueError as err:
         raise CliInputError(str(err)) from err
     report = solve(ch, cfg)
@@ -120,7 +120,6 @@ def _cmd_capacity(args) -> int:
             "upper_nats": _json_float(report.upper),
             "gap_nats": _json_float(report.upper - report.lower),
             "iterations": report.iterations,
-            "step": cfg.step,
             "converged": report.converged,
             "stop_reason": report.stop_reason,
             "p_star": list(report.p_star),
@@ -138,7 +137,6 @@ def _cmd_capacity(args) -> int:
         print(f"upper bound : {report.upper:.6f} nats")
         print(f"gap         : {report.upper - report.lower:.6f} nats")
         print(f"iterations  : {report.iterations}")
-        print(f"step        : {cfg.step}")
         print(f"converged   : {'yes' if report.converged else 'no'}")
         print(f"stop reason : {report.stop_reason}")
         print(f"p_star      : {_fmt_vec(report.p_star)}")
@@ -231,7 +229,7 @@ def _cmd_bench(args) -> int:
         spec = BenchSpec(input_sizes=_parse_list(args.n, int),
                          output_dims=_parse_list(args.m, int),
                          accuracies=_parse_list(args.acc, float),
-                         trials=args.trials, seed=args.seed, step=args.step)
+                         trials=args.trials, seed=args.seed)
     except ValueError as err:
         raise CliInputError(str(err)) from err
     if args.out:
@@ -240,10 +238,6 @@ def _cmd_bench(args) -> int:
     print(_format_bench_table(results))
     budget_ok = check_iteration_budget(results)
     print(f"iteration budget ln(n)/accuracy respected: {'yes' if budget_ok else 'NO'}")
-    # avg_iterations is an exact integer sum over spec.trials
-    total = sum(round(r.avg_iterations * spec.trials) for r in results)
-    print(f"iterations  : {total} total, "
-          f"{max(r.max_iterations for r in results)} max per trial")
     if args.out:
         _write_lines(args.out, [
             "n,m,accuracy,avg_iterations,max_iterations,trials_failed"] + [
@@ -255,11 +249,6 @@ def _cmd_bench(args) -> int:
         print(f"{failed} trial(s) did not converge", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
-
-
-_STEP_HELP = ("plain (default): the paper's update, whose counts the ln(n)/accuracy "
-              "budget describes; adaptive: a step that doubles while the lower "
-              "bound rises")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--history", action="store_true",
                      help="record per-iterate certificates")
     cap.add_argument("--format", choices=("json", "text"), default="text")
-    cap.add_argument("--step", default="plain", help=_STEP_HELP)
     cap.set_defaults(func=_cmd_capacity)
 
     app = sub.add_parser("approx",
@@ -304,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--trials", type=int, default=200)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--out", default=None)
-    be.add_argument("--step", default="plain", help=_STEP_HELP)
     be.set_defaults(func=_cmd_bench)
     return parser
 

