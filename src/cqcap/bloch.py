@@ -65,21 +65,18 @@ class BinaryBlochChannel:
 class SweepGrid:
     lambda_step: float = 0.01
     theta_step: float = math.pi / 50
-    lambda_max: float = 1.0
     reference_gap_tol: float = 1e-6   # solver stopping gap for the reference value
 
     def __post_init__(self):
         _require_positive_finite("lambda_step", self.lambda_step)
         _require_positive_finite("theta_step", self.theta_step)
         _require_positive_finite("reference_gap_tol", self.reference_gap_tol)
-        if not 0.5 < self.lambda_max <= 1.0:
-            raise ValueError(f"lambda_max must be in (0.5, 1], got {self.lambda_max!r}")
         for field, step, span in (
-                ("lambda_step", self.lambda_step, self.lambda_max - 0.5),
+                ("lambda_step", self.lambda_step, 0.5),
                 ("theta_step", self.theta_step, math.pi)):
             if not math.isfinite(span / step):
                 raise ValueError(f"{field} {step!r} makes the axis length infinite")
-        lams = _axis_count(0.5, self.lambda_max, self.lambda_step)
+        lams = _axis_count(0.5, 1.0, self.lambda_step)
         thetas = _axis_count(0.0, math.pi, self.theta_step)
         if lams ** 2 * thetas > MAX_SWEEP_SOLVES:
             raise ValueError(f"lambda_step {self.lambda_step!r} and theta_step "
@@ -87,7 +84,7 @@ class SweepGrid:
                              f"solves, more than the {MAX_SWEEP_SOLVES} a sweep may run")
 
     def lambda_values(self) -> list[float]:
-        return _axis(0.5, self.lambda_max, self.lambda_step)
+        return _axis(0.5, 1.0, self.lambda_step)
 
     def theta_values(self) -> list[float]:
         return _axis(0.0, math.pi, self.theta_step)
@@ -136,6 +133,9 @@ def realize_channel(ch: BinaryBlochChannel) -> CqChannel:
 
 
 def _mixture_norm_sq(ch: BinaryBlochChannel, p1: float) -> float:
+    # |p1 r1 + (1-p1) r2|^2; the p1 check of both Holevo functions
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
     a = p1 * ch.r1
     b = (1.0 - p1) * ch.r2
     return a * a + b * b + 2.0 * a * b * math.cos(ch.theta)
@@ -145,8 +145,6 @@ def holevo_bloch(ch: BinaryBlochChannel, p1: float) -> float:
     """Closed-form Holevo quantity of the ensemble {p1: state1, 1-p1: state2},
     in bits. The mixture's larger eigenvalue is 1/2 + |p1 r1 + (1-p1) r2|,
     with the vector norm evaluated by the law of cosines."""
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
     norm = math.sqrt(max(_mixture_norm_sq(ch, p1), 0.0))
     return (binary_entropy(0.5 + norm)
             - p1 * binary_entropy(ch.lambda1)
@@ -162,8 +160,6 @@ def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
     binary entropy diverges and GradientBoundaryError is raised, unless the
     norm is stationary there (identical pure states, gradient 0).
     """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
     r1, r2, cos_t = ch.r1, ch.r2, math.cos(ch.theta)
     nsq = max(_mixture_norm_sq(ch, p1), 0.0)
     norm = math.sqrt(nsq)
@@ -191,10 +187,7 @@ def approx_p1(lambda1: float, lambda2: float) -> float:
     result to [0, 1]; for equal radii the optimum is 1/2 by symmetry. Used
     as an approximation for every theta.
     """
-    if not 0.5 <= lambda1 <= 1.0:
-        raise ValueError(f"lambda1 must be in [0.5, 1], got {lambda1!r}")
-    if not 0.5 <= lambda2 <= 1.0:
-        raise ValueError(f"lambda2 must be in [0.5, 1], got {lambda2!r}")
+    BinaryBlochChannel(lambda1, lambda2, 0.0)   # checks both lambdas
     r1, r2 = lambda1 - 0.5, lambda2 - 0.5
     if abs(r1 - r2) <= 1e-12:
         return 0.5

@@ -79,6 +79,13 @@ def load_channel_file(path) -> CqChannel:
         raise CliInputError(f"invalid channel: {err}") from err
 
 
+def _out_path(text: str) -> Path:
+    path = Path(text)
+    if not path.name:   # "", "." and "/" leave no name to write or derive from
+        raise CliInputError(f"cannot write output: --out {text!r} names no file")
+    return path
+
+
 def _require_writable(*paths) -> None:
     # open or create each output before any solve, so a bad path fails fast
     try:
@@ -166,13 +173,10 @@ def _cmd_approx(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         grid = SweepGrid(lambda_step=args.lambda_step, theta_step=args.theta_step,
-                         lambda_max=args.lambda_max,
                          reference_gap_tol=args.ref_eps)
     except ValueError as err:
         raise CliInputError(str(err)) from err
-    out = Path(args.out)
-    if not out.name:   # "", "." and "/" leave no name to derive --range-out from
-        raise CliInputError(f"cannot write output: --out {args.out!r} names no file")
+    out = _out_path(args.out)
     range_out = Path(args.range_out) if args.range_out else \
         out.with_name(out.stem + "_ranges" + (out.suffix or ".csv"))
     if out.resolve() == range_out.resolve():
@@ -194,8 +198,7 @@ def _cmd_sweep(args) -> int:
     print(f"flagged     : {flagged}")
     print(f"iterations  : {sum(c.iterations for c in cells)} total, "
           f"{max(c.max_iterations for c in cells)} max per reference solve")
-    if capped:
-        print(f"max error (lambda <= 0.95): {max(capped):.6f} bits")
+    print(f"max error (lambda <= 0.95): {max(capped):.6f} bits")
     print(f"max error (full grid)     : {max(c.error_bits for c in cells):.6f} bits")
     print(f"wrote {out}")
     print(f"wrote {range_out}")
@@ -232,13 +235,13 @@ def _cmd_bench(args) -> int:
                          trials=args.trials, seed=args.seed)
     except ValueError as err:
         raise CliInputError(str(err)) from err
-    if args.out:
-        _require_writable(args.out)
+    if args.out is not None:
+        _require_writable(_out_path(args.out))
     results = run_bench(spec)
     print(_format_bench_table(results))
     budget_ok = check_iteration_budget(results)
     print(f"iteration budget ln(n)/accuracy respected: {'yes' if budget_ok else 'NO'}")
-    if args.out:
+    if args.out is not None:
         _write_lines(args.out, [
             "n,m,accuracy,avg_iterations,max_iterations,trials_failed"] + [
             f"{r.n},{r.m},{r.accuracy:.10g},{r.avg_iterations:.10g},"
@@ -278,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(lambda1, lambda2) grid")
     sw.add_argument("--lambda-step", type=float, default=0.01)
     sw.add_argument("--theta-step", type=float, default=math.pi / 50)
-    sw.add_argument("--lambda-max", type=float, default=1.0)
     sw.add_argument("--ref-eps", type=float, default=1e-6)
     sw.add_argument("--out", default="sweep.csv")
     sw.add_argument("--range-out", default=None,

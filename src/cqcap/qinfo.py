@@ -1,7 +1,8 @@
 """Quantum-information primitives on density matrices: validation, the one
 eigendecomposition (LAPACK `eigh`, spectrum descending), von Neumann and
-relative entropy, Holevo information and channel containers. Validation and
-`_eigh` take a matrix or a stack (..., m, m). Entropies are in nats.
+relative entropy, Holevo information, the solver's one certificate routine
+and channel containers. Validation and `_eigh` take a matrix or a stack
+(..., m, m). Entropies are in nats.
 
 Entropies and the log of an average state keep every positive eigenvalue
 (0 ln 0 = 0). SUPPORT_TOL is the cutoff of the support test of a relative
@@ -127,15 +128,16 @@ class CqChannel:
     """A classical-quantum channel: one density matrix per input letter.
 
     `states` is an (n, m, m) complex stack; every slice must satisfy the
-    density-matrix invariants. Validation diagonalizes the whole stack in one
-    call, so the von Neumann entropies (n,) in nats are computed once here
-    and kept in `entropies`.
+    density-matrix invariants; the channel keeps a read-only copy of it.
+    Validation diagonalizes the whole stack in one call, so the von Neumann
+    entropies (n,) in nats are computed once here and kept in `entropies`.
     """
 
     states: np.ndarray
 
     def __post_init__(self):
-        states, entropies = _channel_states(self.states, batch=False)
+        states, entropies = _channel_states(np.array(self.states, dtype=np.complex128),
+                                            batch=False)
         states.flags.writeable = False
         entropies.flags.writeable = False
         object.__setattr__(self, "states", states)
@@ -190,6 +192,29 @@ def _divergences(states, entropies, w, v) -> np.ndarray:
     return d
 
 
+def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
+    """Per-letter relative entropies to the average states plus both bounds,
+    for B channels of one shape at once.
+
+    `p` is (B, n), `states` (B, n, m, m) and `entropies` (B, n). Returns
+    (d, lower, upper) where d[b, x] = D(rho_x || rho_p) with +inf on support
+    violations, lower[b] is the Holevo information of p[b] and upper[b] is
+    max(d[b]) over every letter including zero-weight ones.
+    """
+    w, v = _eigh(np.einsum("bx,bxij->bij", p, states))
+    d = _divergences(states, entropies, w, v)
+    # -H(rho_x) summed, not subtracted, keeps a zero Holevo value at +0.0 (a
+    # pure spectrum has entropy -0.0); a matmul per row, as in _divergences
+    lower = _entropy_from_eigs(w) + (p[:, None, :] @ -entropies[:, :, None])[:, 0, 0]
+    return d, lower, d.max(axis=1)
+
+
+def _certificates_of(p: np.ndarray, ch: CqChannel):
+    """_certificates for one channel, through a leading axis of 1."""
+    d, lower, upper = _certificates(p[None], ch.states[None], ch.entropies[None])
+    return d[0], float(lower[0]), float(upper[0])
+
+
 def von_neumann_entropy(rho) -> float:
     """-Tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
     a, w, _ = _density_spectra(rho, "rho")
@@ -219,10 +244,7 @@ def relative_entropy(rho, sigma) -> float:
 def holevo_information(p, ch: CqChannel) -> float:
     """H(sum_x p_x rho_x) - sum_x p_x H(rho_x) in nats."""
     p = validate_distribution(p, n=ch.input_size)
-    w, _ = _eigh(np.einsum("x,xij->ij", p, ch.states))
-    # summed with -H(rho_x) rather than subtracted: a pure spectrum has
-    # entropy -0.0, and this form keeps a zero Holevo value at +0.0
-    chi = _entropy_from_eigs(w) + float(p @ -ch.entropies)
+    chi = _certificates_of(p, ch)[1]
     cap = math.log(min(ch.input_size, ch.output_dim))
     if not (-1e-10 <= chi <= cap + 1e-10):
         raise ValueError(f"Holevo information {chi!r} nats outside [0, ln min(n, m)] "

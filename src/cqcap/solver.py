@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qinfo import (LN2, CqChannel, _channel_states, _divergences, _eigh,
-                    _entropy_from_eigs, validate_distribution)
+from .qinfo import (LN2, CqChannel, _certificates, _certificates_of, _channel_states,
+                    validate_distribution)
+from .qinfo import _eigh  # noqa: F401  (rebound by perfbench/tracing.py)
 
 log = logging.getLogger(__name__)
 
@@ -83,8 +85,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_positive_finite("gap_tol", self.gap_tol)
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.step not in STEPS:
             raise ValueError(f"step must be 'plain' or 'adaptive', got {self.step!r}")
 
@@ -112,28 +114,6 @@ class SolveReport:
     def converged(self) -> bool:
         """The certificate gap closed to gap_tol."""
         return self.stop_reason == "gap"
-
-
-def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
-    """Per-letter relative entropies to the average states plus both bounds,
-    for B channels of one shape at once.
-
-    `p` is (B, n), `states` (B, n, m, m) and `entropies` (B, n). Returns
-    (d, lower, upper) where d[b, x] = D(rho_x || rho_p) with +inf on support
-    violations, lower[b] is the Holevo information of p[b] and upper[b] is
-    max(d[b]) over every letter including zero-weight ones.
-    """
-    w, v = _eigh(np.einsum("bx,bxij->bij", p, states))
-    d = _divergences(states, entropies, w, v)
-    # as holevo_information; a matmul per row, like the trace in _divergences
-    lower = _entropy_from_eigs(w) + (p[:, None, :] @ -entropies[:, :, None])[:, 0, 0]
-    return d, lower, d.max(axis=1)
-
-
-def _certificates_of(p: np.ndarray, ch: CqChannel):
-    """_certificates for one channel, through a leading axis of 1."""
-    d, lower, upper = _certificates(p[None], ch.states[None], ch.entropies[None])
-    return d[0], float(lower[0]), float(upper[0])
 
 
 def _log_normalize(ell: np.ndarray) -> np.ndarray:

@@ -81,7 +81,7 @@ def certified_runs():
 @pytest.fixture(scope="module")
 def coarse_sweep_cells():
     grid = SweepGrid(lambda_step=0.05, theta_step=math.pi / 10,
-                     lambda_max=1.0, reference_gap_tol=1e-6)
+                     reference_gap_tol=1e-6)
     return error_sweep(grid)
 
 

@@ -206,8 +206,7 @@ class TestErrorSweep:
     def test_theta_zero_grid_errors_within_reference_gap(self):
         # theta_step > pi collapses the theta grid to {0}, where the
         # approximation is exact and only the solver gap remains
-        grid = SweepGrid(lambda_step=0.1, theta_step=4.0, lambda_max=0.9,
-                         reference_gap_tol=1e-6)
+        grid = SweepGrid(lambda_step=0.1, theta_step=4.0, reference_gap_tol=1e-6)
         assert grid.theta_values() == [0.0]
         cells = error_sweep(grid)
         assert all(c.ba_converged for c in cells)
@@ -216,7 +215,7 @@ class TestErrorSweep:
 
     def test_diagonal_cells_are_exact_by_symmetry(self):
         grid = SweepGrid(lambda_step=0.2, theta_step=math.pi / 4,
-                         lambda_max=0.9, reference_gap_tol=1e-6)
+                         reference_gap_tol=1e-6)
         for c in error_sweep(grid):
             if c.lambda1 == c.lambda2:
                 assert c.error_bits <= grid.reference_gap_tol / LN2 + 1e-9
@@ -260,8 +259,7 @@ class TestErrorSweep:
             assert -1e-12 <= chi - report.lower <= cfg.gap_tol
 
     def test_sorted_and_deterministic(self):
-        grid = SweepGrid(lambda_step=0.2, theta_step=1.5, lambda_max=0.9,
-                         reference_gap_tol=1e-5)
+        grid = SweepGrid(lambda_step=0.2, theta_step=1.5, reference_gap_tol=1e-5)
         cells = error_sweep(grid)
         keys = [(c.lambda1, c.lambda2) for c in cells]
         assert keys == sorted(keys)
@@ -270,8 +268,6 @@ class TestErrorSweep:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SweepGrid(lambda_step=0.0)
-        with pytest.raises(ValueError):
-            SweepGrid(lambda_max=0.5)
         with pytest.raises(ValueError):
             SweepGrid(reference_gap_tol=-1.0)
         for field in ("lambda_step", "theta_step"):
@@ -301,7 +297,7 @@ class TestErrorSweep:
 @pytest.fixture(scope="module")
 def cells():
     grid = SweepGrid(lambda_step=0.1, theta_step=math.pi / 4,
-                     lambda_max=1.0, reference_gap_tol=1e-5)
+                     reference_gap_tol=1e-5)
     return error_sweep(grid)
 
 
@@ -323,13 +319,12 @@ class TestMaxErrorByRange:
 
 
 def test_csv_export_formats(tmp_path, capsys):
-    grid = SweepGrid(lambda_step=0.25, theta_step=2.0, lambda_max=1.0,
-                     reference_gap_tol=1e-4)
+    grid = SweepGrid(lambda_step=0.25, theta_step=2.0, reference_gap_tol=1e-4)
     cells = len(grid.lambda_values()) ** 2
     sweep_path = tmp_path / "cells.csv"
     range_path = tmp_path / "ranges.csv"
     argv = ["sweep", "--lambda-step", "0.25", "--theta-step", "2.0",
-            "--lambda-max", "1.0", "--ref-eps", "1e-4",
+            "--ref-eps", "1e-4",
             "--out", str(sweep_path), "--range-out", str(range_path)]
     assert main(argv) == 0
     lines = sweep_path.read_text().splitlines()

@@ -207,7 +207,7 @@ class TestSweep:
     def test_writes_both_tables_and_summary(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
-                     "--lambda-max", "0.9", "--ref-eps", "1e-5",
+                     "--ref-eps", "1e-5",
                      "--out", str(out)])
         text = capsys.readouterr().out
         assert code == EXIT_OK
@@ -223,7 +223,7 @@ class TestSweep:
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
-                "--lambda-max", "0.9", "--ref-eps", "1e-5"]
+                "--ref-eps", "1e-5"]
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         assert main(args + ["--out", str(first)]) == EXIT_OK
@@ -259,12 +259,14 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
                             lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
     missing = str(tmp_path / "missing" / "out.csv")
     sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
-             "--lambda-max", "0.9", "--ref-eps", "1e-5"]
+             "--ref-eps", "1e-5"]
     for argv in (sweep + ["--out", missing],
                  sweep + ["--out", ""], sweep + ["--out", "."], sweep + ["--out", "/"],
                  sweep + ["--out", str(tmp_path / "ok.csv"), "--range-out", missing],
                  ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
-                  "--out", missing]):
+                  "--out", missing],
+                 ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
+                  "--out", ""]):
         assert main(argv) == EXIT_INPUT
         assert "error: cannot write output" in capsys.readouterr().err
     assert calls == []
@@ -278,7 +280,7 @@ def test_same_sweep_outputs_fail_before_any_solve(tmp_path, monkeypatch, capsys)
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     monkeypatch.chdir(tmp_path)
     sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
-             "--lambda-max", "0.9", "--ref-eps", "1e-5"]
+             "--ref-eps", "1e-5"]
     for out, range_out in (("same.csv", "same.csv"), ("same.csv", "./same.csv"),
                            (str(tmp_path / "same.csv"), "same.csv")):
         assert main(sweep + ["--out", out, "--range-out", range_out]) == EXIT_INPUT

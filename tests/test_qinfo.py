@@ -230,6 +230,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ch.states[0, 0, 0] = 0.0
 
+    def test_channel_keeps_its_own_copy(self):
+        a = np.stack([KET0, KET1]).astype(np.complex128)
+        ch = CqChannel(a)
+        states, entropies = ch.states.copy(), ch.entropies.copy()
+        a[1] = np.eye(2) / 2   # the caller's array stays writable
+        assert np.array_equal(ch.states, states)
+        assert np.array_equal(ch.entropies, entropies)
+
     def test_distribution_checks(self):
         with pytest.raises(ValueError, match="negative"):
             validate_distribution(np.array([1.1, -0.1]))

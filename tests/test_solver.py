@@ -226,8 +226,10 @@ class TestSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(gap_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iters=0)
+        for max_iters in (0, 2.5, math.nan):
+            with pytest.raises(ValueError, match=r"^max_iters must be"):
+                SolverConfig(max_iters=max_iters)
+        assert SolverConfig(max_iters=np.int64(10)).max_iters == 10
         for step in ("fast", "Plain", "", None):
             with pytest.raises(ValueError, match=r"^step must be 'plain' or 'adaptive'"):
                 SolverConfig(step=step)

@@ -2,14 +2,20 @@
 rebinds cqcap names listed in its WRAPPED table, and `cqcap.__all__` lists
 the public API. A refactor that renames or drops one of these names would
 otherwise only surface when the benchmark runs with tracing on or when a
-user star-imports the package; these tests catch it in the unit suite. One
-more guard keeps file output in the CLI."""
+user star-imports the package; these tests catch it in the unit suite. Two
+more guards keep file output in the CLI and every certificate evaluation in
+`qinfo._certificates`."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import cqcap
+import cqcap.qinfo
+import cqcap.solver
+from cqcap.bench import random_channel, trial_rng
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -47,3 +53,21 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from cqcap import *", namespace)
     assert set(cqcap.__all__) <= set(namespace)
+
+
+def test_one_certificate_routine(monkeypatch):
+    assert cqcap.solver._certificates is cqcap.qinfo._certificates
+    calls = []
+    real = cqcap.qinfo._certificates
+    monkeypatch.setattr(cqcap.qinfo, "_certificates",
+                        lambda *args: calls.append(1) or real(*args))
+    ch = random_channel(3, 2, trial_rng(0, 3, 2, 0, 0))
+    p = np.array([0.5, 0.3, 0.2])
+    report = cqcap.solver.solve(ch, cqcap.solver.SolverConfig(gap_tol=1e-3))
+    for call in (lambda: cqcap.qinfo.holevo_information(p, ch),
+                 lambda: cqcap.solver.upper_bound(p, ch),
+                 lambda: cqcap.solver.ba_step(p, ch),
+                 lambda: cqcap.solver.optimality_kkt_check(report, ch, 1e-2)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
