@@ -12,6 +12,7 @@ gives for its channel alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -33,25 +34,25 @@ class BenchSpec:
     def __post_init__(self):
         for field, kind in (("input_sizes", int), ("output_dims", int),
                             ("accuracies", float)):
-            values = tuple(kind(v) for v in getattr(self, field))
+            values = tuple(getattr(self, field))
+            if kind is int and not all(isinstance(v, numbers.Integral) and v >= 2
+                                       for v in values):
+                raise ValueError(f"{field} must be integers >= 2, got {values}")
+            values = tuple(kind(v) for v in values)
             object.__setattr__(self, field, values)
             if not values:
                 raise ValueError(f"{field} must not be empty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{field} must not repeat a value, got {values}")
-        if any(n < 2 for n in self.input_sizes):
-            raise ValueError("input sizes must be >= 2")
-        if any(m < 2 for m in self.output_dims):
-            raise ValueError("output dimensions must be >= 2")
         for a in self.accuracies:
             _require_positive_finite("accuracy", a)
             if not math.isfinite(iteration_budget(max(self.input_sizes), a)):
                 raise ValueError(f"accuracies: {a!r} makes the iteration budget "
                                  "ln(n)/accuracy infinite")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

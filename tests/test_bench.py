@@ -98,6 +98,17 @@ class TestRunBench:
                 BenchSpec(*args)
         with pytest.raises(ValueError, match="seed"):
             BenchSpec((2,), (2,), (1e-3,), seed=-1)
+        # a value that is not an integer is refused, not truncated or left to fail later
+        for field, kwargs in (("input_sizes", {"input_sizes": (2.9,)}),
+                              ("output_dims", {"output_dims": (2, 3.5)}),
+                              ("trials", {"trials": 2.5}),
+                              ("trials", {"trials": math.nan}),
+                              ("seed", {"seed": 1.5})):
+            args = {"input_sizes": (2,), "output_dims": (2,), "accuracies": (1e-3,)}
+            with pytest.raises(ValueError, match=field):
+                BenchSpec(**{**args, **kwargs})
+        spec = BenchSpec((np.int64(2),), (2,), (1e-3,), trials=np.int64(3))
+        assert spec.input_sizes == (2,) and type(spec.input_sizes[0]) is int
         # ln(n)/accuracy overflows: at the largest n only, or at every n
         for sizes, acc in (((2, 8), 6e-309), ((2,), 1e-320)):
             with pytest.raises(ValueError, match="accuracies"):

@@ -53,6 +53,27 @@ class TestRealizeChannel:
             assert np.allclose(w1, [1 - lam1, lam1], atol=1e-12)
             assert np.allclose(w2, [1 - lam2, lam2], atol=1e-12)
 
+    def test_states_broadcast_bit_for_bit(self):
+        # a 2-D grid of (lambda1, lambda2, theta), edges included, against the
+        # stacked scalar calls and realize_channel
+        rng = np.random.default_rng(16)
+        lam1, lam2 = rng.uniform(0.5, 1.0, (2, 3, 4))
+        theta = rng.uniform(0.0, math.pi, (3, 4))
+        lam1[0, :2], lam2[0, :2], theta[0, :2] = (1.0, 0.5), (0.5, 1.0), (math.pi, 0.0)
+        states = cqcap.bloch._bloch_states(lam1, lam2, theta)
+        assert states.shape == (3, 4, 2, 2, 2) and states.dtype == np.complex128
+        for idx in np.ndindex(3, 4):
+            args = float(lam1[idx]), float(lam2[idx]), float(theta[idx])
+            one = cqcap.bloch._bloch_states(*args)
+            assert one.shape == (2, 2, 2)
+            assert states[idx].tobytes() == one.tobytes()
+            assert realize_channel(BinaryBlochChannel(*args)).states.tobytes() \
+                == one.tobytes()
+        # numbers broadcast against an array
+        row = cqcap.bloch._bloch_states(0.7, lam2[1], theta[1])
+        assert row.tobytes() == cqcap.bloch._bloch_states(
+            np.full(4, 0.7), lam2[1], theta[1]).tobytes()
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             BinaryBlochChannel(0.4, 0.8, 1.0)
@@ -82,6 +103,26 @@ class TestHolevoFormula:
             np.array([0.5, 0.5]),
             realize_channel(BinaryBlochChannel(0.9, 0.9, math.pi))) / LN2
         assert got == pytest.approx(quantum, abs=1e-10)
+
+    def test_array_form_matches_scalar_calls_bit_for_bit(self):
+        # error_sweep scores its rows with the array form; holevo_bloch is its
+        # scalar case, so the two agree exactly
+        rng = np.random.default_rng(17)
+        lam1, lam2 = rng.uniform(0.5, 1.0, (2, 5, 6))
+        p1 = rng.uniform(0.0, 1.0, (5, 6))
+        theta = rng.uniform(0.0, math.pi, (5, 6))
+        lam1[0, :3], lam2[0, :3] = (1.0, 0.5, 0.8), (1.0, 0.5, 0.8)
+        theta[0, :3], p1[0, :3] = (math.pi, 1.1, 0.0), (0.5, 0.0, 1.0)
+        chi = cqcap.bloch._holevo_bits(lam1, lam2, theta, p1)
+        assert chi.shape == (5, 6)
+        for idx in np.ndindex(5, 6):
+            ch = BinaryBlochChannel(float(lam1[idx]), float(lam2[idx]), float(theta[idx]))
+            one = holevo_bloch(ch, float(p1[idx]))
+            assert type(one) is float
+            assert np.float64(one).tobytes() == chi[idx].tobytes()
+        for bad in (p1 + 1.0, np.where(p1 > 0.5, math.nan, p1)):
+            with pytest.raises(ValueError, match="p1"):
+                cqcap.bloch._holevo_bits(lam1, lam2, theta, bad)
 
     def test_matches_ensemble_computation(self):
         rng = np.random.default_rng(8)
@@ -361,3 +402,16 @@ def test_binary_entropy_endpoints():
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(1.0)
     assert binary_entropy(0.9) == pytest.approx(s2_oracle(0.9), abs=1e-14)
+    # a float for a number, exactly +0.0 at and beyond the ends, NaN for NaN,
+    # and no RuntimeWarning on the way (the suite turns those into errors)
+    for x in (0.0, 1.0, -0.5, 1.5, -math.inf, math.inf):
+        h = binary_entropy(x)
+        assert type(h) is float and h == 0.0 and math.copysign(1.0, h) == 1.0
+    assert type(binary_entropy(0.3)) is float
+    assert math.isnan(binary_entropy(math.nan))
+    # an array gives the scalar calls elementwise, bit for bit
+    xs = np.array([[0.0, 1.0, 0.5, math.nan], [0.9, -0.1, 1.1, 1e-300]])
+    h = binary_entropy(xs)
+    assert h.shape == xs.shape
+    assert h.tobytes() == np.array([[binary_entropy(x) for x in row]
+                                    for row in xs.tolist()]).tobytes()

@@ -2,9 +2,9 @@
 rebinds cqcap names listed in its WRAPPED table, and `cqcap.__all__` lists
 the public API. A refactor that renames or drops one of these names would
 otherwise only surface when the benchmark runs with tracing on or when a
-user star-imports the package; these tests catch it in the unit suite. Two
-more guards keep file output in the CLI and every certificate evaluation in
-`qinfo._certificates`."""
+user star-imports the package; these tests catch it in the unit suite. Three
+more guards keep file output in the CLI, every certificate evaluation in
+`qinfo._certificates` and the sweep's per-solve work in arrays."""
 
 import importlib
 import importlib.util
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import cqcap
+import cqcap.bloch
 import cqcap.qinfo
 import cqcap.solver
 from cqcap.bench import random_channel, trial_rng
@@ -71,3 +72,24 @@ def test_one_certificate_routine(monkeypatch):
         calls.clear()
         call()
         assert len(calls) == 1
+
+
+def test_the_sweep_builds_no_channel_per_solve(monkeypatch):
+    # error_sweep builds and scores its rows as arrays: no realize_channel or
+    # holevo_bloch call, and at most one BinaryBlochChannel per cell, the one
+    # approx_p1 makes to check its lambdas
+    counts = {}
+    for owner, name in ((cqcap.bloch, "holevo_bloch"), (cqcap.bloch, "realize_channel"),
+                        (cqcap.bloch.BinaryBlochChannel, "__post_init__")):
+        counts[name] = 0
+
+        def counted(*args, real=getattr(owner, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    grid = cqcap.bloch.SweepGrid(lambda_step=0.25, theta_step=1.0, reference_gap_tol=1e-4)
+    cells = cqcap.bloch.error_sweep(grid)
+    assert len(cells) == 9 and len(grid.theta_values()) == 4
+    assert counts["holevo_bloch"] == 0
+    assert counts["realize_channel"] == 0
+    assert counts["__post_init__"] <= len(cells)
