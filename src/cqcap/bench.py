@@ -72,18 +72,21 @@ def trial_rng(seed: int, n: int, m: int, acc_index: int,
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _ginibre_states(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n, m, m) states of random_channel, not validated: G G^H / Tr(G G^H)
+    per state, G = X + iY, from one draw that holds X then Y of each state in
+    turn."""
+    x = rng.standard_normal((n, 2, m, m))
+    g = x[:, 0] + 1j * x[:, 1]
+    a = g @ g.conj().swapaxes(-1, -2)
+    return a / np.trace(a, axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_density_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
     """Ginibre density matrix: G G^H normalized to unit trace."""
     if m < 1:
         raise ValueError(f"dimension must be >= 1, got {m}")
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    a = g @ g.conj().T
-    return a / a.trace().real
-
-
-def _ginibre_states(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """The (n, m, m) states of random_channel, not validated."""
-    return np.stack([random_density_matrix(m, rng) for _ in range(n)])
+    return _ginibre_states(1, m, rng)[0]
 
 
 def random_channel(n: int, m: int, rng: np.random.Generator) -> CqChannel:

@@ -9,6 +9,7 @@ Exit codes are stable for scripting: 0 success, 1 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -298,9 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliInputError as err:

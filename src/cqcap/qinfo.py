@@ -120,7 +120,7 @@ def _channel_states(states, batch: bool):
     if m < 2:
         raise ValueError(f"need output dimension >= 2, got {m}")
     _, w, _ = _density_spectra(states, "states")
-    return states, _entropy_from_eigs(w)
+    return states, _entropy_from_eigs(*_log_eigs(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,38 +152,46 @@ class CqChannel:
         return self.states.shape[1]
 
 
-def _entropy_from_eigs(w):
-    """-sum w ln w over the last axis, skipping eigenvalues at or below 0;
-    a float for one spectrum, an array for a stack."""
-    pos = w > 0.0
-    # a matmul of the masked rows sums like the former dot over the kept
-    # eigenvalues alone; sum(-1) does not, and would move the last bit
-    h = -(np.where(pos, w, 0.0)[..., None, :]
-          @ np.log(np.where(pos, w, 1.0))[..., :, None])[..., 0, 0]
+def _log_eigs(w):
+    """(u, ln u) for a spectrum or stack w, where u is w with 1 in place of
+    every eigenvalue at or below 0: the one log that the entropies and ln
+    sigma share. 1 ln 1 = +0.0 is the 0 ln 0 = 0 term, bit for bit."""
+    u = np.where(w > 0.0, w, 1.0)
+    return u, np.log(u)
+
+
+def _entropy_from_eigs(u, ln_u):
+    """-sum u ln u over the last axis for (u, ln u) = _log_eigs(w), the von
+    Neumann entropy of the spectrum w; a float for one spectrum, an array for
+    a stack."""
+    # a matmul of the rows sums like a dot over the positive eigenvalues
+    # alone; sum(-1) does not, and would move the last bit
+    h = -(u[..., None, :] @ ln_u[..., :, None])[..., 0, 0]
     return float(h) if h.ndim == 0 else h
 
 
-def _divergences(states, entropies, w, v) -> np.ndarray:
+def _divergences(states, neg_h, w, v, ln_w) -> np.ndarray:
     """D(rho_x || sigma_b) in nats for every slice rho_x = states[b, x], as a
     (B, n) array.
 
-    `states` is a (B, n, m, m) stack, `entropies` (B, n) holds H(rho_x) and
-    (w, v) are the (B, m) and (B, m, m) eigendecompositions of the sigma_b.
+    `states` is a (B, n, m, m) stack, `neg_h` holds -H(rho_x) as (B, n, 1)
+    or anything that broadcasts to it, (w, v) are the (B, m) and (B, m, m)
+    eigendecompositions of the sigma_b and ln_w is the log of w from
+    _log_eigs.
     ln sigma keeps every positive eigenvalue, the cutoff of the entropies; a
     letter whose mass along an eigenvector with eigenvalue at or below
     SUPPORT_TOL exceeds SUPPORT_TOL lies outside sigma's support and gets +inf.
     """
     b, n, m = states.shape[:3]
-    keep = w > SUPPORT_TOL
-    fw = np.log(np.where(w > 0.0, w, 1.0))
     # (ln sigma)^T = conj(V) diag(ln w) V^T, so that Tr(rho_x ln sigma) is the
     # flat product of rho_x with it: one matmul per channel, which sums each
     # row in the same order whatever B is, so a channel's bits do not depend
     # on its batch (einsum("bxij,bji->bx") does not keep that)
-    log_sigma_t = (v.conj() * fw[:, None, :]) @ v.swapaxes(-1, -2)
-    trace = (states.reshape(b, n, m * m) @ log_sigma_t.reshape(b, m * m, 1))[..., 0]
-    d = -entropies - trace.real
-    if not keep.all():
+    log_sigma_t = (v.conj() * ln_w[:, None, :]) @ v.swapaxes(-1, -2)
+    trace = states.reshape(b, n, m * m) @ log_sigma_t.reshape(b, m * m, 1)
+    d = (neg_h - trace.real)[..., 0]
+    if not w.min() > SUPPORT_TOL:
+        keep = w > SUPPORT_TOL
         cut = np.flatnonzero(~keep.all(axis=1))
         vc = v[cut]
         overlaps = np.einsum("bik,bxij,bjk->bxk", vc.conj(), states[cut], vc).real
@@ -202,10 +210,12 @@ def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     max(d[b]) over every letter including zero-weight ones.
     """
     w, v = _eigh(np.einsum("bx,bxij->bij", p, states))
-    d = _divergences(states, entropies, w, v)
+    u, ln_u = _log_eigs(w)
+    neg_h = -entropies[:, :, None]
+    d = _divergences(states, neg_h, w, v, ln_u)
     # -H(rho_x) summed, not subtracted, keeps a zero Holevo value at +0.0 (a
     # pure spectrum has entropy -0.0); a matmul per row, as in _divergences
-    lower = _entropy_from_eigs(w) + (p[:, None, :] @ -entropies[:, :, None])[:, 0, 0]
+    lower = _entropy_from_eigs(u, ln_u) + (p[:, None, :] @ neg_h)[:, 0, 0]
     return d, lower, d.max(axis=1)
 
 
@@ -220,7 +230,7 @@ def von_neumann_entropy(rho) -> float:
     a, w, _ = _density_spectra(rho, "rho")
     if a.ndim != 2:
         raise ValueError(f"rho must be a square matrix, got shape {a.shape}")
-    h = _entropy_from_eigs(w)
+    h = _entropy_from_eigs(*_log_eigs(w))
     if not (-1e-10 <= h <= math.log(a.shape[0]) + 1e-10):
         raise ValueError(f"von Neumann entropy {h!r} nats outside [0, ln m] = "
                          f"[0, {math.log(a.shape[0])!r}] for m = {a.shape[0]}")
@@ -237,8 +247,8 @@ def relative_entropy(rho, sigma) -> float:
     sig_a, w, v = _density_spectra(sigma, "sigma")
     if rho_a.shape != sig_a.shape or rho_a.ndim != 2:
         raise ValueError(f"shape mismatch or not m x m: {rho_a.shape} vs {sig_a.shape}")
-    return float(_divergences(rho_a[None, None], _entropy_from_eigs(w_rho[None, None]),
-                              w[None], v[None])[0, 0])
+    return float(_divergences(rho_a[None, None], -_entropy_from_eigs(*_log_eigs(w_rho)),
+                              w[None], v[None], _log_eigs(w[None])[1])[0, 0])
 
 
 def holevo_information(p, ch: CqChannel) -> float:

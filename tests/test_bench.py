@@ -1,9 +1,10 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from cqcap.bench import (BenchResult, BenchSpec, check_iteration_budget,
+from cqcap.bench import (BenchResult, BenchSpec, _ginibre_states, check_iteration_budget,
                          iteration_budget, random_channel, random_density_matrix,
                          run_bench, trial_rng)
 from cqcap.cli import main
@@ -49,6 +50,23 @@ class TestRandomDensityMatrix:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             random_density_matrix(0, np.random.default_rng(0))
+
+    def test_one_draw_gives_the_states_of_the_per_state_loop(self):
+        # the stream the benchmark's counts and workloads rest on: state by
+        # state, the real part of G, then its imaginary part, then G G^H / Tr
+        def per_state(n, m, rng):
+            states = []
+            for _ in range(n):
+                g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                a = g @ g.conj().T
+                states.append(a / a.trace().real)
+            return np.stack(states)
+
+        for seed, n, m in product((0, 7, 2024), (2, 5, 8, 16), (1, 2, 3, 5, 8, 16)):
+            got = _ginibre_states(n, m, trial_rng(seed, n, m, 0, 0))
+            assert got.tobytes() == per_state(n, m, trial_rng(seed, n, m, 0, 0)).tobytes()
+        assert random_density_matrix(5, trial_rng(1, 1, 5, 0, 0)).tobytes() == \
+            per_state(1, 5, trial_rng(1, 1, 5, 0, 0))[0].tobytes()
 
 
 class TestRunBench:

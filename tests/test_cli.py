@@ -330,3 +330,42 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == EXIT_INPUT
+
+
+def test_one_parser_serves_every_request(tmp_path, monkeypatch, capsys):
+    # main reuses one parser per process: each call's output must equal the
+    # output of a parser built for that call alone, so no flag, default or
+    # failed parse carries over from one request to the next
+    import cqcap.cli
+    z = str(CHANNELS / "z_channel.json")
+    calls = [["capacity", z, "--history", "--format", "json"],
+             ["capacity", z, "--format", "json"],
+             ["sweep", "--lambda-step", "0.25", "--theta-step", "1.5", "--ref-eps", "1e-4",
+              "--out", str(tmp_path / "sweep.csv")],
+             ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
+              "--out", str(tmp_path / "bench.csv")],
+             ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2"],
+             ["capacity", z, "--format", "yaml"],
+             ["capacity", z]]
+
+    def run_all():
+        runs = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            files = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+            runs.append((code, out, err, files))
+        return runs
+
+    reused = run_all()
+    monkeypatch.setattr(cqcap.cli, "_parser", cqcap.cli.build_parser)
+    for path in tmp_path.iterdir():
+        path.unlink()
+    assert reused == run_all()
+    assert [code for code, *_ in reused] == [EXIT_OK] * 5 + [EXIT_INPUT, EXIT_OK]
+    assert "history" in json.loads(reused[0][1])
+    assert "history" not in json.loads(reused[1][1])
+    assert "wrote" not in reused[4][1]

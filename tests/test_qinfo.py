@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from cqcap.bench import random_density_matrix
+from cqcap.bench import _ginibre_states, random_density_matrix, trial_rng
+from cqcap.bloch import _bloch_states
 from cqcap.qinfo import (CqChannel, check_linear_independence,
                          holevo_information, relative_entropy,
                          validate_distribution, von_neumann_entropy)
@@ -48,7 +49,7 @@ class TestVonNeumannEntropy:
 def test_range_checks_raise_named_errors(h, monkeypatch):
     import cqcap.qinfo as qinfo
     ch = CqChannel(np.stack([KET0, KET1]))
-    monkeypatch.setattr(qinfo, "_entropy_from_eigs", lambda w: h)
+    monkeypatch.setattr(qinfo, "_entropy_from_eigs", lambda u, ln_u: h)
     with pytest.raises(ValueError, match=r"^von Neumann entropy .* nats outside "
                                          r"\[0, ln m\] = \[0, 0.693.*\] for m = 2$"):
         von_neumann_entropy(np.eye(2, dtype=complex) / 2)
@@ -247,3 +248,66 @@ class TestValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 validate_distribution(np.array(bad))
         validate_distribution(np.array([0.5, 0.5]))
+
+
+def _reference_entropies(w):
+    # -sum w ln w as it was written with a log of its own
+    pos = w > 0.0
+    return -(np.where(pos, w, 0.0)[..., None, :]
+             @ np.log(np.where(pos, w, 1.0))[..., :, None])[..., 0, 0]
+
+
+def _reference_certificates(p, states, entropies):
+    # _certificates, _divergences and _entropy_from_eigs as they were written
+    # when the entropy and ln sigma each took their own log of the spectrum
+    import cqcap.qinfo as qinfo
+    w, v = qinfo._eigh(np.einsum("bx,bxij->bij", p, states))
+    b, n, m = states.shape[:3]
+    keep = w > qinfo.SUPPORT_TOL
+    fw = np.log(np.where(w > 0.0, w, 1.0))
+    log_sigma_t = (v.conj() * fw[:, None, :]) @ v.swapaxes(-1, -2)
+    trace = (states.reshape(b, n, m * m) @ log_sigma_t.reshape(b, m * m, 1))[..., 0]
+    d = -entropies - trace.real
+    if not keep.all():
+        cut = np.flatnonzero(~keep.all(axis=1))
+        vc = v[cut]
+        overlaps = np.einsum("bik,bxij,bjk->bxk", vc.conj(), states[cut], vc).real
+        outside = np.any((overlaps > qinfo.SUPPORT_TOL) & ~keep[cut, None, :], axis=2)
+        d[cut] = np.where(outside, math.inf, d[cut])
+    lower = _reference_entropies(w) + (p[:, None, :] @ -entropies[:, :, None])[:, 0, 0]
+    return d, lower, d.max(axis=1)
+
+
+def _certificate_stacks():
+    rng = np.random.default_rng(1905)
+    yield "B=1, (8, 8)", _ginibre_states(8, 8, trial_rng(3, 8, 8, 0, 0))[None], \
+        rng.dirichlet(np.ones(8), size=1)
+    yield "B=40, (5, 5)", np.stack([_ginibre_states(5, 5, trial_rng(3, 5, 5, 0, k))
+                                    for k in range(40)]), rng.dirichlet(np.ones(5), size=40)
+    lam = np.linspace(0.5, 1.0, 11)
+    grid = np.meshgrid(lam, lam, np.linspace(0.0, math.pi, 11), indexing="ij")
+    p1 = rng.uniform(0.05, 0.95, size=1331)
+    yield "1331 Bloch rows, (2, 2)", _bloch_states(*grid).reshape(1331, 2, 2, 2), \
+        np.stack([p1, 1.0 - p1], axis=1)
+    # row 0: letter 0 keeps 1.5e-10 along |1>, where the uniform average has
+    # 0.75e-10 <= SUPPORT_TOL (+inf); row 1: a zero-weight letter
+    violating = np.array([[[1.0 - 1.5e-10, 0], [0, 1.5e-10]], [[1, 0], [0, 0]]])
+    yield "support violation and zero weight", \
+        np.stack([violating, _ginibre_states(2, 2, trial_rng(4, 2, 2, 0, 0)),
+                  _ginibre_states(2, 2, trial_rng(4, 2, 2, 0, 1))]).astype(complex), \
+        np.array([[0.5, 0.5], [1.0, 0.0], [0.3, 0.7]])
+
+
+@pytest.mark.parametrize("label, states, p", [pytest.param(*case, id=case[0])
+                                              for case in _certificate_stacks()])
+def test_certificates_keep_the_bits_of_separate_logs(label, states, p):
+    import cqcap.qinfo as qinfo
+    states, entropies = qinfo._channel_states(states, batch=True)
+    _, w, _ = qinfo._density_spectra(states, "states")
+    assert entropies.tobytes() == _reference_entropies(w).tobytes()
+    got = qinfo._certificates(p, states, entropies)
+    want = _reference_certificates(p, states, entropies)
+    for name, a, b in zip(("d", "lower", "upper"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+    if label.startswith("support"):
+        assert np.isinf(got[2][0]) and np.isfinite(got[2][1:]).all()
