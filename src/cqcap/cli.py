@@ -64,7 +64,7 @@ def load_channel_file(path) -> CqChannel:
         raise CliInputError(f'"dim" must be an integer >= 2, got {dim!r}')
     if not isinstance(raw_states, list) or len(raw_states) < 2:
         raise CliInputError('"states" must list at least 2 states')
-    states = []
+    entries = []
     for idx, entry in enumerate(raw_states):
         expected = f"states[{idx}] must be a {dim}x{dim} array of [re, im] pairs"
         try:
@@ -73,17 +73,25 @@ def load_channel_file(path) -> CqChannel:
             raise CliInputError(f"{expected}: {err}") from err
         if arr.shape != (dim, dim, 2):
             raise CliInputError(f"{expected}, got shape {arr.shape}")
-        states.append(arr[..., 0] + 1j * arr[..., 1])
+        entries.append(arr)
+    # the view reads each [re, im] pair as one complex128, every double kept
+    # (a -0.0 imaginary part too)
+    return _checked(CqChannel, np.array(entries).view(np.complex128)[..., 0],
+                    context="invalid channel: ")
+
+
+def _checked(build, *args, context: str = "", **kwargs):
+    # a library constructor rejects bad input with ValueError; here it exits 1
     try:
-        return CqChannel(np.stack(states))
+        return build(*args, **kwargs)
     except ValueError as err:
-        raise CliInputError(f"invalid channel: {err}") from err
+        raise CliInputError(f"{context}{err}") from err
 
 
-def _out_path(text: str) -> Path:
+def _out_path(text: str, flag: str = "--out") -> Path:
     path = Path(text)
     if not path.name:   # "", "." and "/" leave no name to write or derive from
-        raise CliInputError(f"cannot write output: --out {text!r} names no file")
+        raise CliInputError(f"cannot write output: {flag} {text!r} names no file")
     return path
 
 
@@ -114,11 +122,8 @@ def _json_float(x: float):
 
 def _cmd_capacity(args) -> int:
     ch = load_channel_file(args.channel_file)
-    try:
-        cfg = SolverConfig(gap_tol=args.eps, max_iters=args.max_iter,
-                           record_history=args.history)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
+    cfg = _checked(SolverConfig, gap_tol=args.eps, max_iters=args.max_iter,
+                   record_history=args.history)
     report = solve(ch, cfg)
     if args.format == "json":
         payload = {
@@ -156,10 +161,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    try:
-        ch = BinaryBlochChannel(args.lambda1, args.lambda2, args.theta)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
+    ch = _checked(BinaryBlochChannel, args.lambda1, args.lambda2, args.theta)
     p_hat = approx_p1(args.lambda1, args.lambda2)
     chi_hat = holevo_bloch(ch, p_hat)
     p_best = exact_p1(ch)
@@ -172,14 +174,11 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        grid = SweepGrid(lambda_step=args.lambda_step, theta_step=args.theta_step,
-                         reference_gap_tol=args.ref_eps)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
+    grid = _checked(SweepGrid, lambda_step=args.lambda_step,
+                    theta_step=args.theta_step, reference_gap_tol=args.ref_eps)
     out = _out_path(args.out)
-    range_out = Path(args.range_out) if args.range_out else \
-        out.with_name(out.stem + "_ranges" + (out.suffix or ".csv"))
+    range_out = (out.with_name(out.stem + "_ranges" + (out.suffix or ".csv"))
+                 if args.range_out is None else _out_path(args.range_out, "--range-out"))
     if out.resolve() == range_out.resolve():
         raise CliInputError(f"--out and --range-out name the same file: {out}")
     _require_writable(out, range_out)
@@ -229,13 +228,10 @@ def _format_bench_table(results) -> str:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        spec = BenchSpec(input_sizes=_parse_list(args.n, int),
-                         output_dims=_parse_list(args.m, int),
-                         accuracies=_parse_list(args.acc, float),
-                         trials=args.trials, seed=args.seed)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
+    spec = _checked(BenchSpec, input_sizes=_parse_list(args.n, int),
+                    output_dims=_parse_list(args.m, int),
+                    accuracies=_parse_list(args.acc, float),
+                    trials=args.trials, seed=args.seed)
     if args.out is not None:
         _require_writable(_out_path(args.out))
     results = run_bench(spec)
@@ -262,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cap = sub.add_parser("capacity", help="solve a channel given as a JSON file")
     cap.add_argument("channel_file")
-    cap.add_argument("--eps", type=float, default=1e-6,
-                     help="certificate gap threshold in nats (default 1e-6)")
-    cap.add_argument("--max-iter", type=int, default=100_000)
+    cap.add_argument("--eps", type=float, default=SolverConfig.gap_tol,
+                     help="certificate gap threshold in nats (default %(default)g)")
+    cap.add_argument("--max-iter", type=int, default=SolverConfig.max_iters)
     cap.add_argument("--history", action="store_true",
                      help="record per-iterate certificates")
     cap.add_argument("--format", choices=("json", "text"), default="text")
@@ -280,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="approximation-error sweep over the "
                                       "(lambda1, lambda2) grid")
-    sw.add_argument("--lambda-step", type=float, default=0.01)
-    sw.add_argument("--theta-step", type=float, default=math.pi / 50)
-    sw.add_argument("--ref-eps", type=float, default=1e-6)
+    sw.add_argument("--lambda-step", type=float, default=SweepGrid.lambda_step)
+    sw.add_argument("--theta-step", type=float, default=SweepGrid.theta_step)
+    sw.add_argument("--ref-eps", type=float, default=SweepGrid.reference_gap_tol)
     sw.add_argument("--out", default="sweep.csv")
     sw.add_argument("--range-out", default=None,
                     help="range-maxima CSV (default: derived from --out)")
@@ -292,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--n", required=True, help="comma list of input sizes")
     be.add_argument("--m", required=True, help="comma list of output dimensions")
     be.add_argument("--acc", required=True, help="comma list of gap thresholds")
-    be.add_argument("--trials", type=int, default=200)
-    be.add_argument("--seed", type=int, default=0)
+    be.add_argument("--trials", type=int, default=BenchSpec.trials)
+    be.add_argument("--seed", type=int, default=BenchSpec.seed)
     be.add_argument("--out", default=None)
     be.set_defaults(func=_cmd_bench)
     return parser

@@ -85,9 +85,12 @@ def validate_distribution(p, n: int | None = None, *, rows: int | None = None,
     """Check an input distribution of n weights: finite, nonnegative (above 0
     with `positive`) and summing to 1 within DIST_SUM_TOL. With `rows` = B
     and n given, check a stack (B, n) of them instead, a defect named for its
-    lowest row as `name[k]`. Return the weights as float64; the caller's
-    array is not changed."""
-    p = np.asarray(p, dtype=np.float64)
+    lowest row as `name[k]`; complex weights are rejected, not cast. Return
+    the weights as float64; the caller's array is not changed."""
+    p = np.asarray(p)
+    if np.iscomplexobj(p):
+        raise ValueError(f"{name} has complex weights")
+    p = p.astype(np.float64, copy=False)
     want = (n,) if rows is None else (rows, n)
     if p.ndim != len(want) or (n is not None and p.shape != want):
         raise ValueError(f"{name} has the wrong length or shape: expected "
@@ -162,12 +165,11 @@ def _log_eigs(w):
 
 def _entropy_from_eigs(u, ln_u):
     """-sum u ln u over the last axis for (u, ln u) = _log_eigs(w), the von
-    Neumann entropy of the spectrum w; a float for one spectrum, an array for
-    a stack."""
+    Neumann entropy of the spectrum w: numpy values of w's leading shape, a
+    numpy scalar for one spectrum."""
     # a matmul of the rows sums like a dot over the positive eigenvalues
     # alone; sum(-1) does not, and would move the last bit
-    h = -(u[..., None, :] @ ln_u[..., :, None])[..., 0, 0]
-    return float(h) if h.ndim == 0 else h
+    return -(u[..., None, :] @ ln_u[..., :, None])[..., 0, 0]
 
 
 def _divergences(states, neg_h, w, v, ln_w) -> np.ndarray:
@@ -230,7 +232,7 @@ def von_neumann_entropy(rho) -> float:
     a, w, _ = _density_spectra(rho, "rho")
     if a.ndim != 2:
         raise ValueError(f"rho must be a square matrix, got shape {a.shape}")
-    h = _entropy_from_eigs(*_log_eigs(w))
+    h = float(_entropy_from_eigs(*_log_eigs(w)))
     if not (-1e-10 <= h <= math.log(a.shape[0]) + 1e-10):
         raise ValueError(f"von Neumann entropy {h!r} nats outside [0, ln m] = "
                          f"[0, {math.log(a.shape[0])!r}] for m = {a.shape[0]}")

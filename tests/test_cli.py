@@ -4,8 +4,10 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cqcap.bench import random_density_matrix
 from cqcap.cli import (EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, load_channel_file,
                        main)
 
@@ -171,6 +173,17 @@ class TestCapacity:
         assert ch.input_size == 2
         assert ch.output_dim == 2
 
+    def test_loader_keeps_every_double(self, tmp_path):
+        rng = np.random.default_rng(5)
+        states = np.stack([random_density_matrix(8, rng) for _ in range(8)])
+        states[3, 2, 2] = complex(states[3, 2, 2].real, -0.0)
+        pairs = np.stack([states.real, states.imag], axis=-1)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"dim": 8, "states": pairs.tolist()}))
+        ch = load_channel_file(path)
+        assert ch.states.real.tobytes() == states.real.tobytes()
+        assert ch.states.imag.tobytes() == states.imag.tobytes()
+
 
 class TestApprox:
     def test_symmetric(self, capsys):
@@ -263,6 +276,7 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
     for argv in (sweep + ["--out", missing],
                  sweep + ["--out", ""], sweep + ["--out", "."], sweep + ["--out", "/"],
                  sweep + ["--out", str(tmp_path / "ok.csv"), "--range-out", missing],
+                 sweep + ["--out", str(tmp_path / "ok.csv"), "--range-out", ""],
                  ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
                   "--out", missing],
                  ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",

@@ -247,6 +247,8 @@ class TestValidation:
         for bad in ([math.nan, math.nan], [math.inf, 0.5], [0.5, 0.5, math.nan]):
             with pytest.raises(ValueError, match="non-finite"):
                 validate_distribution(np.array(bad))
+        with pytest.raises(ValueError, match="^distribution has complex weights"):
+            validate_distribution(np.array([0.5 + 0.4j, 0.5]))
         validate_distribution(np.array([0.5, 0.5]))
 
 

@@ -325,7 +325,8 @@ class TestSolveBatch:
                 ({0: [math.nan, 0.5]}, r"start\[0\] has a non-finite weight"),
                 ({1: [math.inf, 0.5], 2: [math.nan, 0.5]},
                  r"start\[1\] has a non-finite weight"),
-                ({2: [0.5, 0.4]}, r"start\[2\] does not sum to 1: \|sum - 1\| = 1.000e-01")):
+                ({2: [0.5, 0.4]}, r"start\[2\] does not sum to 1: \|sum - 1\| = 1.000e-01"),
+                (good + [[0.4j, 0.0], [0.0, 0.0], [0.0, 0.0]], r"start has complex weights")):
             if isinstance(rows, dict):
                 bad = good.copy()
                 for k, row in rows.items():
