@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .qinfo import LN2, CqChannel
@@ -28,6 +27,9 @@ from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EXACT_P1_DPS = 40
+# |lambda1 - lambda2| below which approx_p1 leaves float64: against the same
+# expression at 50 digits its error is 2.2e-11 at 1e-3 and 0.26 at 1e-8
+_APPROX_P1_CUTOFF = 1e-3
 _EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
 # Largest sweep accepted, in solves (lambda values^2 * theta values): 15x the
 # paper-scale default grid of 132,651 solves, which takes about 3.5 s on a
@@ -186,22 +188,41 @@ def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
 def approx_p1(lambda1: float, lambda2: float) -> float:
     """Closed-form approximate maximizer of the Holevo quantity over p1.
 
-    Solves the theta = 0 stationarity condition exactly and clamps the
-    result to [0, 1]; for equal radii the optimum is 1/2 by symmetry. Used
+    Solves the theta = 0 stationarity condition exactly; for equal lambdas
+    every p1 is stationary and 1/2 is returned. The secant slope and the
+    division by r1 - r2 cancel as the lambdas meet, so below
+    _APPROX_P1_CUTOFF the same expression is evaluated at _EXACT_P1_DPS
+    digits. The value stays inside [1/e, 1 - 1/e], where the optimum of
+    every binary-input channel lies, so it needs no clamp to [0, 1]. Used
     as an approximation for every theta.
     """
     BinaryBlochChannel(lambda1, lambda2, 0.0)   # checks both lambdas
-    r1, r2 = lambda1 - 0.5, lambda2 - 0.5
-    if abs(r1 - r2) <= 1e-12:
+    if lambda1 == lambda2:
         return 0.5
+    r1, r2 = lambda1 - 0.5, lambda2 - 0.5
+    if abs(r1 - r2) < _APPROX_P1_CUTOFF:
+        import mpmath
+        with mpmath.workdps(_EXACT_P1_DPS):
+            r1, r2 = mpmath.mpf(r1), mpmath.mpf(r2)
+            y = (_binary_entropy_mp(lambda1) - _binary_entropy_mp(lambda2)) / (r1 - r2)
+            return float((-mpmath.tanh(y * mpmath.ln2 / 2) / 2 - r2) / (r1 - r2))
     # exponent of c = 2^y; 0.5 (1-c)/(1+c) = -0.5 tanh(y ln2 / 2), overflow-free
     y = (binary_entropy(lambda1) - binary_entropy(lambda2)) / (r1 - r2)
-    p_hat = (-0.5 * math.tanh(0.5 * y * LN2) - r2) / (r1 - r2)
-    return min(max(p_hat, 0.0), 1.0)
+    return (-0.5 * math.tanh(0.5 * y * LN2) - r2) / (r1 - r2)
+
+
+def _binary_entropy_mp(x):
+    # binary_entropy at the working precision of mpmath
+    import mpmath
+    x = mpmath.mpf(x)
+    if x <= 0 or x >= 1:
+        return mpmath.mpf(0)
+    return -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2))
 
 
 def _holevo_mp(lambda1, lambda2, theta, p1):
     # high-precision copy of holevo_bloch, for the 1-D search oracle
+    import mpmath
     one = mpmath.mpf(1)
     half = one / 2
     lam1, lam2 = mpmath.mpf(lambda1), mpmath.mpf(lambda2)
@@ -210,13 +231,8 @@ def _holevo_mp(lambda1, lambda2, theta, p1):
     a, b = p * r1, (1 - p) * r2
     nsq = a * a + b * b + 2 * a * b * mpmath.cos(mpmath.mpf(theta))
     norm = mpmath.sqrt(nsq) if nsq > 0 else mpmath.mpf(0)
-
-    def s2(x):
-        if x <= 0 or x >= 1:
-            return mpmath.mpf(0)
-        return -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2))
-
-    return s2(half + norm) - p * s2(lam1) - (1 - p) * s2(lam2)
+    return (_binary_entropy_mp(half + norm) - p * _binary_entropy_mp(lam1)
+            - (1 - p) * _binary_entropy_mp(lam2))
 
 
 def exact_p1(ch: BinaryBlochChannel) -> float:
@@ -230,6 +246,7 @@ def exact_p1(ch: BinaryBlochChannel) -> float:
     would stall the bracket around sqrt(eps / |chi''|), well short of
     _EXACT_P1_TOL.
     """
+    import mpmath
     with mpmath.workdps(_EXACT_P1_DPS):
         a, b = 0.0, 1.0
         inner = _INV_PHI * (b - a)

@@ -60,10 +60,11 @@ def load_channel_file(path) -> CqChannel:
         raise CliInputError('channel file must be {"dim": m, "states": [...]}')
     dim = doc["dim"]
     raw_states = doc["states"]
-    if not isinstance(dim, int) or dim < 2:
-        raise CliInputError(f'"dim" must be an integer >= 2, got {dim!r}')
-    if not isinstance(raw_states, list) or len(raw_states) < 2:
-        raise CliInputError('"states" must list at least 2 states')
+    # the least that building the stack needs; CqChannel checks n >= 2 and m >= 2
+    if type(dim) is not int or dim < 1:
+        raise CliInputError(f'"dim" must be a positive integer, got {dim!r}')
+    if not isinstance(raw_states, list) or not raw_states:
+        raise CliInputError('"states" must be a non-empty list')
     entries = []
     for idx, entry in enumerate(raw_states):
         expected = f"states[{idx}] must be a {dim}x{dim} array of [re, im] pairs"
@@ -183,23 +184,21 @@ def _cmd_sweep(args) -> int:
         raise CliInputError(f"--out and --range-out name the same file: {out}")
     _require_writable(out, range_out)
     cells = error_sweep(grid)
-    r_values = [lam for lam in grid.lambda_values() if lam > 0.5]
-    ranges = max_error_by_range(cells, r_values)
+    lams = grid.lambda_values()
+    ranges = max_error_by_range(cells, [lam for lam in lams if lam > 0.5])
     _write_lines(out, ["lambda1,lambda2,error_bits"] + [
         f"{c.lambda1:.10g},{c.lambda2:.10g},{c.error_bits:.10g}" for c in cells])
     _write_lines(range_out, ["R,max_error_bits"] +
                  [f"{r:.10g},{err:.10g}" for r, err in ranges])
     flagged = sum(1 for c in cells if not c.ba_converged)
-    capped = [c.error_bits for c in cells
-              if c.lambda1 <= 0.95 + 1e-9 and c.lambda2 <= 0.95 + 1e-9]
-    print(f"cells       : {len(cells)} "
-          f"({len(grid.lambda_values())}^2 lambda grid, "
+    (_, capped), (_, full) = max_error_by_range(cells, [min(0.95, lams[-1]), lams[-1]])
+    print(f"cells       : {len(cells)} ({len(lams)}^2 lambda grid, "
           f"{len(grid.theta_values())} theta values)")
     print(f"flagged     : {flagged}")
     print(f"iterations  : {sum(c.iterations for c in cells)} total, "
           f"{max(c.max_iterations for c in cells)} max per reference solve")
-    print(f"max error (lambda <= 0.95): {max(capped):.6f} bits")
-    print(f"max error (full grid)     : {max(c.error_bits for c in cells):.6f} bits")
+    print(f"max error (lambda <= 0.95): {capped:.6f} bits")
+    print(f"max error (full grid)     : {full:.6f} bits")
     print(f"wrote {out}")
     print(f"wrote {range_out}")
     return EXIT_OK

@@ -206,22 +206,20 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> list[Sol
         # ln p of the loop is finite. A NaN gap stops no row.
         if t == cfg.max_iters or not (gap.min() > tol and upper.max() < math.inf):
             closed = gap <= tol
-            stop = closed | (t == cfg.max_iters)
-            violated = np.isinf(upper) & ~stop
-            for k in np.flatnonzero(violated):
-                letters = np.flatnonzero(np.isinf(d[k]))
-                log.warning("channel %d: stopping after %d iterations: +inf relative "
-                            "entropy at letters %s (weights %s)",
-                            rows[k], t, letters.tolist(), p[k, letters].tolist())
-            stop |= violated
+            stop = closed | np.isinf(upper) | (t == cfg.max_iters)
             for k in np.flatnonzero(stop):
                 b, lo, up = rows[k], float(lower[k]), float(upper[k])
+                reason = ("gap" if closed[k] else "max_iters" if t == cfg.max_iters
+                          else "support_violation")
+                if reason == "support_violation":
+                    letters = np.flatnonzero(np.isinf(d[k]))
+                    log.warning("channel %d: stopping after %d iterations: +inf relative "
+                                "entropy at letters %s (weights %s)",
+                                b, t, letters.tolist(), p[k, letters].tolist())
                 capacity = 0.5 * (lo + up) if math.isfinite(up) else lo
                 reports[b] = SolveReport(
                     capacity_nats=capacity, capacity_bits=capacity / LN2, lower=lo,
-                    upper=up, iterations=t, p_star=p[k].copy(),
-                    stop_reason="gap" if closed[k] else
-                    "support_violation" if violated[k] else "max_iters",
+                    upper=up, iterations=t, p_star=p[k].copy(), stop_reason=reason,
                     history=histories[b] if histories else None)
             go = ~stop
             if not go.any():

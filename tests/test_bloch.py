@@ -210,6 +210,16 @@ class TestApproxP1:
             lam1, lam2 = rng.uniform(0.5, 1.0, 2)
             assert 0.0 <= approx_p1(lam1, lam2) <= 1.0
 
+    def test_nearly_equal_lambdas_match_the_theta_zero_optimum(self):
+        # float64 cancels as the lambdas meet: 1.0 at (0.6, 0.600000001) and
+        # 0.5 at (1.0, 0.999999999999), where the optimum is 1 - 1/e
+        for lam in (0.55, 0.75, 0.95, 1.0):
+            for offset in (1e-12, 1e-9, 1e-6, 1e-4):
+                for other in (lam - offset, lam + offset):
+                    if other <= 1.0:
+                        exact = exact_p1(BinaryBlochChannel(lam, other, 0.0))
+                        assert abs(approx_p1(lam, other) - exact) <= 1e-8, (lam, other)
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             approx_p1(0.4, 0.8)
@@ -357,6 +367,8 @@ class TestMaxErrorByRange:
     def test_out_of_range_rejected(self, cells):
         with pytest.raises(ValueError):
             max_error_by_range(cells, [1.2])
+        with pytest.raises(ValueError, match="R=0.4 below the smallest grid point"):
+            max_error_by_range(cells, [0.4])
 
 
 def test_csv_export_formats(tmp_path, capsys):

@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cqcap.bench import random_density_matrix
+import cqcap.cli
+from cqcap.bench import BenchResult, random_density_matrix
 from cqcap.cli import (EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, load_channel_file,
                        main)
 
@@ -168,6 +172,26 @@ class TestCapacity:
         assert code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_loader_checks_the_document_and_channel_the_minimums(self, tmp_path, capsys):
+        # the loader checks what building the stack needs; CqChannel refuses
+        # fewer than 2 letters or an output dimension below 2
+        ket0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        form = 'channel file must be {"dim": m, "states": [...]}'
+        for doc, message in (
+                ([ket0, ket0], form),
+                ({"dim": 2}, form),
+                ({"dim": "2", "states": [ket0, ket0]},
+                 "\"dim\" must be a positive integer, got '2'"),
+                ({"dim": 2, "states": []}, '"states" must be a non-empty list'),
+                ({"dim": 1, "states": [[[[1, 0]]], [[[1, 0]]]]},
+                 "invalid channel: need output dimension >= 2, got 1"),
+                ({"dim": 2, "states": [ket0]},
+                 "invalid channel: need at least 2 input letters, got 1")):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            assert main(["capacity", str(path)]) == EXIT_INPUT
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_loader_roundtrip(self):
         ch = load_channel_file(CHANNELS / "z_channel.json")
         assert ch.input_size == 2
@@ -324,6 +348,23 @@ class TestBench:
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    def test_failed_trials_exit_two(self, monkeypatch, capsys):
+        # no real trial fails inside its budget, so the run reports one
+        monkeypatch.setattr(cqcap.cli, "run_bench",
+                            lambda spec: [BenchResult(2, 2, 1e-2, 3.0, 4, 1)])
+        code = main(["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2"])
+        assert code == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().err == "1 trial(s) did not converge\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_write_failure_after_the_run_exits_one(self, capsys):
+        # /dev/full opens, so the pre-open check passes; the write then fails
+        code = main(["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "1",
+                     "--out", "/dev/full"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: cannot write output: [Errno 28] No space left on device\n"
+
     def test_bad_list_rejected(self, capsys):
         assert main(["bench", "--n", "two", "--m", "2", "--acc", "1e-3"]) \
             == EXIT_INPUT
@@ -383,3 +424,14 @@ def test_one_parser_serves_every_request(tmp_path, monkeypatch, capsys):
     assert "history" in json.loads(reused[0][1])
     assert "history" not in json.loads(reused[1][1])
     assert "wrote" not in reused[4][1]
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # only the oracle (exact_p1) and approx_p1's near-equal branch import mpmath
+    src = str(Path(cqcap.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cqcap.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -51,7 +51,7 @@ def test_bloch_concavity(lam1, lam2, theta, a, b, alpha):
 def test_approx_p1_total_on_domain(lam1, lam2):
     p = approx_p1(lam1, lam2)
     assert 0.0 <= p <= 1.0
-    if abs(lam1 - lam2) <= 1e-12:
+    if lam1 == lam2:
         assert p == 0.5
 
 

@@ -9,6 +9,7 @@ from cqcap.bloch import _bloch_states
 from cqcap.qinfo import (CqChannel, check_linear_independence,
                          holevo_information, relative_entropy,
                          validate_distribution, von_neumann_entropy)
+from cqcap.solver import solve_batch
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -225,6 +226,12 @@ class TestValidation:
     def test_channel_requires_two_letters(self):
         with pytest.raises(ValueError, match="letters"):
             CqChannel(KET0[None, :, :])
+
+    def test_channel_and_stack_require_output_dimension_two(self):
+        one = np.ones((2, 1, 1), dtype=complex)
+        for build in (CqChannel, lambda states: solve_batch(states[None])):
+            with pytest.raises(ValueError, match="need output dimension >= 2, got 1"):
+                build(one)
 
     def test_channel_states_are_frozen(self):
         ch = CqChannel(np.stack([KET0, KET1]))

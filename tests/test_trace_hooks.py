@@ -2,12 +2,15 @@
 rebinds cqcap names listed in its WRAPPED table, and `cqcap.__all__` lists
 the public API. A refactor that renames or drops one of these names would
 otherwise only surface when the benchmark runs with tracing on or when a
-user star-imports the package; these tests catch it in the unit suite. Three
-more guards keep file output in the CLI, every certificate evaluation in
-`qinfo._certificates` and the sweep's per-solve work in arrays."""
+user star-imports the package; these tests catch it in the unit suite. A
+guard keeps each import that the package holds only for the trace to rebind
+(`# noqa: F401`) listed in WRAPPED. Three more guards keep file output in the
+CLI, every certificate evaluation in `qinfo._certificates` and the sweep's
+per-solve work in arrays."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,23 @@ def test_every_wrapped_name_resolves_to_a_callable():
             assert hasattr(owner, part), f"{module}.{path}: no attribute {part!r}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{path} is not callable"
+
+
+def test_every_unused_import_is_one_the_trace_rebinds():
+    # an import kept with `# noqa: F401` has no use but WRAPPED's; once the
+    # trace stops rebinding it, the import goes too
+    wrapped = {(module, path) for module, path, _ in _load_tracing().WRAPPED}
+    package = Path(cqcap.__file__).resolve().parent
+    kept = set()
+    for path in sorted(package.glob("*.py")):
+        module = "cqcap" if path.stem == "__init__" else f"cqcap.{path.stem}"
+        for line in path.read_text().splitlines():
+            if "# noqa: F401" in line:
+                match = re.fullmatch(r"from \S+ import (\w+)\s+# noqa: F401.*", line)
+                assert match, f"{path.name}: unexpected form {line!r}"
+                kept.add((module, match.group(1)))
+    assert kept
+    assert kept <= wrapped, sorted(kept - wrapped)
 
 
 def test_only_the_cli_opens_files():
