@@ -19,7 +19,8 @@ from itertools import product
 import numpy as np
 
 from .qinfo import CqChannel
-from .solver import SolverConfig, _require_positive_finite, batch_size, solve_batch
+from .solver import (SolverConfig, _require_integer, _require_positive_finite, batch_size,
+                     solve_batch)
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 
@@ -38,6 +39,9 @@ class BenchSpec:
             if kind is int and not all(isinstance(v, numbers.Integral) and v >= 2
                                        for v in values):
                 raise ValueError(f"{field} must be integers >= 2, got {values}")
+            if kind is float:   # before the cast, which would take True as 1.0
+                for a in values:
+                    _require_positive_finite("accuracy", a)
             values = tuple(kind(v) for v in values)
             object.__setattr__(self, field, values)
             if not values:
@@ -45,14 +49,11 @@ class BenchSpec:
             if len(set(values)) < len(values):
                 raise ValueError(f"{field} must not repeat a value, got {values}")
         for a in self.accuracies:
-            _require_positive_finite("accuracy", a)
             if not math.isfinite(iteration_budget(max(self.input_sizes), a)):
                 raise ValueError(f"accuracies: {a!r} makes the iteration budget "
                                  "ln(n)/accuracy infinite")
-        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _require_integer("trials", self.trials, 1)
+        _require_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ from .solver import SolverConfig, _require_positive_finite, batch_size, solve_ba
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_EXACT_P1_DPS = 40
+# mpmath digits of exact_p1 and of approx_p1's near-equal branch; at 40 the
+# oracle missed the theta = 0 optimum by up to 1.9e-5 with lambdas 1e-14 apart
+_EXACT_P1_DPS = 60
 # |lambda1 - lambda2| below which approx_p1 leaves float64: against the same
 # expression at 50 digits its error is 2.2e-11 at 1e-3 and 0.26 at 1e-8
 _APPROX_P1_CUTOFF = 1e-3
@@ -65,14 +67,12 @@ class SweepGrid:
     reference_gap_tol: float = 1e-6   # solver stopping gap for the reference value
 
     def __post_init__(self):
-        _require_positive_finite("lambda_step", self.lambda_step)
-        _require_positive_finite("theta_step", self.theta_step)
-        _require_positive_finite("reference_gap_tol", self.reference_gap_tol)
-        for field, step, span in (
-                ("lambda_step", self.lambda_step, 0.5),
-                ("theta_step", self.theta_step, math.pi)):
+        for field, span in (("lambda_step", 0.5), ("theta_step", math.pi)):
+            step = getattr(self, field)
+            _require_positive_finite(field, step)
             if not math.isfinite(span / step):
                 raise ValueError(f"{field} {step!r} makes the axis length infinite")
+        _require_positive_finite("reference_gap_tol", self.reference_gap_tol)
         lams = _axis_count(0.5, 1.0, self.lambda_step)
         thetas = _axis_count(0.0, math.pi, self.theta_step)
         if lams ** 2 * thetas > MAX_SWEEP_SOLVES:
@@ -134,18 +134,18 @@ def realize_channel(ch: BinaryBlochChannel) -> CqChannel:
     return CqChannel(_bloch_states(ch.lambda1, ch.lambda2, ch.theta))
 
 
-def _mixture_norm_sq(lambda1, lambda2, theta, p1):
-    # |p1 r1 + (1-p1) r2|^2 by the law of cosines, broadcast; the p1 check
-    # of both Holevo functions
+def _mixture_norm_sq(lambda1, lambda2, cos_theta, p1):
+    # |p1 r1 + (1-p1) r2|^2 by the law of cosines, broadcast or in mpmath;
+    # the p1 check of every Holevo function
     if not np.all((0.0 <= p1) & (p1 <= 1.0)):
         raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
     a, b = p1 * (lambda1 - 0.5), (1.0 - p1) * (lambda2 - 0.5)
-    return a * a + b * b + 2.0 * a * b * np.cos(theta)
+    return a * a + b * b + 2.0 * a * b * cos_theta
 
 
 def _holevo_bits(lambda1, lambda2, theta, p1):
     # the closed form of holevo_bloch, broadcast over its arguments
-    norm = np.sqrt(np.maximum(_mixture_norm_sq(lambda1, lambda2, theta, p1), 0.0))
+    norm = np.sqrt(np.maximum(_mixture_norm_sq(lambda1, lambda2, np.cos(theta), p1), 0.0))
     return (binary_entropy(0.5 + norm) - p1 * binary_entropy(lambda1)
             - (1.0 - p1) * binary_entropy(lambda2))
 
@@ -167,7 +167,7 @@ def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
     norm is stationary there (identical pure states, gradient 0).
     """
     r1, r2, cos_t = ch.lambda1 - 0.5, ch.lambda2 - 0.5, math.cos(ch.theta)
-    norm = math.sqrt(max(_mixture_norm_sq(ch.lambda1, ch.lambda2, ch.theta, p1), 0.0))
+    norm = math.sqrt(max(_mixture_norm_sq(ch.lambda1, ch.lambda2, cos_t, p1), 0.0))
     dnsq = 2.0 * p1 * r1 * r1 - 2.0 * (1.0 - p1) * r2 * r2 \
         + (2.0 - 4.0 * p1) * r1 * r2 * cos_t
     tail = 0.5 - norm  # = 1 - mu without cancellation, mu the top eigenvalue
@@ -221,17 +221,12 @@ def _binary_entropy_mp(x):
 
 
 def _holevo_mp(lambda1, lambda2, theta, p1):
-    # high-precision copy of holevo_bloch, for the 1-D search oracle
+    # holevo_bloch's closed form in mpmath, for the 1-D search oracle
     import mpmath
-    one = mpmath.mpf(1)
-    half = one / 2
-    lam1, lam2 = mpmath.mpf(lambda1), mpmath.mpf(lambda2)
-    p = mpmath.mpf(p1)
-    r1, r2 = lam1 - half, lam2 - half
-    a, b = p * r1, (1 - p) * r2
-    nsq = a * a + b * b + 2 * a * b * mpmath.cos(mpmath.mpf(theta))
+    lam1, lam2, p = mpmath.mpf(lambda1), mpmath.mpf(lambda2), mpmath.mpf(p1)
+    nsq = _mixture_norm_sq(lam1, lam2, mpmath.cos(mpmath.mpf(theta)), p)
     norm = mpmath.sqrt(nsq) if nsq > 0 else mpmath.mpf(0)
-    return (_binary_entropy_mp(half + norm) - p * _binary_entropy_mp(lam1)
+    return (_binary_entropy_mp(mpmath.mpf(0.5) + norm) - p * _binary_entropy_mp(lam1)
             - (1 - p) * _binary_entropy_mp(lam2))
 
 

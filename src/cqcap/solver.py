@@ -52,9 +52,15 @@ class SupportViolationError(RuntimeError):
 
 
 def _require_positive_finite(name: str, value: float) -> None:
-    """Reject a step or tolerance that is NaN, infinite or not above 0."""
-    if not (math.isfinite(value) and value > 0.0):
+    """Reject a step or tolerance that is a boolean, NaN, infinite or not above 0."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_integer(name: str, value: int, least: int) -> None:
+    """Reject a count that is a boolean, not an integer or below `least`."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 STEPS = ("plain", "adaptive")
@@ -85,8 +91,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_positive_finite("gap_tol", self.gap_tol)
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _require_integer("max_iters", self.max_iters, 1)
         if self.step not in STEPS:
             raise ValueError(f"step must be 'plain' or 'adaptive', got {self.step!r}")
 
@@ -224,23 +229,21 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> list[Sol
             go = ~stop
             if not go.any():
                 return reports
-            q, p, d, lower, upper = q[go], p[go], d[go], lower[go], upper[go]
-            states, entropies, rows = states[go], entropies[go], rows[go]
+            q, p, d, lower, upper, states, entropies, rows = (
+                v[go] for v in (q, p, d, lower, upper, states, entropies, rows))
             if gamma is not None:
                 gamma = gamma[go]
         trial = _log_normalize(q + d if gamma is None else q + gamma[:, None] * d)
         p_trial = np.exp(trial)
         d_trial, lower_trial, upper_trial = _certificates(p_trial, states, entropies)
-        if gamma is None:
-            q, p, d, lower, upper = trial, p_trial, d_trial, lower_trial, upper_trial
-        else:
-            # a row takes its trial unless the lower bound fell at gamma > 1
-            take = (lower_trial >= lower) | (gamma == 1.0)
-            gamma = np.where(take, np.minimum(2.0 * gamma, MAX_STEP), 1.0)
-            q, p, d = (np.where(take[:, None], new, old)
-                       for new, old in ((trial, q), (p_trial, p), (d_trial, d)))
-            lower, upper = (np.where(take, new, old)
-                            for new, old in ((lower_trial, lower), (upper_trial, upper)))
+        if gamma is not None:
+            # a row keeps its held iterate if its lower bound fell, or is NaN, at gamma > 1
+            keep = ~(lower_trial >= lower) & (gamma != 1.0)
+            gamma = np.where(keep, 1.0, np.minimum(2.0 * gamma, MAX_STEP))
+            for new, held in zip((trial, p_trial, d_trial, lower_trial, upper_trial),
+                                 (q, p, d, lower, upper)):
+                new[keep] = held[keep]
+        q, p, d, lower, upper = trial, p_trial, d_trial, lower_trial, upper_trial
         t += 1
 
 

@@ -132,6 +132,14 @@ class TestRunBench:
             with pytest.raises(ValueError, match="accuracies"):
                 BenchSpec(sizes, (2,), (1e-3, acc))
 
+    def test_spec_refuses_booleans(self):
+        # True would otherwise pass as 1 trial, False as seed 0 and True as a gap of 1.0
+        args = {"input_sizes": (2,), "output_dims": (2,), "accuracies": (1e-3,)}
+        for field, kwargs in (("trials", {"trials": True}), ("seed", {"seed": False}),
+                              ("accuracy", {"accuracies": (1e-3, True)})):
+            with pytest.raises(ValueError, match=rf"^{field} must be"):
+                BenchSpec(**{**args, **kwargs})
+
 
 class TestIterationBudget:
     def test_budget_values(self):

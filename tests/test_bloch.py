@@ -213,12 +213,15 @@ class TestApproxP1:
     def test_nearly_equal_lambdas_match_the_theta_zero_optimum(self):
         # float64 cancels as the lambdas meet: 1.0 at (0.6, 0.600000001) and
         # 0.5 at (1.0, 0.999999999999), where the optimum is 1 - 1/e
-        for lam in (0.55, 0.75, 0.95, 1.0):
-            for offset in (1e-12, 1e-9, 1e-6, 1e-4):
-                for other in (lam - offset, lam + offset):
-                    if other <= 1.0:
-                        exact = exact_p1(BinaryBlochChannel(lam, other, 0.0))
-                        assert abs(approx_p1(lam, other) - exact) <= 1e-8, (lam, other)
+        for lam in (0.5, 0.55, 0.75, 0.95, 1.0):
+            # one ulp to either side, then fixed offsets
+            others = [float(np.nextafter(lam, 0.0)), float(np.nextafter(lam, 2.0))]
+            for offset in (1e-14, 1e-12, 1e-9, 1e-6, 1e-4):
+                others += [lam - offset, lam + offset]
+            for other in others:
+                if 0.5 <= other <= 1.0:
+                    exact = exact_p1(BinaryBlochChannel(lam, other, 0.0))
+                    assert abs(approx_p1(lam, other) - exact) <= 1e-8, (lam, other)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -293,8 +296,10 @@ class TestErrorSweep:
         assert sum(c.iterations for c in warm) < sum(c.iterations for c in uniform) / 3
         assert max(c.max_iterations for c in warm) < \
             max(c.max_iterations for c in uniform) / 3
-        # the sweep's own adaptive step from the warm start: 9,117 and 18
-        assert sum(c.iterations for c in default) < sum(c.iterations for c in warm)
+        # the sweep's own adaptive step from the warm start, the counterpart of
+        # test_plain_counts_are_unchanged's (27977, 177)
+        assert (sum(c.iterations for c in default),
+                max(c.max_iterations for c in default)) == (9117, 18)
 
     def test_warm_started_lower_bound_against_the_1d_maximum(self):
         rng = np.random.default_rng(1909)
@@ -331,6 +336,12 @@ class TestErrorSweep:
                 SweepGrid(**{field: step})
         assert len(SweepGrid(lambda_step=0.003).lambda_values()) ** 2 * 51 \
             <= MAX_SWEEP_SOLVES
+
+    def test_grid_refuses_booleans(self):
+        # lambda_step=True would otherwise pass as 1.0, the one-point grid [0.5]
+        for field in ("lambda_step", "theta_step", "reference_gap_tol"):
+            with pytest.raises(ValueError, match=rf"^{field} must be"):
+                SweepGrid(**{field: True})
 
     def test_default_axes_stay_inside_domains(self):
         # i * (pi/50) overshoots pi by one ulp at i = 50 without clamping

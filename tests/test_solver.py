@@ -235,6 +235,13 @@ class TestSolve:
                 SolverConfig(step=step)
         assert SolverConfig().step == "plain"
 
+    def test_config_refuses_booleans(self):
+        # True would otherwise pass as a one-iteration budget or a gap of 1
+        for field, value in (("max_iters", True), ("max_iters", False),
+                             ("gap_tol", True), ("gap_tol", np.True_)):
+            with pytest.raises(ValueError, match=rf"^{field} must be"):
+                SolverConfig(**{field: value})
+
 
 def _bits(report):
     """Everything a report says, as comparable bytes."""

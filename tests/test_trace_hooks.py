@@ -4,9 +4,9 @@ the public API. A refactor that renames or drops one of these names would
 otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite. A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Three more guards keep file output in the
-CLI, every certificate evaluation in `qinfo._certificates` and the sweep's
-per-solve work in arrays."""
+(`# noqa: F401`) listed in WRAPPED. Four more guards keep file output in the
+CLI, every certificate evaluation in `qinfo._certificates`, every Bloch norm
+in `bloch._mixture_norm_sq` and the sweep's per-solve work in arrays."""
 
 import importlib
 import importlib.util
@@ -93,6 +93,21 @@ def test_one_certificate_routine(monkeypatch):
         call()
         assert len(calls) == 1
 
+
+def test_one_bloch_norm(monkeypatch):
+    # the float64 closed form, its gradient and the mpmath oracle all take
+    # |p1 r1 + (1-p1) r2|^2 from one law-of-cosines routine
+    calls = []
+    real = cqcap.bloch._mixture_norm_sq
+    monkeypatch.setattr(cqcap.bloch, "_mixture_norm_sq",
+                        lambda *args: calls.append(1) or real(*args))
+    ch = cqcap.bloch.BinaryBlochChannel(0.9, 0.7, 1.0)
+    for call in (lambda: cqcap.bloch.holevo_bloch(ch, 0.4),
+                 lambda: cqcap.bloch.holevo_bloch_gradient(ch, 0.4),
+                 lambda: cqcap.bloch.exact_p1(ch)):
+        calls.clear()
+        call()
+        assert calls
 
 def test_the_sweep_builds_no_channel_per_solve(monkeypatch):
     # error_sweep builds and scores its rows as arrays: no realize_channel or
