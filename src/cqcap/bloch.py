@@ -33,10 +33,11 @@ _EXACT_P1_DPS = 60
 # expression at 50 digits its error is 2.2e-11 at 1e-3 and 0.26 at 1e-8
 _APPROX_P1_CUTOFF = 1e-3
 _EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
-# Largest sweep accepted, in solves (lambda values^2 * theta values): 15x the
-# paper-scale default grid of 132,651 solves, which takes about 3.5 s on a
-# 2-core x86-64 host, so a mistyped step is refused at once instead of
-# filling memory or running for days.
+# Largest sweep accepted, in grid rows (lambda values^2 * theta values), each
+# scored by the closed form though only the lambda1 <= lambda2 rows are
+# solved: 15x the paper-scale default grid of 132,651 rows (67,626 solves),
+# which takes about 1.5 s on a 2-core x86-64 host, so a mistyped step is
+# refused at once instead of filling memory or running for days.
 MAX_SWEEP_SOLVES = 2_000_000
 
 
@@ -78,7 +79,7 @@ class SweepGrid:
         if lams ** 2 * thetas > MAX_SWEEP_SOLVES:
             raise ValueError(f"lambda_step {self.lambda_step!r} and theta_step "
                              f"{self.theta_step!r} make {lams:.4g}^2 x {thetas:.4g} "
-                             f"solves, more than the {MAX_SWEEP_SOLVES} a sweep may run")
+                             f"grid rows, more than the {MAX_SWEEP_SOLVES} a sweep may score")
 
     def lambda_values(self) -> list[float]:
         return _axis(0.5, 1.0, self.lambda_step)
@@ -93,6 +94,7 @@ class SweepCell:
     lambda2: float
     error_bits: float     # max over theta of |chi(p1_hat) - solver reference|
     ba_converged: bool    # False flags a cell where some reference run failed
+    # a lambda1 > lambda2 cell reports the counts of its mirror (lambda2, lambda1)
     iterations: int       # total over the cell's reference solves
     max_iterations: int   # largest count among the cell's reference solves
 
@@ -268,12 +270,17 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     iterative solver's converged value. Cells come back sorted
     lexicographically by (lambda1, lambda2); a failed reference run flags
     the cell instead of aborting the sweep. The rows (lambda1, lambda2, theta)
-    are arrays, solved `batch_size(2, 2)` at a time with `solve_batch`, each
-    from the cell's closed-form input [p1_hat, 1 - p1_hat] with the adaptive
-    step, and scored in one array expression. The certificates hold at
-    every iterate, so a reference stays within reference_gap_tol of the
-    capacity whatever its start and step, but it equals a solo solve only
-    with the same start and step, not `solve`'s uniform start and plain
+    are arrays. Only the rows with lambda1 <= lambda2 are solved,
+    `batch_size(2, 2)` at a time with `solve_batch`, each from the cell's
+    closed-form input [p1_hat, 1 - p1_hat] with the adaptive step. Swapping
+    the lambdas relabels the letters and rotates both states, which leaves
+    the capacity unchanged, so a lambda1 > lambda2 cell takes `lower`,
+    `iterations` and `converged` at each theta from its mirror
+    (lambda2, lambda1). Every row is then scored in one array expression
+    against its own closed form, chi at its own p1_hat. The certificates
+    hold at every iterate, so a reference stays within reference_gap_tol of
+    the capacity whatever its start and step, but it equals a solo solve
+    only with the same start and step, not `solve`'s uniform start and plain
     step. A cell's `iterations` and `max_iterations` count certificate
     evaluations after the first, rejected adaptive trials included.
     """
@@ -281,18 +288,23 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     cfg = SolverConfig(gap_tol=grid.reference_gap_tol, step="adaptive")
     cells = (np.repeat(lams, len(lams)), np.tile(lams, len(lams)))
     p_hat = np.array([approx_p1(l1, l2) for l1, l2 in zip(*(c.tolist() for c in cells))])
-    # one row per reference solve, the cell's thetas in a run
+    # one row per (cell, theta), the cell's thetas in a run
     l1, l2, p1 = (np.repeat(v, len(thetas)) for v in (*cells, p_hat))
     theta = np.tile(thetas, len(p_hat))
     lower, iters, ok = (np.empty(len(p1), dtype=kind) for kind in (float, int, bool))
+    upper = np.triu(np.ones((len(lams), len(lams)), dtype=bool))   # lambda1 <= lambda2
+    solved = np.flatnonzero(np.repeat(upper.ravel(), len(thetas)))
     size = batch_size(2, 2)
-    for first in range(0, len(p1), size):
-        part = slice(first, first + size)
+    for first in range(0, len(solved), size):
+        part = solved[first:first + size]
         reports = solve_batch(_bloch_states(l1[part], l2[part], theta[part]), cfg,
                               start=np.stack([p1[part], 1.0 - p1[part]], axis=1))
         lower[part] = [r.lower for r in reports]
         iters[part] = [r.iterations for r in reports]
         ok[part] = [r.converged for r in reports]
+    for v in (lower, iters, ok):   # a lambda1 > lambda2 cell from its mirror
+        square = v.reshape(len(lams), len(lams), len(thetas))
+        square[~upper] = square.transpose(1, 0, 2)[~upper]
     err = np.abs(_holevo_bits(l1, l2, theta, p1) - lower / LN2)
     err, iters, ok = (v.reshape(len(p_hat), len(thetas)) for v in (err, iters, ok))
     return [SweepCell(*cell) for cell in zip(

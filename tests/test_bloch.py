@@ -301,6 +301,36 @@ class TestErrorSweep:
         assert (sum(c.iterations for c in default),
                 max(c.max_iterations for c in default)) == (9117, 18)
 
+    def test_mirrored_cells_match_solving_every_row(self, monkeypatch):
+        # swapping the lambdas relabels the letters and rotates both states, so
+        # the sweep solves only lambda1 <= lambda2 and copies the rest
+        grid = SweepGrid(lambda_step=0.1, theta_step=math.pi / 4,
+                         reference_gap_tol=1e-6)
+        lams, thetas = grid.lambda_values(), grid.theta_values()
+        solved = []
+        monkeypatch.setattr(cqcap.bloch, "solve_batch",
+                            lambda states, cfg, start: solved.append(states)
+                            or solve_batch(states, cfg, start=start))
+        cells = error_sweep(grid)
+        solved = np.concatenate(solved)
+        assert len(solved) == len(lams) * (len(lams) + 1) // 2 * len(thetas)
+        assert np.all(solved[:, 0, 0, 0].real
+                      <= np.linalg.eigvalsh(solved[:, 1])[:, -1] + 1e-12)
+        chans = [BinaryBlochChannel(c.lambda1, c.lambda2, theta)
+                 for c in cells for theta in thetas]
+        p1 = np.array([approx_p1(ch.lambda1, ch.lambda2) for ch in chans])
+        reports = solve_batch(np.stack([realize_channel(ch).states for ch in chans]),
+                              SolverConfig(gap_tol=1e-6, step="adaptive"),
+                              start=np.stack([p1, 1.0 - p1], axis=1))
+        for k, cell in enumerate(cells):
+            rows = range(k * len(thetas), (k + 1) * len(thetas))
+            counts = [reports[i].iterations for i in rows]
+            error = max(abs(holevo_bloch(chans[i], p1[i]) - reports[i].lower / LN2)
+                        for i in rows)
+            assert (cell.iterations, cell.max_iterations, cell.ba_converged) == \
+                (sum(counts), max(counts), all(reports[i].converged for i in rows))
+            assert abs(cell.error_bits - error) <= 1e-15
+
     def test_warm_started_lower_bound_against_the_1d_maximum(self):
         rng = np.random.default_rng(1909)
         chans = [BinaryBlochChannel(*rng.uniform(0.5, 1.0, 2), rng.uniform(0.0, math.pi))

@@ -420,17 +420,21 @@ class TestSolveBatch:
             monkeypatch.setattr(module, "solve_batch",
                                 lambda states, cfg, **kw: calls.append(len(states))
                                 or real(states, cfg, **kw))
+        # the sweep solves the 6 cells with lambda1 <= lambda2 at 3 thetas each
         grid = SweepGrid(lambda_step=0.25, theta_step=1.5, reference_gap_tol=1e-6)
         cells = error_sweep(grid)
-        assert calls == [5] * 5 + [2]
+        assert calls == [5, 5, 5, 3]
         cfg = SolverConfig(gap_tol=1e-6, step="adaptive")
         for cell in cells:
             errors, counts = [], []
             p_hat = approx_p1(cell.lambda1, cell.lambda2)
+            mirror = (min(cell.lambda1, cell.lambda2), max(cell.lambda1, cell.lambda2))
+            p_mirror = approx_p1(*mirror)
             for theta in grid.theta_values():
                 ch = BinaryBlochChannel(cell.lambda1, cell.lambda2, theta)
-                report, = real(realize_channel(ch).states[None], cfg,
-                               start=[[p_hat, 1.0 - p_hat]])
+                solved = realize_channel(BinaryBlochChannel(*mirror, theta))
+                report, = real(solved.states[None], cfg,
+                               start=[[p_mirror, 1.0 - p_mirror]])
                 assert report.converged
                 errors.append(abs(holevo_bloch(ch, p_hat) - report.lower / LN2))
                 counts.append(report.iterations)
