@@ -5,8 +5,8 @@ States are drawn from the Ginibre construction G G^H / Tr(G G^H), which is
 full-rank with probability one. Every trial owns a counter-based RNG
 stream derived from (seed, n, m, accuracy index, trial index), so cells
 and trials are reproducible individually. A cell's trials are solved
-together with `solve_batch`, and each trial's count is the one `solve`
-gives for its channel alone.
+together, as arrays from the loop of `solve_batch`, and each trial's count
+is the one `solve` gives for its channel alone.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from itertools import product
 import numpy as np
 
 from .qinfo import CqChannel
-from .solver import (SolverConfig, _require_integer, _require_positive_finite, batch_size,
-                     solve_batch)
+from .solver import (SolverConfig, _require_gap_tol, _require_integer,
+                     _require_positive_finite, _solve_rows, batch_size)
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 
@@ -48,10 +48,8 @@ class BenchSpec:
                 raise ValueError(f"{field} must not be empty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{field} must not repeat a value, got {values}")
-        for a in self.accuracies:
-            if not math.isfinite(iteration_budget(max(self.input_sizes), a)):
-                raise ValueError(f"accuracies: {a!r} makes the iteration budget "
-                                 "ln(n)/accuracy infinite")
+        for a in self.accuracies:   # which also keeps ln(n)/accuracy finite
+            _require_gap_tol("accuracies", a)
         _require_integer("trials", self.trials, 1)
         _require_integer("seed", self.seed, 0)
 
@@ -104,25 +102,25 @@ def run_bench(spec: BenchSpec) -> list[BenchResult]:
     """Aggregate iteration counts per (n, m, accuracy) cell.
 
     Returns a list of BenchResult in cell order. Each cell's trials are
-    stacked and solved with `solve_batch`, `batch_size(n, m)` trials per
-    call, under the budget ceil(ln(n)/accuracy) + 1. Averages are exact
-    (integer sums).
+    stacked and solved with the loop of `solve_batch`, `batch_size(n, m)`
+    trials per call, under the budget ceil(ln(n)/accuracy) + 1, and read as
+    arrays. Averages are exact (integer sums).
     """
     results = []
     for n, m, (ai, acc) in product(spec.input_sizes, spec.output_dims,
                                    enumerate(spec.accuracies)):
         cfg = SolverConfig(gap_tol=acc,
                            max_iters=int(math.ceil(iteration_budget(n, acc))) + 1)
-        reports, size = [], batch_size(n, m)
+        counts, failed, size = [], 0, batch_size(n, m)
         for start in range(0, spec.trials, size):
-            reports += solve_batch(np.stack([
+            rows = _solve_rows(np.stack([
                 _ginibre_states(n, m, trial_rng(spec.seed, n, m, ai, trial))
                 for trial in range(start, min(start + size, spec.trials))]), cfg)
-        counts = [r.iterations for r in reports]
+            counts += rows.iterations.tolist()
+            failed += int(np.count_nonzero(~rows.converged))
         results.append(BenchResult(n=n, m=m, accuracy=acc,
                                    avg_iterations=sum(counts) / spec.trials,
-                                   max_iterations=max(counts),
-                                   trials_failed=sum(not r.converged for r in reports)))
+                                   max_iterations=max(counts), trials_failed=failed))
     return results
 
 

@@ -8,7 +8,7 @@ from the theta = 0 stationarity condition, and `error_sweep` measures how
 far that approximation falls short of the iterative solver across the
 parameter square.
 
-The closed form broadcasts: `binary_entropy`, the states of
+The closed form broadcasts: `binary_entropy`, `approx_p1`, the states of
 `realize_channel` and the Holevo quantity take numbers or arrays, so the
 sweep builds and scores its whole grid as arrays. Holevo values in this
 module are in bits, matching the binary entropy.
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qinfo import LN2, CqChannel
-from .solver import SolverConfig, _require_positive_finite, batch_size, solve_batch
+from .solver import (SolverConfig, _require_gap_tol, _require_positive_finite, _solve_rows,
+                     batch_size)
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -73,7 +74,7 @@ class SweepGrid:
             _require_positive_finite(field, step)
             if not math.isfinite(span / step):
                 raise ValueError(f"{field} {step!r} makes the axis length infinite")
-        _require_positive_finite("reference_gap_tol", self.reference_gap_tol)
+        _require_gap_tol("reference_gap_tol", self.reference_gap_tol)
         lams = _axis_count(0.5, 1.0, self.lambda_step)
         thetas = _axis_count(0.0, math.pi, self.theta_step)
         if lams ** 2 * thetas > MAX_SWEEP_SOLVES:
@@ -187,7 +188,7 @@ def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
     return mix_term - binary_entropy(ch.lambda1) + binary_entropy(ch.lambda2)
 
 
-def approx_p1(lambda1: float, lambda2: float) -> float:
+def approx_p1(lambda1, lambda2):
     """Closed-form approximate maximizer of the Holevo quantity over p1.
 
     Solves the theta = 0 stationarity condition exactly; for equal lambdas
@@ -196,21 +197,38 @@ def approx_p1(lambda1: float, lambda2: float) -> float:
     _APPROX_P1_CUTOFF the same expression is evaluated at _EXACT_P1_DPS
     digits. The value stays inside [1/e, 1 - 1/e], where the optimum of
     every binary-input channel lies, so it needs no clamp to [0, 1]. Used
-    as an approximation for every theta.
+    as an approximation for every theta. A float for numbers, else an array
+    of the broadcast shape whose entries equal the calls on each pair; a
+    lambda outside [0.5, 1] raises what the call on the first such pair
+    raises.
     """
-    BinaryBlochChannel(lambda1, lambda2, 0.0)   # checks both lambdas
-    if lambda1 == lambda2:
-        return 0.5
-    r1, r2 = lambda1 - 0.5, lambda2 - 0.5
-    if abs(r1 - r2) < _APPROX_P1_CUTOFF:
-        import mpmath
-        with mpmath.workdps(_EXACT_P1_DPS):
-            r1, r2 = mpmath.mpf(r1), mpmath.mpf(r2)
-            y = (_binary_entropy_mp(lambda1) - _binary_entropy_mp(lambda2)) / (r1 - r2)
-            return float((-mpmath.tanh(y * mpmath.ln2 / 2) / 2 - r2) / (r1 - r2))
-    # exponent of c = 2^y; 0.5 (1-c)/(1+c) = -0.5 tanh(y ln2 / 2), overflow-free
-    y = (binary_entropy(lambda1) - binary_entropy(lambda2)) / (r1 - r2)
-    return (-0.5 * math.tanh(0.5 * y * LN2) - r2) / (r1 - r2)
+    lam1, lam2 = np.broadcast_arrays(lambda1, lambda2)
+    bad = ~((0.5 <= lam1) & (lam1 <= 1.0) & (0.5 <= lam2) & (lam2 <= 1.0))
+    if bad.any():
+        k = tuple(np.argwhere(bad)[0])
+        BinaryBlochChannel(lam1[k].item(), lam2[k].item(), 0.0)   # names the lambda
+    lam1, lam2 = lam1.astype(float), lam2.astype(float)
+    r1, r2 = lam1 - 0.5, lam2 - 0.5
+    far = np.abs(r1 - r2) >= _APPROX_P1_CUTOFF
+    span = np.where(far, r1 - r2, 1.0)
+    # exponent of c = 2^y; 0.5 (1-c)/(1+c) = -0.5 tanh(y ln2 / 2), overflow-free;
+    # math.tanh per entry keeps the bits of the one-pair call
+    z = 0.5 * ((binary_entropy(lam1) - binary_entropy(lam2)) / span) * LN2
+    tanh = np.array([math.tanh(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    p1 = np.where(far, (-0.5 * tanh - r2) / span, 0.5)
+    for k in map(tuple, np.argwhere(~far & (lam1 != lam2))):
+        p1[k] = _approx_p1_mp(lam1[k].item(), lam2[k].item())
+    return float(p1) if p1.ndim == 0 else p1
+
+
+def _approx_p1_mp(lambda1: float, lambda2: float) -> float:
+    # approx_p1's expression at _EXACT_P1_DPS digits, for distinct lambdas
+    # closer than _APPROX_P1_CUTOFF
+    import mpmath
+    with mpmath.workdps(_EXACT_P1_DPS):
+        r1, r2 = mpmath.mpf(lambda1 - 0.5), mpmath.mpf(lambda2 - 0.5)
+        y = (_binary_entropy_mp(lambda1) - _binary_entropy_mp(lambda2)) / (r1 - r2)
+        return float((-mpmath.tanh(y * mpmath.ln2 / 2) / 2 - r2) / (r1 - r2))
 
 
 def _binary_entropy_mp(x):
@@ -282,12 +300,13 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     the capacity whatever its start and step, but it equals a solo solve
     only with the same start and step, not `solve`'s uniform start and plain
     step. A cell's `iterations` and `max_iterations` count certificate
-    evaluations after the first, rejected adaptive trials included.
+    evaluations after the first, rejected adaptive trials included. The
+    solves are read as arrays from `_solve_rows`, with no report per row.
     """
     lams, thetas = np.array(grid.lambda_values()), np.array(grid.theta_values())
     cfg = SolverConfig(gap_tol=grid.reference_gap_tol, step="adaptive")
     cells = (np.repeat(lams, len(lams)), np.tile(lams, len(lams)))
-    p_hat = np.array([approx_p1(l1, l2) for l1, l2 in zip(*(c.tolist() for c in cells))])
+    p_hat = approx_p1(*cells)
     # one row per (cell, theta), the cell's thetas in a run
     l1, l2, p1 = (np.repeat(v, len(thetas)) for v in (*cells, p_hat))
     theta = np.tile(thetas, len(p_hat))
@@ -297,11 +316,9 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     size = batch_size(2, 2)
     for first in range(0, len(solved), size):
         part = solved[first:first + size]
-        reports = solve_batch(_bloch_states(l1[part], l2[part], theta[part]), cfg,
-                              start=np.stack([p1[part], 1.0 - p1[part]], axis=1))
-        lower[part] = [r.lower for r in reports]
-        iters[part] = [r.iterations for r in reports]
-        ok[part] = [r.converged for r in reports]
+        rows = _solve_rows(_bloch_states(l1[part], l2[part], theta[part]), cfg,
+                           start=np.stack([p1[part], 1.0 - p1[part]], axis=1))
+        lower[part], iters[part], ok[part] = rows.lower, rows.iterations, rows.converged
     for v in (lower, iters, ok):   # a lambda1 > lambda2 cell from its mirror
         square = v.reshape(len(lams), len(lams), len(thetas))
         square[~upper] = square.transpose(1, 0, 2)[~upper]

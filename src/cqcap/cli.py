@@ -143,7 +143,7 @@ def _cmd_capacity(args) -> int:
                 {"t": rec.t, "lower_nats": _json_float(rec.lower),
                  "upper_nats": _json_float(rec.upper), "p": list(rec.p)}
                 for rec in report.history]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         print(f"capacity    : {report.capacity_bits:.6f} bits = "
               f"{report.capacity_nats:.6f} nats")

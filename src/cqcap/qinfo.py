@@ -27,8 +27,9 @@ LN2 = math.log(2.0)
 
 def _eigh(a: np.ndarray):
     """(eigenvalues desc, eigenvector columns) of a Hermitian matrix or
-    stack. Callers validate first; LAPACK failures raise LinAlgError."""
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().swapaxes(-1, -2)))
+    stack, read from its lower triangle and real diagonal as LAPACK does.
+    Callers validate first; LAPACK failures raise LinAlgError."""
+    w, v = np.linalg.eigh(a)
     return w[..., ::-1], v[..., ::-1]
 
 
@@ -44,7 +45,7 @@ def _reject(name: str, defect, tol: float, message: str) -> None:
 
 
 # entries near the float64 limit overflow in these checks (A - A^H, the trace,
-# _eigh's symmetrization); the inf or NaN that follows is rejected by name, so
+# the Hermitian part); the inf or NaN that follows is rejected by name, so
 # numpy's warnings would only be noise ahead of the error
 @np.errstate(over="ignore", invalid="ignore")
 def _hermitian(a, name: str) -> np.ndarray:
@@ -70,8 +71,12 @@ def validate_hermitian(a) -> np.ndarray:
 def _density_spectra(a, name: str):
     """Check a matrix or stack with one eigendecomposition, in the order
     finite, Hermitian, real diagonal, PSD, unit trace, each over every slice;
-    return (array, eigenvalues desc, eigenvector columns)."""
+    return (Hermitian part (A + A^H)/2 as a new array, its eigenvalues desc,
+    eigenvector columns). Every entry that already equals its mirror's
+    conjugate keeps its bits, so an exactly Hermitian A comes back unchanged."""
     a = _hermitian(a, name)
+    a_h = a.conj().swapaxes(-1, -2)
+    a = np.where(a == a_h, a, 0.5 * (a + a_h))
     w, v = _eigh(a)
     _reject(name, -w.min(axis=-1), PSD_TOL,
             "is not positive semidefinite: min eigenvalue -{:.3e}")
@@ -109,9 +114,10 @@ def _channel_states(states, batch: bool):
     """Check the states of one channel (n, m, m), or with `batch` a stack of
     channels (B, n, m, m), for B >= 1, n >= 2, m >= 2 and the density-matrix
     invariants of every slice, named `states[x]` or `states[k][x]`. Return
-    the states as a contiguous complex128 array, the caller's own when it
-    already is one, and their von Neumann entropies (n,) or (B, n) in nats."""
-    states = np.ascontiguousarray(states, dtype=np.complex128)
+    the Hermitian part of the states as a new contiguous complex128 array,
+    never the caller's, and their von Neumann entropies (n,) or (B, n) in
+    nats."""
+    states = np.asarray(states, dtype=np.complex128)
     form = "(B, n, m, m)" if batch else "(n, m, m)"
     if states.ndim != 3 + batch or states.shape[-1] != states.shape[-2]:
         raise ValueError(f"expected a stack of shape {form}, got shape {states.shape}")
@@ -122,8 +128,8 @@ def _channel_states(states, batch: bool):
         raise ValueError(f"need at least 2 input letters, got {n}")
     if m < 2:
         raise ValueError(f"need output dimension >= 2, got {m}")
-    _, w, _ = _density_spectra(states, "states")
-    return states, _entropy_from_eigs(*_log_eigs(w))
+    states, w, _ = _density_spectra(states, "states")
+    return np.ascontiguousarray(states), _entropy_from_eigs(*_log_eigs(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +137,8 @@ class CqChannel:
     """A classical-quantum channel: one density matrix per input letter.
 
     `states` is an (n, m, m) complex stack; every slice must satisfy the
-    density-matrix invariants; the channel keeps a read-only copy of it.
+    density-matrix invariants; the channel keeps a read-only copy of its
+    Hermitian part.
     Validation diagonalizes the whole stack in one call, so the von Neumann
     entropies (n,) in nats are computed once here and kept in `entropies`.
     """
@@ -139,8 +146,7 @@ class CqChannel:
     states: np.ndarray
 
     def __post_init__(self):
-        states, entropies = _channel_states(np.array(self.states, dtype=np.complex128),
-                                            batch=False)
+        states, entropies = _channel_states(self.states, batch=False)
         states.flags.writeable = False
         entropies.flags.writeable = False
         object.__setattr__(self, "states", states)
@@ -211,7 +217,10 @@ def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     violations, lower[b] is the Holevo information of p[b] and upper[b] is
     max(d[b]) over every letter including zero-weight ones.
     """
-    w, v = _eigh(np.einsum("bx,bxij->bij", p, states))
+    b, n, m = states.shape[:3]
+    # the average states by one matmul over the flattened states, a dot per
+    # channel as in _divergences; eigh reads only their lower triangle
+    w, v = _eigh((p[:, None, :] @ states.reshape(b, n, m * m)).reshape(b, m, m))
     u, ln_u = _log_eigs(w)
     neg_h = -entropies[:, :, None]
     d = _divergences(states, neg_h, w, v, ln_u)

@@ -12,8 +12,9 @@ max_x D(rho_x || rho_p) bounds it from above, and the solver stops once the
 two certificates pinch to gap_tol.
 `solve_batch` runs the iteration for a (B, n, m, m) stack of channels in
 lockstep, from the uniform distribution or from given ones; `solve` is its
-one-channel case from the uniform distribution. The sweep and the benchmark
-split their stacks into calls of `batch_size(n, m)` channels.
+one-channel case from the uniform distribution. Both build their reports
+from the arrays of `_solve_rows`, which the sweep and the benchmark read
+directly, in calls of `batch_size(n, m)` channels.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +65,22 @@ def _require_integer(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+# The smallest certificate gap a solve may ask for, in nats. Below about
+# 1e-15 the float64 bounds stop closing: on seeded channels run with a gap of
+# 1e-300 the upper bound ended up to 2.2e-15 nats below the lower one, so a
+# smaller gap could keep a solve running to its max_iters. The floor is 45x that.
+GAP_TOL_FLOOR = 1e-13
+
+
+def _require_gap_tol(name: str, value: float) -> None:
+    """Reject a certificate gap that is not finite and positive or lies below
+    GAP_TOL_FLOOR."""
+    _require_positive_finite(name, value)
+    if value < GAP_TOL_FLOOR:
+        raise ValueError(f"{name} must be at least GAP_TOL_FLOOR = {GAP_TOL_FLOOR!r} nats, "
+                         f"below which float64 bounds stop closing, got {value!r}")
+
+
 STEPS = ("plain", "adaptive")
 # The adaptive step's largest multiple of d. Against 64, a cap of 32, 128 or
 # none moves the sweep's reference iteration totals by under 0.5 %; 16 lets
@@ -90,7 +108,7 @@ class SolverConfig:
     step: str = "plain"            # "plain" or "adaptive"
 
     def __post_init__(self):
-        _require_positive_finite("gap_tol", self.gap_tol)
+        _require_gap_tol("gap_tol", self.gap_tol)
         _require_integer("max_iters", self.max_iters, 1)
         if self.step not in STEPS:
             raise ValueError(f"step must be 'plain' or 'adaptive', got {self.step!r}")
@@ -119,6 +137,34 @@ class SolveReport:
     def converged(self) -> bool:
         """The certificate gap closed to gap_tol."""
         return self.stop_reason == "gap"
+
+
+STOP_REASONS = ("gap", "max_iters", "support_violation")
+
+
+class _Rows(NamedTuple):
+    """What the loop hands back for B channels, entry k for channel k."""
+    lower: np.ndarray        # (B,) nats
+    upper: np.ndarray        # (B,) nats, +inf possible
+    iterations: np.ndarray   # (B,) int
+    stop: np.ndarray         # (B,) index into STOP_REASONS
+    p_star: np.ndarray       # (B, n)
+    histories: list[list[IterateRecord]] | None
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.stop == 0
+
+
+def _reports(rows: _Rows) -> list[SolveReport]:
+    """One SolveReport per channel of `rows`, each with its own p_star."""
+    capacity = np.where(np.isfinite(rows.upper), 0.5 * (rows.lower + rows.upper), rows.lower)
+    return [SolveReport(capacity_nats=c, capacity_bits=c / LN2, lower=lo, upper=up,
+                        iterations=t, p_star=p.copy(), stop_reason=STOP_REASONS[s],
+                        history=rows.histories[k] if rows.histories else None)
+            for k, (c, lo, up, t, s, p) in enumerate(zip(
+                capacity.tolist(), rows.lower.tolist(), rows.upper.tolist(),
+                rows.iterations.tolist(), rows.stop.tolist(), rows.p_star))]
 
 
 def _log_normalize(ell: np.ndarray) -> np.ndarray:
@@ -161,7 +207,8 @@ def solve_batch(states, cfg: SolverConfig | None = None, *,
 
     `states` is a complex (B, n, m, m) array, `states[k]` the states of
     channel k. It is validated once with the checks of CqChannel, a defect
-    named as `states[k][x]`, and left unchanged. Every channel runs the
+    named as `states[k][x]`, and left unchanged; the loop runs on its
+    Hermitian part. Every channel runs the
     iteration of `solve`, all of them in lockstep, from the uniform
     distribution or from `start[k]`. `start` is a (B, n) array of
     distributions with every weight above 0 (a zero weight would stay zero
@@ -178,17 +225,24 @@ def solve_batch(states, cfg: SolverConfig | None = None, *,
     on `states[k:k+1]` and `start[k:k+1]`; without `start`,
     `solve(CqChannel(states[k]), cfg)`.
     """
+    return _reports(_solve_rows(states, cfg or SolverConfig(), start))
+
+
+def _solve_rows(states, cfg: SolverConfig, start=None) -> _Rows:
+    """solve_batch's checks and loop, its results as arrays: the harnesses
+    read them without building a report per channel."""
     states, entropies = _channel_states(states, batch=True)
     if start is not None:
         size, n = entropies.shape
         start = validate_distribution(start, n, rows=size, positive=True, name="start")
-    return _solve_stacked(states, entropies, cfg or SolverConfig(), start)
+    return _solve_stacked(states, entropies, cfg, start)
 
 
-def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> list[SolveReport]:
+def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
     """The iteration loop of solve_batch and solve, on validated states
     (B, n, m, m) and their entropies (B, n), from the checked (B, n)
-    distributions `start` or the uniform one."""
+    distributions `start` or the uniform one. A row that stops is written
+    into the arrays it returns at its batch index."""
     size, n = entropies.shape
     # ln p of the iterate each row holds, every weight positive
     q = np.full((size, n), -math.log(n)) if start is None else np.log(start)
@@ -197,7 +251,8 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> list[Sol
     gamma = np.ones(size) if cfg.step == "adaptive" else None
     rows = np.arange(size)        # batch index of each active row
     histories = [[] for _ in range(size)] if cfg.record_history else None
-    reports: list[SolveReport | None] = [None] * size
+    out = _Rows(np.empty(size), np.empty(size), np.empty(size, dtype=int),
+                np.empty(size, dtype=np.int8), np.empty((size, n)), histories)
     t = 0
     while True:
         if histories:
@@ -212,23 +267,19 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> list[Sol
         if t == cfg.max_iters or not (gap.min() > tol and upper.max() < math.inf):
             closed = gap <= tol
             stop = closed | np.isinf(upper) | (t == cfg.max_iters)
-            for k in np.flatnonzero(stop):
-                b, lo, up = rows[k], float(lower[k]), float(upper[k])
-                reason = ("gap" if closed[k] else "max_iters" if t == cfg.max_iters
-                          else "support_violation")
-                if reason == "support_violation":
-                    letters = np.flatnonzero(np.isinf(d[k]))
-                    log.warning("channel %d: stopping after %d iterations: +inf relative "
-                                "entropy at letters %s (weights %s)",
-                                b, t, letters.tolist(), p[k, letters].tolist())
-                capacity = 0.5 * (lo + up) if math.isfinite(up) else lo
-                reports[b] = SolveReport(
-                    capacity_nats=capacity, capacity_bits=capacity / LN2, lower=lo,
-                    upper=up, iterations=t, p_star=p[k].copy(), stop_reason=reason,
-                    history=histories[b] if histories else None)
+            reason = np.where(closed, 0, 1 if t == cfg.max_iters else 2)   # STOP_REASONS
+            for k in np.flatnonzero(stop & (reason == 2)):
+                letters = np.flatnonzero(np.isinf(d[k]))
+                log.warning("channel %d: stopping after %d iterations: +inf relative "
+                            "entropy at letters %s (weights %s)",
+                            rows[k], t, letters.tolist(), p[k, letters].tolist())
+            done = rows[stop]
+            out.lower[done], out.upper[done], out.stop[done], out.p_star[done] = (
+                lower[stop], upper[stop], reason[stop], p[stop])
+            out.iterations[done] = t
             go = ~stop
             if not go.any():
-                return reports
+                return out
             q, p, d, lower, upper, states, entropies, rows = (
                 v[go] for v in (q, p, d, lower, upper, states, entropies, rows))
             if gamma is not None:
@@ -256,7 +307,8 @@ def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:
     report.lower <= C <= report.upper whenever the upper bound is finite.
     Non-convergence is reported (converged=False), not raised.
     """
-    return _solve_stacked(ch.states[None], ch.entropies[None], cfg or SolverConfig())[0]
+    return _reports(_solve_stacked(ch.states[None], ch.entropies[None],
+                                   cfg or SolverConfig()))[0]
 
 
 def optimality_kkt_check(report: SolveReport, ch: CqChannel, tol: float) -> bool:

@@ -12,7 +12,7 @@ from cqcap.bloch import (MAX_SWEEP_SOLVES, BinaryBlochChannel, GradientBoundaryE
                          max_error_by_range, realize_channel)
 from cqcap.cli import main
 from cqcap.qinfo import holevo_information
-from cqcap.solver import SolverConfig, solve, solve_batch
+from cqcap.solver import SolverConfig, _solve_rows, solve, solve_batch
 
 LN2 = math.log(2.0)
 
@@ -229,6 +229,32 @@ class TestApproxP1:
         with pytest.raises(ValueError):
             approx_p1(0.8, 1.2)
 
+    def test_arrays_equal_the_scalar_calls(self, monkeypatch):
+        # equal lambdas, a pair in the near-equal mpmath branch, the endpoints
+        # 0.5 and 1.0 and ordinary pairs, in a (2, 4) array and broadcast
+        lam1 = np.array([[0.8, 0.5, 1.0, 0.7 + 1e-9], [0.6, 0.93, 0.5, 1.0]])
+        lam2 = np.array([[0.8, 0.5, 1.0, 0.7], [0.95, 0.61, 1.0, 0.5]])
+        calls = []
+        real = cqcap.bloch._approx_p1_mp
+        monkeypatch.setattr(cqcap.bloch, "_approx_p1_mp",
+                            lambda *args: calls.append(args) or real(*args))
+        got = approx_p1(lam1, lam2)
+        assert calls == [(0.7 + 1e-9, 0.7)]   # only the entry that needs it
+        want = [[approx_p1(a, b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(lam1.tolist(), lam2.tolist())]
+        assert type(want[0][0]) is float
+        assert got.shape == (2, 4) and got.tobytes() == np.array(want).tobytes()
+        assert approx_p1(0.8, lam2).tobytes() == \
+            np.array([[approx_p1(0.8, b) for b in row] for row in lam2.tolist()]).tobytes()
+        for bad1, bad2 in (([0.8, 0.4], [0.7, 0.9]), ([0.8, 0.9], [0.7, 1.2]),
+                           ([0.8, math.nan], [0.7, 0.7]), ([0.6, 0.3], [1.5, 0.7])):
+            with pytest.raises(ValueError) as scalar:
+                for a, b in zip(bad1, bad2):
+                    approx_p1(a, b)
+            with pytest.raises(ValueError) as array:
+                approx_p1(np.array(bad1), np.array(bad2))
+            assert str(array.value) == str(scalar.value)
+
 
 class TestExactP1:
     def test_symmetric(self):
@@ -280,12 +306,12 @@ class TestErrorSweep:
         grid = SweepGrid(lambda_step=0.05, theta_step=math.pi / 10,
                          reference_gap_tol=1e-6)
         default = error_sweep(grid)
-        monkeypatch.setattr(cqcap.bloch, "solve_batch",
-                            lambda states, cfg, start: solve_batch(
+        monkeypatch.setattr(cqcap.bloch, "_solve_rows",
+                            lambda states, cfg, start: _solve_rows(
                                 states, replace(cfg, step="plain"), start=start))
         warm = error_sweep(grid)
-        monkeypatch.setattr(cqcap.bloch, "solve_batch",
-                            lambda states, cfg, start: solve_batch(
+        monkeypatch.setattr(cqcap.bloch, "_solve_rows",
+                            lambda states, cfg, start: _solve_rows(
                                 states, replace(cfg, step="plain")))
         uniform = error_sweep(grid)
         assert all(c.ba_converged for c in default + warm + uniform)
@@ -308,9 +334,9 @@ class TestErrorSweep:
                          reference_gap_tol=1e-6)
         lams, thetas = grid.lambda_values(), grid.theta_values()
         solved = []
-        monkeypatch.setattr(cqcap.bloch, "solve_batch",
+        monkeypatch.setattr(cqcap.bloch, "_solve_rows",
                             lambda states, cfg, start: solved.append(states)
-                            or solve_batch(states, cfg, start=start))
+                            or _solve_rows(states, cfg, start=start))
         cells = error_sweep(grid)
         solved = np.concatenate(solved)
         assert len(solved) == len(lams) * (len(lams) + 1) // 2 * len(thetas)

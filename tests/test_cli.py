@@ -291,8 +291,8 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
     import cqcap.bloch
     calls = []
     for module in (cqcap.bloch, cqcap.bench):
-        real = module.solve_batch
-        monkeypatch.setattr(module, "solve_batch",
+        real = module._solve_rows
+        monkeypatch.setattr(module, "_solve_rows",
                             lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
     missing = str(tmp_path / "missing" / "out.csv")
     sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
@@ -313,8 +313,8 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
 def test_same_sweep_outputs_fail_before_any_solve(tmp_path, monkeypatch, capsys):
     import cqcap.bloch
     calls = []
-    real = cqcap.bloch.solve_batch
-    monkeypatch.setattr(cqcap.bloch, "solve_batch",
+    real = cqcap.bloch._solve_rows
+    monkeypatch.setattr(cqcap.bloch, "_solve_rows",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     monkeypatch.chdir(tmp_path)
     sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
@@ -379,6 +379,21 @@ class TestBench:
                 ("accuracies", ["--n", "2", "--m", "2", "--acc", "1e-320"])):
             assert main(["bench", "--trials", "2"] + flags) == EXIT_INPUT
             assert f"error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("accuracies", ["bench", "--n", "2", "--m", "2", "--acc", "1e-17", "--trials", "1"]),
+    ("gap_tol", ["capacity", str(CHANNELS / "z_channel.json"), "--eps", "1e-17"]),
+    ("reference_gap_tol", ["sweep", "--ref-eps", "1e-17"])],
+    ids=["bench", "capacity", "sweep"])
+def test_gap_below_the_float64_floor_exits_one(name, argv, tmp_path, capsys):
+    # below GAP_TOL_FLOOR the float64 bounds stop closing; `bench` at 1e-17
+    # would otherwise run its 6.9e16-iteration budget
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "sweep" else []
+    assert main(argv + out) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: {name} must be at least GAP_TOL_FLOOR = 1e-13 nats")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_error_exits_one():

@@ -9,13 +9,15 @@ import pytest
 import cqcap.bench
 import cqcap.bloch
 import cqcap.solver
-from cqcap.bench import BenchSpec, iteration_budget, random_channel, run_bench, trial_rng
+from cqcap.bench import (BenchSpec, _ginibre_states, iteration_budget, random_channel,
+                         run_bench, trial_rng)
 from cqcap.bloch import (BinaryBlochChannel, SweepGrid, approx_p1, error_sweep,
                          holevo_bloch, realize_channel)
 from cqcap.qinfo import SUPPORT_TOL, CqChannel, holevo_information
-from cqcap.solver import (STEPS, IterateRecord, SolveReport, SolverConfig,
-                          SupportViolationError, ba_step, batch_size,
-                          optimality_kkt_check, solve, solve_batch, upper_bound)
+from cqcap.solver import (GAP_TOL_FLOOR, STEPS, STOP_REASONS, IterateRecord, SolveReport,
+                          SolverConfig, SupportViolationError, _solve_rows, ba_step,
+                          batch_size, optimality_kkt_check, solve, solve_batch,
+                          upper_bound)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -226,6 +228,9 @@ class TestSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(gap_tol=0.0)
+        with pytest.raises(ValueError, match=r"^gap_tol must be at least GAP_TOL_FLOOR"):
+            SolverConfig(gap_tol=math.nextafter(GAP_TOL_FLOOR, 0.0))
+        assert SolverConfig(gap_tol=GAP_TOL_FLOOR).gap_tol == 1e-13
         for max_iters in (0, 2.5, math.nan):
             with pytest.raises(ValueError, match=r"^max_iters must be"):
                 SolverConfig(max_iters=max_iters)
@@ -318,6 +323,7 @@ class TestSolveBatch:
 
     def test_rejects_bad_starts_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(cqcap.solver, "_solve_stacked", lambda *args: "solved")
+        monkeypatch.setattr(cqcap.solver, "_reports", lambda rows: rows)
         states = stack(self.mixed_2x2()[:3])
         good = np.full((3, 2), 0.5)
         assert solve_batch(states, start=good) == "solved"
@@ -377,6 +383,33 @@ class TestSolveBatch:
             "channel 3: stopping after 0 iterations: +inf relative entropy at "
             "letters [0] (weights [0.5])"]
 
+    def test_reports_equal_the_array_entry_point(self, caplog):
+        # test_qinfo's "support violation and zero weight" states, with the
+        # violating channel once more at the end: rows 0 and 3 stop on a
+        # support violation, row 1 at max_iters and row 2 on its gap
+        violating = np.array([[[1.0 - 1.5e-10, 0], [0, 1.5e-10]], [[1, 0], [0, 0]]])
+        states = np.stack([violating, _ginibre_states(2, 2, trial_rng(4, 2, 2, 0, 0)),
+                           _ginibre_states(2, 2, trial_rng(4, 2, 2, 0, 1)),
+                           violating]).astype(complex)
+        cfg = SolverConfig(gap_tol=1e-6, max_iters=100)
+        rows = _solve_rows(states, cfg)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cqcap.solver"):
+            reports = solve_batch(states, cfg)
+        assert [r.stop_reason for r in reports] == \
+            ["support_violation", "max_iters", "gap", "support_violation"]
+        assert [r.iterations for r in reports] == [0, 100, 18, 0]
+        for k, report in enumerate(reports):
+            assert np.float64([report.lower, report.upper]).tobytes() == \
+                np.float64([rows.lower[k], rows.upper[k]]).tobytes()
+            assert (report.iterations, report.stop_reason) == \
+                (rows.iterations[k], STOP_REASONS[rows.stop[k]])
+            assert report.p_star.tobytes() == rows.p_star[k].tobytes()
+            assert report.p_star.base is None   # its own array
+        assert [r.getMessage() for r in caplog.records] == [
+            f"channel {k}: stopping after 0 iterations: +inf relative entropy at "
+            "letters [0] (weights [0.5])" for k in (0, 3)]
+
     def test_names_the_bad_slice(self):
         states = stack(self.mixed_2x2()[:5])
         states[3, 1] = np.diag([1.2, -0.2])
@@ -415,9 +448,9 @@ class TestSolveBatch:
         # 640 bytes hold 5 channels with n = m = 2 or 3 with n = 3, m = 2
         monkeypatch.setattr(cqcap.solver, "BATCH_BYTES", 640)
         calls = []
-        real = cqcap.solver.solve_batch
+        real = cqcap.solver._solve_rows
         for module in (cqcap.bloch, cqcap.bench):
-            monkeypatch.setattr(module, "solve_batch",
+            monkeypatch.setattr(module, "_solve_rows",
                                 lambda states, cfg, **kw: calls.append(len(states))
                                 or real(states, cfg, **kw))
         # the sweep solves the 6 cells with lambda1 <= lambda2 at 3 thetas each
@@ -433,8 +466,8 @@ class TestSolveBatch:
             for theta in grid.theta_values():
                 ch = BinaryBlochChannel(cell.lambda1, cell.lambda2, theta)
                 solved = realize_channel(BinaryBlochChannel(*mirror, theta))
-                report, = real(solved.states[None], cfg,
-                               start=[[p_mirror, 1.0 - p_mirror]])
+                report, = solve_batch(solved.states[None], cfg,
+                                      start=[[p_mirror, 1.0 - p_mirror]])
                 assert report.converged
                 errors.append(abs(holevo_bloch(ch, p_hat) - report.lower / LN2))
                 counts.append(report.iterations)
@@ -537,8 +570,8 @@ class TestAdaptiveStep:
         spec = BenchSpec((8,), (8,), (1e-5,), trials=40, seed=0)
         cell, = run_bench(spec)
         assert (cell.avg_iterations * 40, cell.max_iterations) == (10319, 1028)
-        real = cqcap.solver.solve_batch
-        monkeypatch.setattr(cqcap.bloch, "solve_batch", lambda states, cfg, start: real(
+        real = cqcap.solver._solve_rows
+        monkeypatch.setattr(cqcap.bloch, "_solve_rows", lambda states, cfg, start: real(
             states, replace(cfg, step="plain"), start=start))
         cells = error_sweep(SweepGrid(lambda_step=0.05, theta_step=math.pi / 10,
                                       reference_gap_tol=1e-6))

@@ -4,9 +4,10 @@ the public API. A refactor that renames or drops one of these names would
 otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite. A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Four more guards keep file output in the
+(`# noqa: F401`) listed in WRAPPED. Five more guards keep file output in the
 CLI, every certificate evaluation in `qinfo._certificates`, every Bloch norm
-in `bloch._mixture_norm_sq` and the sweep's per-solve work in arrays."""
+in `bloch._mixture_norm_sq`, the sweep's per-solve work in arrays and the
+harnesses' solver results in arrays."""
 
 import importlib
 import importlib.util
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import cqcap
+import cqcap.bench
 import cqcap.bloch
 import cqcap.qinfo
 import cqcap.solver
@@ -109,10 +111,10 @@ def test_one_bloch_norm(monkeypatch):
         call()
         assert calls
 
+
 def test_the_sweep_builds_no_channel_per_solve(monkeypatch):
-    # error_sweep builds and scores its rows as arrays: no realize_channel or
-    # holevo_bloch call, and at most one BinaryBlochChannel per cell, the one
-    # approx_p1 makes to check its lambdas
+    # error_sweep builds and scores its rows as arrays: no realize_channel,
+    # holevo_bloch or BinaryBlochChannel call
     counts = {}
     for owner, name in ((cqcap.bloch, "holevo_bloch"), (cqcap.bloch, "realize_channel"),
                         (cqcap.bloch.BinaryBlochChannel, "__post_init__")):
@@ -127,4 +129,31 @@ def test_the_sweep_builds_no_channel_per_solve(monkeypatch):
     assert len(cells) == 9 and len(grid.theta_values()) == 4
     assert counts["holevo_bloch"] == 0
     assert counts["realize_channel"] == 0
-    assert counts["__post_init__"] <= len(cells)
+    assert counts["__post_init__"] == 0
+
+
+def test_the_harnesses_build_no_report_per_row(monkeypatch):
+    # error_sweep and run_bench read the solver's result arrays: no
+    # SolveReport, and the sweep takes every cell's p1_hat from one approx_p1
+    # call. The names the trace wraps on this path stay in WRAPPED, which
+    # test_every_wrapped_name_resolves_to_a_callable checks
+    counts = {"SolveReport": 0, "approx_p1": 0}
+    real_init, real_p1 = cqcap.solver.SolveReport.__init__, cqcap.bloch.approx_p1
+
+    def counted_init(self, *args, **kwargs):
+        counts["SolveReport"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counted_p1(*args):
+        counts["approx_p1"] += 1
+        return real_p1(*args)
+    monkeypatch.setattr(cqcap.solver.SolveReport, "__init__", counted_init)
+    monkeypatch.setattr(cqcap.bloch, "approx_p1", counted_p1)
+    cells = cqcap.bloch.error_sweep(
+        cqcap.bloch.SweepGrid(lambda_step=0.125, theta_step=1.0, reference_gap_tol=1e-4))
+    results = cqcap.bench.run_bench(cqcap.bench.BenchSpec((2, 3), (2,), (1e-2,), trials=5))
+    assert len(cells) == 25 and len(results) == 2
+    assert counts == {"SolveReport": 0, "approx_p1": 1}
+    cqcap.solver.solve_batch(np.stack([random_channel(2, 2, trial_rng(0, 2, 2, 0, k)).states
+                                       for k in range(3)]))
+    assert counts["SolveReport"] == 3   # the hook sees the reports solve_batch builds
