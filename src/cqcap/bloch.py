@@ -37,7 +37,7 @@ _EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
 # Largest sweep accepted, in grid rows (lambda values^2 * theta values), each
 # scored by the closed form though only the lambda1 <= lambda2 rows are
 # solved: 15x the paper-scale default grid of 132,651 rows (67,626 solves),
-# which takes about 1.5 s on a 2-core x86-64 host, so a mistyped step is
+# which takes about 0.8 s on a 2-core x86-64 host, so a mistyped step is
 # refused at once instead of filling memory or running for days.
 MAX_SWEEP_SOLVES = 2_000_000
 
@@ -203,21 +203,20 @@ def approx_p1(lambda1, lambda2):
     raises.
     """
     lam1, lam2 = np.broadcast_arrays(lambda1, lambda2)
-    bad = ~((0.5 <= lam1) & (lam1 <= 1.0) & (0.5 <= lam2) & (lam2 <= 1.0))
-    if bad.any():
-        k = tuple(np.argwhere(bad)[0])
-        BinaryBlochChannel(lam1[k].item(), lam2[k].item(), 0.0)   # names the lambda
-    lam1, lam2 = lam1.astype(float), lam2.astype(float)
-    r1, r2 = lam1 - 0.5, lam2 - 0.5
+    lam = np.array([lam1, lam2], dtype=float)
+    bad = np.flatnonzero(~((0.5 <= lam) & (lam <= 1.0)).all(axis=0))
+    if len(bad):
+        BinaryBlochChannel(lam1.flat[bad[0]].item(), lam2.flat[bad[0]].item(), 0.0)
+    (r1, r2), (h1, h2) = lam - 0.5, binary_entropy(lam)
     far = np.abs(r1 - r2) >= _APPROX_P1_CUTOFF
     span = np.where(far, r1 - r2, 1.0)
     # exponent of c = 2^y; 0.5 (1-c)/(1+c) = -0.5 tanh(y ln2 / 2), overflow-free;
     # math.tanh per entry keeps the bits of the one-pair call
-    z = 0.5 * ((binary_entropy(lam1) - binary_entropy(lam2)) / span) * LN2
+    z = 0.5 * ((h1 - h2) / span) * LN2
     tanh = np.array([math.tanh(v) for v in z.ravel().tolist()]).reshape(z.shape)
     p1 = np.where(far, (-0.5 * tanh - r2) / span, 0.5)
-    for k in map(tuple, np.argwhere(~far & (lam1 != lam2))):
-        p1[k] = _approx_p1_mp(lam1[k].item(), lam2[k].item())
+    for k in np.flatnonzero(~far & (r1 != r2)):
+        p1.flat[k] = _approx_p1_mp(lam[0].flat[k].item(), lam[1].flat[k].item())
     return float(p1) if p1.ndim == 0 else p1
 
 

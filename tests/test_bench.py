@@ -127,7 +127,8 @@ class TestRunBench:
                 BenchSpec(**{**args, **kwargs})
         spec = BenchSpec((np.int64(2),), (2,), (1e-3,), trials=np.int64(3))
         assert spec.input_sizes == (2,) and type(spec.input_sizes[0]) is int
-        # ln(n)/accuracy overflows: at the largest n only, or at every n
+        # below GAP_TOL_FLOOR, where ln(n)/accuracy would also overflow: at the
+        # largest n only, or at every n
         for sizes, acc in (((2, 8), 6e-309), ((2,), 1e-320)):
             with pytest.raises(ValueError, match="accuracies"):
                 BenchSpec(sizes, (2,), (1e-3, acc))

@@ -375,7 +375,7 @@ class TestBench:
                 ("output_dims", ["--n", "2", "--m", "3,3", "--acc", "1e-3"]),
                 ("accuracies", ["--n", "2", "--m", "2", "--acc", "1e-3,0.001"]),
                 ("seed", ["--n", "2", "--m", "2", "--acc", "1e-3", "--seed", "-1"]),
-                # ln(2)/1e-320 overflows to an infinite iteration budget
+                # below GAP_TOL_FLOOR; ln(2)/1e-320 would also overflow the budget
                 ("accuracies", ["--n", "2", "--m", "2", "--acc", "1e-320"])):
             assert main(["bench", "--trials", "2"] + flags) == EXIT_INPUT
             assert f"error: {field}" in capsys.readouterr().err
