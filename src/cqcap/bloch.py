@@ -37,7 +37,7 @@ _EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
 # Largest sweep accepted, in grid rows (lambda values^2 * theta values), each
 # scored by the closed form though only the lambda1 <= lambda2 rows are
 # solved: 15x the paper-scale default grid of 132,651 rows (67,626 solves),
-# which takes about 0.8 s on a 2-core x86-64 host, so a mistyped step is
+# which takes about 0.45 s on a 2-core x86-64 host, so a mistyped step is
 # refused at once instead of filling memory or running for days.
 MAX_SWEEP_SOLVES = 2_000_000
 

@@ -1,8 +1,13 @@
 """Quantum-information primitives on density matrices: validation, the one
-eigendecomposition (LAPACK `eigh`, spectrum descending), von Neumann and
-relative entropy, Holevo information, the solver's one certificate routine
-and channel containers. Validation and `_eigh` take a matrix or a stack
+eigensolver (LAPACK `eigh`, spectrum descending), von Neumann and relative
+entropy, Holevo information, the solver's one certificate routine and
+channel containers. Validation and `_eigh` take a matrix or a stack
 (..., m, m). Entropies are in nats.
+
+`_eigh` diagonalizes every state at validation, every average state of a
+certificate with m > 2 and both arguments of `relative_entropy`. A
+certificate with m = 2 takes the average state's spectrum and logarithm in
+closed form instead (`_qubit_spectra`, `_qubit_divergences`).
 
 Entropies and the log of an average state keep every positive eigenvalue
 (0 ln 0 = 0). SUPPORT_TOL is the cutoff of the support test of a relative
@@ -23,6 +28,9 @@ DIST_SUM_TOL = 1e-12
 SUPPORT_TOL = 1e-10
 RANK_RTOL = 1e-10
 LN2 = math.log(2.0)
+_TINY = np.finfo(np.float64).tiny
+# the 2x2 identity as the 8 doubles of its complex128 view
+_EYE2 = np.eye(2, dtype=np.complex128).view(np.float64).ravel()
 
 
 def _eigh(a: np.ndarray):
@@ -208,6 +216,54 @@ def _divergences(states, neg_h, w, v, ln_w) -> np.ndarray:
     return d
 
 
+def _qubit_spectra(sigma):
+    """(w, split) for a (B, 2, 2) Hermitian stack: its eigenvalues (w+, w-)
+    as (B, 2), read from the real diagonal (a, e) and the lower entry b as
+    LAPACK reads them, and their distance w+ - w- = 2 hypot(h, |b|) for
+    h = |a - e|/2, floored at the smallest normal double, as (B, 1).
+    w+- = max(a, e) +- (hypot(h, |b|) - h), so that a diagonal matrix has
+    its diagonal as its spectrum, bit for bit, as LAPACK gives it."""
+    a, e = sigma[:, 0, 0].real, sigma[:, 1, 1].real
+    big, small = np.maximum(a, e), np.minimum(a, e)
+    h = 0.5 * (big - small)
+    r = np.hypot(h, np.abs(sigma[:, 1, 0]))
+    delta = r - h
+    w = np.empty((len(a), 2))
+    np.add(big, delta, out=w[:, 0])
+    np.subtract(small, delta, out=w[:, 1])
+    return w, np.maximum(r + r, _TINY)[:, None]
+
+
+def _qubit_divergences(states, neg_h, sigma, w, split, ln_w) -> np.ndarray:
+    """_divergences for m = 2 in closed form, from sigma itself and its
+    spectrum (w, split) from _qubit_spectra instead of eigenvectors.
+
+    sigma's eigenprojectors are P+ = (sigma - w- I)/(w+ - w-) and
+    P- = I - P+ (P+ = 0 where w+ = w-), and ln sigma = ln w+ P+ + ln w- P-.
+    They are formed entry by entry, so a diagonal sigma gets exact 0s and 1s
+    and the bits of the LAPACK path. Tr(rho_x P-) is the mass of rho_x along
+    the small eigenvector that the support rule of _divergences tests. Every
+    step is row-wise, so a channel's bits do not depend on its batch.
+    """
+    b, n = states.shape[:2]
+    lo = w[:, 1:]
+    # each matrix as the 8 doubles of its complex128 view, Re and Im of the
+    # entries 00, 01, 10, 11; for Hermitian rho and H the dot of two such
+    # rows is Re Tr(rho H^H) = Tr(rho H), one matmul per channel
+    views = states.view(np.float64).reshape(b, n, 8)
+    # split is floored only where sigma = w- I, which leaves P+ = 0
+    p_plus = sigma.view(np.float64).reshape(b, 8) - lo * _EYE2
+    p_plus /= split
+    p_minus = _EYE2 - p_plus
+    log_sigma = ln_w[:, :1] * p_plus + ln_w[:, 1:] * p_minus
+    d = neg_h[..., 0] - (views @ log_sigma[:, :, None])[..., 0]
+    if not lo.min() > SUPPORT_TOL:
+        cut = np.flatnonzero(lo[:, 0] <= SUPPORT_TOL)
+        mass = (views[cut] @ p_minus[cut, :, None])[..., 0]
+        d[cut] = np.where(mass > SUPPORT_TOL, math.inf, d[cut])
+    return d
+
+
 def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     """Per-letter relative entropies to the average states plus both bounds,
     for B channels of one shape at once.
@@ -216,14 +272,26 @@ def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     (d, lower, upper) where d[b, x] = D(rho_x || rho_p) with +inf on support
     violations, lower[b] is the Holevo information of p[b] and upper[b] is
     max(d[b]) over every letter including zero-weight ones.
+
+    For m > 2 the average states are diagonalized by `_eigh` and the
+    divergences taken by `_divergences`. For m = 2 both come in closed form
+    from `_qubit_spectra` and `_qubit_divergences`, with no LAPACK call. The
+    branch depends on m alone, never on B, and both are row-wise, so a
+    channel's bits do not depend on its batch.
     """
     b, n, m = states.shape[:3]
     # the average states by one matmul over the flattened states, a dot per
-    # channel as in _divergences; eigh reads only their lower triangle
-    w, v = _eigh((p[:, None, :] @ states.reshape(b, n, m * m)).reshape(b, m, m))
-    u, ln_u = _log_eigs(w)
+    # channel as in _divergences
+    sigma = (p[:, None, :] @ states.reshape(b, n, m * m)).reshape(b, m, m)
     neg_h = -entropies[:, :, None]
-    d = _divergences(states, neg_h, w, v, ln_u)
+    if m == 2:
+        w, split = _qubit_spectra(sigma)
+        u, ln_u = _log_eigs(w)
+        d = _qubit_divergences(states, neg_h, sigma, w, split, ln_u)
+    else:
+        w, v = _eigh(sigma)
+        u, ln_u = _log_eigs(w)
+        d = _divergences(states, neg_h, w, v, ln_u)
     # -H(rho_x) summed, not subtracted, keeps a zero Holevo value at +0.0 (a
     # pure spectrum has entropy -0.0); a matmul per row, as in _divergences
     lower = _entropy_from_eigs(u, ln_u) + (p[:, None, :] @ neg_h)[:, 0, 0]

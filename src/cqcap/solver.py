@@ -34,11 +34,12 @@ from .qinfo import _eigh  # noqa: F401  (rebound by perfbench/tracing.py)
 log = logging.getLogger(__name__)
 
 # Bytes of stacked states the sweep and the benchmark pass to one solve_batch
-# call: 4096 binary qubit channels (the coarse sweep's 1331 in one call) or 64
-# with n = m = 8. A stack is validated as a whole, so its temporaries grow with
-# its bytes: `cqcap bench --n 8 --m 8 --acc 1e-2 --trials 4096` peaked at
-# 171 MB in calls of 4096 channels and at 46 MB in calls of 64, which were
-# also faster (3.1 s against 3.7 s; 2-core x86-64, numpy 2.4).
+# call: 4096 binary qubit channels (the coarse sweep's 726 solved rows in one
+# call) or 64 with n = m = 8. A stack is validated as a whole, so its
+# temporaries grow with its bytes: `cqcap bench --n 8 --m 8 --acc 1e-2
+# --trials 4096` peaked at 171 MB in calls of 4096 channels and at 46 MB in
+# calls of 64, which were also faster (3.1 s against 3.7 s; 2-core x86-64,
+# numpy 2.4).
 BATCH_BYTES = 512 << 10
 
 

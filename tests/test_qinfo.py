@@ -288,23 +288,13 @@ def _reference_certificates(p, states, entropies):
 
 
 def _certificate_stacks():
+    # m > 2 only: an m = 2 stack takes the closed form, which
+    # test_qubit_certificates_match_a_50_digit_oracle checks
     rng = np.random.default_rng(1905)
     yield "B=1, (8, 8)", _ginibre_states(8, 8, trial_rng(3, 8, 8, 0, 0))[None], \
         rng.dirichlet(np.ones(8), size=1)
     yield "B=40, (5, 5)", np.stack([_ginibre_states(5, 5, trial_rng(3, 5, 5, 0, k))
                                     for k in range(40)]), rng.dirichlet(np.ones(5), size=40)
-    lam = np.linspace(0.5, 1.0, 11)
-    grid = np.meshgrid(lam, lam, np.linspace(0.0, math.pi, 11), indexing="ij")
-    p1 = rng.uniform(0.05, 0.95, size=1331)
-    yield "1331 Bloch rows, (2, 2)", _bloch_states(*grid).reshape(1331, 2, 2, 2), \
-        np.stack([p1, 1.0 - p1], axis=1)
-    # row 0: letter 0 keeps 1.5e-10 along |1>, where the uniform average has
-    # 0.75e-10 <= SUPPORT_TOL (+inf); row 1: a zero-weight letter
-    violating = np.array([[[1.0 - 1.5e-10, 0], [0, 1.5e-10]], [[1, 0], [0, 0]]])
-    yield "support violation and zero weight", \
-        np.stack([violating, _ginibre_states(2, 2, trial_rng(4, 2, 2, 0, 0)),
-                  _ginibre_states(2, 2, trial_rng(4, 2, 2, 0, 1))]).astype(complex), \
-        np.array([[0.5, 0.5], [1.0, 0.0], [0.3, 0.7]])
 
 
 @pytest.mark.parametrize("label, states, p", [pytest.param(*case, id=case[0])
@@ -318,5 +308,135 @@ def test_certificates_keep_the_bits_of_separate_logs(label, states, p):
     want = _reference_certificates(p, states, entropies)
     for name, a, b in zip(("d", "lower", "upper"), got, want):
         assert a.tobytes() == b.tobytes(), name
+
+
+def test_diagonal_qubit_certificates_keep_the_lapack_bits():
+    # a diagonal (classical) 2x2 channel has a diagonal sigma, whose closed
+    # spectrum and projectors are exact, so the closed form keeps the bits of
+    # the LAPACK reference: identical letters, a reversed diagonal, sigma =
+    # I/2 (no split) and zero weights included
+    import cqcap.qinfo as qinfo
+    rng = np.random.default_rng(23)
+    diag = rng.dirichlet(np.ones(2), size=(200, 2))
+    diag[::4, 1] = diag[::4, 0]
+    diag[1::4, 1] = diag[1::4, 0, ::-1]
+    diag[2] = [[0.7, 0.3], [0.7, 0.3]]
+    diag[3] = [[0.75, 0.25], [0.25, 0.75]]
+    p = rng.dirichlet(np.ones(2), size=200)
+    p[2:4] = 0.5
+    p[5::10] = [1.0, 0.0]
+    states = np.zeros((200, 2, 2, 2), dtype=complex)
+    states[..., 0, 0], states[..., 1, 1] = diag[..., 0], diag[..., 1]
+    states, entropies = qinfo._channel_states(states, batch=True)
+    got = qinfo._certificates(p, states, entropies)
+    want = _reference_certificates(p, states, entropies)
+    for name, a, b in zip(("d", "lower", "upper"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+    assert got[2][2] == 0.0 and math.copysign(1.0, got[2][2]) == 1.0
+
+
+def _qubit_stacks():
+    # (states, p) of 2x2 channels by name, each a (B, 2, 2, 2) stack
+    rng = np.random.default_rng(1905)
+    lam = np.linspace(0.5, 1.0, 11)
+    grid = np.meshgrid(lam, lam, np.linspace(0.0, math.pi, 11), indexing="ij")
+    p1 = rng.uniform(0.05, 0.95, size=1331)
+    ginibre = np.stack([_ginibre_states(2, 2, trial_rng(4, 2, 2, 0, k)) for k in range(40)])
+    uniform = np.full((3, 2), 0.5)
+    # sigma = I/2 exactly: a diagonal pair, a real and an imaginary coherence
+    half = np.array([[[0.75, 0], [0, 0.25]], [[0.25, 0], [0, 0.75]],
+                     [[0.5, 0.25], [0.25, 0.5]], [[0.5, -0.25], [-0.25, 0.5]],
+                     [[0.5, 0.25j], [-0.25j, 0.5]], [[0.5, -0.25j], [0.25j, 0.5]]])
+    # splits of 2s around 1/2, from 1e-12 down to below an ulp of 1/2, by a
+    # coherence, a diagonal and both
+    split = [np.array([[[0.5, 0.3], [0.3, 0.5]], [[0.5, 2 * s - 0.3], [2 * s - 0.3, 0.5]]])
+             for s in (5e-13, 5e-15, 5e-17, 1e-20)]
+    split += [np.array([[[0.5 + s, 0], [0, 0.5 - s]], [[0.5, 0.2j], [-0.2j, 0.5]]])
+              for s in (5e-13, 5e-16, 1e-17)]
+    split += [np.array([[[0.5 + 2 * s, 0.1], [0.1, 0.5 - 2 * s]], [[0.5, -0.1], [-0.1, 0.5]]])
+              for s in (5e-13, 5e-16)]
+    # row 0: letter 0 keeps 1.5e-10 along |1>, where the uniform average has
+    # 0.75e-10 <= SUPPORT_TOL (+inf); row 1: the same in the |+>, |-> basis;
+    # rows 2 and 3: a zero-weight letter
+    violating = np.array([[[1.0 - 1.5e-10, 0], [0, 1.5e-10]], [[1, 0], [0, 0]]])
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    return {
+        "1331 Bloch rows": (_bloch_states(*grid).reshape(1331, 2, 2, 2),
+                            np.stack([p1, 1.0 - p1], axis=1)),
+        "Ginibre rows": (ginibre, rng.dirichlet(np.ones(2), size=40)),
+        "sigma = I/2": (half.reshape(3, 2, 2, 2), uniform),
+        "splits of 1e-12 and below": (np.stack(split), np.full((len(split), 2), 0.5)),
+        "support boundary and zero weight": (
+            np.stack([violating, hadamard @ violating @ hadamard, ginibre[0], ginibre[1]]),
+            np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])),
+    }
+
+
+def _mp_qubit_certificates(p, states):
+    # (d, lower) of _certificates at 50 digits from the float64 rows as
+    # given: mpmath's eigh of each sigma, entropies from mpmath's eigenvalues
+    # of each state, 0 ln 0 = 0 and the support rule at SUPPORT_TOL
+    import cqcap.qinfo as qinfo
+
+    def entropy(evals):
+        return -mpmath.fsum(x * mpmath.log(x) for x in evals if x > 0)
+
+    entropies, d, lower = {}, [], []
+    with mpmath.workdps(50):
+        for weights, row in zip(p, states):
+            rhos = [mpmath.matrix([[mpmath.mpc(complex(v)) for v in r] for r in s]) for s in row]
+            for s, rho in zip(row, rhos):
+                if s.tobytes() not in entropies:
+                    entropies[s.tobytes()] = entropy(mpmath.eigh(rho, eigvals_only=True))
+            hs = [entropies[s.tobytes()] for s in row]
+            sigma = mpmath.zeros(2)
+            for px, rho in zip(weights, rhos):
+                sigma += mpmath.mpf(float(px)) * rho
+            evals, vecs = mpmath.eigh(sigma)
+            d.append([])
+            for rho, h in zip(rhos, hs):
+                trace, outside = mpmath.mpf(0), False
+                for k in range(2):
+                    mass = mpmath.re(mpmath.fsum(mpmath.conj(vecs[i, k]) * rho[i, j] * vecs[j, k]
+                                                 for i in range(2) for j in range(2)))
+                    if evals[k] > 0:
+                        trace += mass * mpmath.log(evals[k])
+                    outside |= evals[k] <= qinfo.SUPPORT_TOL and mass > qinfo.SUPPORT_TOL
+                d[-1].append(math.inf if outside else float(-h - trace))
+            lower.append(float(entropy(evals)
+                               - mpmath.fsum(mpmath.mpf(float(px)) * h for px, h in zip(weights, hs))))
+    return np.array(d), np.array(lower)
+
+
+@pytest.mark.parametrize("label", list(_qubit_stacks()))
+def test_qubit_certificates_match_a_50_digit_oracle(label):
+    # measured on these rows: d within 1.2e-15 nats of the oracle (the
+    # rotated support-boundary row; the LAPACK path reads 1.0e-15 on the
+    # Bloch rows) and lower within 3.9e-16 nats
+    import cqcap.qinfo as qinfo
+    states, p = _qubit_stacks()[label]
+    states, entropies = qinfo._channel_states(states, batch=True)
+    d, lower, upper = qinfo._certificates(p, states, entropies)
+    want_d, want_lower = _mp_qubit_certificates(p, states)
+    assert np.array_equal(np.isinf(d), np.isinf(want_d))
+    finite = np.isfinite(want_d)
+    assert np.abs(d[finite] - want_d[finite]).max() <= 2e-15
+    assert np.abs(lower - want_lower).max() <= 1e-15
+    assert upper.tobytes() == d.max(axis=1).tobytes()
     if label.startswith("support"):
-        assert np.isinf(got[2][0]) and np.isfinite(got[2][1:]).all()
+        assert np.isinf(upper[:2]).all() and np.isfinite(upper[2:]).all()
+
+
+def test_qubit_certificates_do_not_depend_on_the_batch():
+    # every row of one stack equals its own B = 1 call byte for byte, the
+    # property that makes a batched solve equal a solo one
+    import cqcap.qinfo as qinfo
+    stacks = _qubit_stacks()
+    states = np.concatenate([stacks[k][0] for k in stacks])
+    p = np.concatenate([stacks[k][1] for k in stacks])
+    states, entropies = qinfo._channel_states(states, batch=True)
+    batched = qinfo._certificates(p, states, entropies)
+    for k in range(len(p)):
+        solo = qinfo._certificates(p[k:k + 1], states[k:k + 1], entropies[k:k + 1])
+        for name, many, one in zip(("d", "lower", "upper"), batched, solo):
+            assert many[k:k + 1].tobytes() == one.tobytes(), (k, name)

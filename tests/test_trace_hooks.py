@@ -4,10 +4,11 @@ the public API. A refactor that renames or drops one of these names would
 otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite. A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Five more guards keep file output in the
-CLI, every certificate evaluation in `qinfo._certificates`, every Bloch norm
-in `bloch._mixture_norm_sq`, the sweep's per-solve work in arrays and the
-harnesses' solver results in arrays."""
+(`# noqa: F401`) listed in WRAPPED. Six more guards keep file output in the
+CLI, every certificate evaluation in `qinfo._certificates`, the m = 2
+certificates off LAPACK, every Bloch norm in `bloch._mixture_norm_sq`, the
+sweep's per-solve work in arrays and the harnesses' solver results in
+arrays."""
 
 import importlib
 import importlib.util
@@ -94,6 +95,26 @@ def test_one_certificate_routine(monkeypatch):
         calls.clear()
         call()
         assert len(calls) == 1
+
+
+def test_qubit_certificates_make_no_eigh_call(monkeypatch):
+    # m = 2 certificates take the closed form; qinfo._eigh stays the
+    # eigensolver of validation, one call per stack, and of m > 2 certificates
+    stacks = {m: np.stack([random_channel(3, m, trial_rng(0, 3, m, 0, k)).states
+                           for k in range(4)]) for m in (2, 3)}
+    calls = []
+    real = cqcap.qinfo._eigh
+    monkeypatch.setattr(cqcap.qinfo, "_eigh", lambda a: calls.append(1) or real(a))
+    for m, want in ((2, 0), (3, 1)):
+        calls.clear()
+        states, entropies = cqcap.qinfo._channel_states(stacks[m], batch=True)
+        assert len(calls) == 1
+        calls.clear()
+        cqcap.qinfo._certificates(np.full((4, 3), 1.0 / 3.0), states, entropies)
+        assert len(calls) == want
+    calls.clear()
+    reports = cqcap.solver.solve_batch(stacks[2], cqcap.solver.SolverConfig(gap_tol=1e-6))
+    assert sum(r.iterations for r in reports) > 4 and len(calls) == 1
 
 
 def test_one_bloch_norm(monkeypatch):
