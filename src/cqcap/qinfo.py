@@ -4,10 +4,8 @@ entropy, Holevo information, the solver's one certificate routine and
 channel containers. Validation and `_eigh` take a matrix or a stack
 (..., m, m). Entropies are in nats.
 
-`_eigh` diagonalizes every state at validation, every average state of a
-certificate with m > 2 and both arguments of `relative_entropy`. A
-certificate with m = 2 takes the average state's spectrum and logarithm in
-closed form instead (`_qubit_spectra`, `_qubit_divergences`).
+`_eigh` serves validation, `relative_entropy` and the certificates with
+m > 2; a certificate with m = 2 takes closed forms instead.
 
 Entropies and the log of an average state keep every positive eigenvalue
 (0 ln 0 = 0). SUPPORT_TOL is the cutoff of the support test of a relative

@@ -381,17 +381,24 @@ def _mp_qubit_certificates(p, states):
     def entropy(evals):
         return -mpmath.fsum(x * mpmath.log(x) for x in evals if x > 0)
 
-    entropies, d, lower = {}, [], []
+    known = {}
+
+    def state(s):
+        # (matrix, entropy) of a float64 state, once per distinct state
+        if s.tobytes() not in known:
+            rho = mpmath.matrix([[mpmath.mpc(complex(v)) for v in r] for r in s])
+            known[s.tobytes()] = rho, entropy(mpmath.eigh(rho, eigvals_only=True))
+        return known[s.tobytes()]
+
+    d, lower = [], []
     with mpmath.workdps(50):
         for weights, row in zip(p, states):
-            rhos = [mpmath.matrix([[mpmath.mpc(complex(v)) for v in r] for r in s]) for s in row]
-            for s, rho in zip(row, rhos):
-                if s.tobytes() not in entropies:
-                    entropies[s.tobytes()] = entropy(mpmath.eigh(rho, eigvals_only=True))
-            hs = [entropies[s.tobytes()] for s in row]
-            sigma = mpmath.zeros(2)
-            for px, rho in zip(weights, rhos):
-                sigma += mpmath.mpf(float(px)) * rho
+            rhos, hs = zip(*map(state, row))
+            weights = [mpmath.mpf(float(px)) for px in weights]
+            sigma = mpmath.matrix(2, 2)
+            for i in range(2):
+                for j in range(2):
+                    sigma[i, j] = mpmath.fsum(px * rho[i, j] for px, rho in zip(weights, rhos))
             evals, vecs = mpmath.eigh(sigma)
             d.append([])
             for rho, h in zip(rhos, hs):
@@ -403,8 +410,7 @@ def _mp_qubit_certificates(p, states):
                         trace += mass * mpmath.log(evals[k])
                     outside |= evals[k] <= qinfo.SUPPORT_TOL and mass > qinfo.SUPPORT_TOL
                 d[-1].append(math.inf if outside else float(-h - trace))
-            lower.append(float(entropy(evals)
-                               - mpmath.fsum(mpmath.mpf(float(px)) * h for px, h in zip(weights, hs))))
+            lower.append(float(entropy(evals) - mpmath.fsum(px * h for px, h in zip(weights, hs))))
     return np.array(d), np.array(lower)
 
 
