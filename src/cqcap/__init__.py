@@ -13,16 +13,15 @@ from .qinfo import (CqChannel, check_linear_independence, holevo_information,
                     relative_entropy, validate_distribution,
                     validate_hermitian, von_neumann_entropy)
 from .solver import (IterateRecord, SolveReport, SolverConfig,
-                     SupportViolationError, ba_step, optimality_kkt_check,
-                     solve, solve_batch, upper_bound)
+                     optimality_kkt_check, solve, solve_batch, upper_bound)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchResult", "BenchSpec", "BinaryBlochChannel", "CqChannel",
     "GradientBoundaryError", "IterateRecord", "SolveReport", "SolverConfig",
-    "SupportViolationError", "SweepCell", "SweepGrid", "approx_p1",
-    "ba_step", "binary_entropy", "check_iteration_budget",
+    "SweepCell", "SweepGrid", "approx_p1", "binary_entropy",
+    "check_iteration_budget",
     "check_linear_independence", "error_sweep", "exact_p1", "holevo_bloch",
     "holevo_bloch_gradient", "holevo_information", "iteration_budget",
     "max_error_by_range", "optimality_kkt_check", "random_channel",

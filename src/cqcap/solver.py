@@ -48,12 +48,6 @@ def batch_size(n: int, m: int) -> int:
     return max(1, BATCH_BYTES // (16 * n * m * m))
 
 
-class SupportViolationError(RuntimeError):
-    """A positive-weight letter has +inf relative entropy to the average
-    state, so the update is undefined. Raised by `ba_step`; `solve` and
-    `solve_batch` stop the channel instead and report converged=False."""
-
-
 def _require_positive_finite(name: str, value: float) -> None:
     """Reject a step or tolerance that is a boolean, NaN, infinite or not above 0."""
     if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0.0):
@@ -117,6 +111,8 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class IterateRecord:
+    """The iterate held after t certificate evaluations past the first (t = 0:
+    the start); a trial the adaptive step rejects repeats the held p."""
     t: int
     lower: float   # Holevo information of p_t (nats)
     upper: float   # max_x D(rho_x || rho_t) (nats, possibly +inf)
@@ -125,6 +121,8 @@ class IterateRecord:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
+    """One channel's enclosure lower <= C <= upper at p_star, the iterate held
+    at the stop; capacity_nats is its midpoint, or lower if upper is +inf."""
     capacity_nats: float
     capacity_bits: float
     lower: float
@@ -169,30 +167,11 @@ def _reports(rows: _Rows) -> list[SolveReport]:
 
 
 def _log_normalize(ell: np.ndarray) -> np.ndarray:
-    """ell - ln sum exp(ell) over the last axis of a vector (n,) or stack
-    (B, n): the log of the distribution proportional to exp(ell). The step
-    p_x <- p_x exp(d_x) / Z is ln p <- _log_normalize(ln p + d)."""
-    ell = ell - ell.max(axis=-1, keepdims=True)
-    return ell - np.log(np.exp(ell).sum(axis=-1, keepdims=True))
-
-
-def ba_step(p, ch: CqChannel) -> np.ndarray:
-    """One iteration of the capacity fixed-point update.
-
-    Zero-weight letters stay at zero, and a weight whose update falls below
-    the float64 range comes back as 0; a +inf relative entropy on a
-    positive-weight letter raises SupportViolationError.
-    """
-    p = validate_distribution(p, n=ch.input_size)
-    d = _certificates_of(p, ch)[0]
-    pos = p > 0.0
-    bad = pos & np.isinf(d)
-    if bad.any():
-        raise SupportViolationError(
-            f"+inf relative entropy at positive-weight letters "
-            f"{np.flatnonzero(bad).tolist()} (weights {p[bad].tolist()})")
-    return np.exp(_log_normalize(np.where(pos, np.log(np.where(pos, p, 1.0)) + d,
-                                          -math.inf)))
+    """ell - ln sum exp(ell) over each row of a (B, n) stack: the log of the
+    distribution proportional to exp(ell). The step p_x <- p_x exp(d_x) / Z
+    is ln p <- _log_normalize(ln p + d)."""
+    ell = ell - ell.max(axis=1, keepdims=True)
+    return ell - np.log(np.exp(ell).sum(axis=1, keepdims=True))
 
 
 def upper_bound(p, ch: CqChannel) -> float:
@@ -318,9 +297,11 @@ def optimality_kkt_check(report: SolveReport, ch: CqChannel, tol: float) -> bool
     True iff max_x D(rho_x || rho*) <= capacity + tol and every letter with
     weight above 10*tol has D within tol of the capacity.
     """
-    d = _certificates_of(report.p_star, ch)[0]
+    _require_positive_finite("tol", tol)
+    p = validate_distribution(report.p_star, n=ch.input_size)
+    d = _certificates_of(p, ch)[0]
     cap = report.capacity_nats
     if float(d.max()) > cap + tol:
         return False
-    supported = report.p_star > 10.0 * tol
+    supported = p > 10.0 * tol
     return bool(np.all(np.abs(d[supported] - cap) <= tol))

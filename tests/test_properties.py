@@ -12,7 +12,7 @@ from cqcap.bench import random_channel, trial_rng
 from cqcap.bloch import (BinaryBlochChannel, approx_p1, holevo_bloch,
                          realize_channel)
 from cqcap.qinfo import CqChannel, holevo_information, von_neumann_entropy
-from cqcap.solver import STEPS, ba_step, solve, SolverConfig
+from cqcap.solver import GAP_TOL_FLOOR, STEPS, solve, solve_batch, SolverConfig
 
 LN2 = math.log(2.0)
 
@@ -62,7 +62,9 @@ def test_step_preserves_distribution_and_ascends(seed, n, m):
     ch = random_channel(n, m, trial_rng(seed, n, m, 0, 0))
     p = np.full(n, 1.0 / n)
     before = holevo_information(p, ch)
-    p_next = ba_step(p, ch)
+    report, = solve_batch(ch.states[None], SolverConfig(gap_tol=GAP_TOL_FLOOR, max_iters=1,
+                                                        record_history=True), start=p[None])
+    p_next = report.history[1].p   # the loop's first step from p
     assert np.all(p_next >= 0.0)
     assert abs(p_next.sum() - 1.0) <= 1e-12
     assert holevo_information(p_next, ch) >= before - 1e-10
@@ -144,3 +146,16 @@ def test_capacity_invariant_under_relabelling_rotation_and_duplication(seed, n, 
         assert report.converged
         # both enclose the one capacity, up to roundoff in the rotated states
         assert report.lower <= base.upper + 1e-12 and base.lower <= report.upper + 1e-12
+
+
+def test_appending_a_convex_mixture_leaves_the_capacity_unchanged():
+    # the letter sum_x a_x rho_x adds no capacity, so the enclosures of the
+    # channel with and without it overlap
+    a = np.array([0.2, 0.3, 0.5])
+    for seed in range(10):
+        ch = random_channel(3, 3, trial_rng(seed, 3, 3, 0, 0))
+        mixed = np.einsum("x,xij->ij", a, ch.states)
+        reports = [solve(c, SolverConfig(gap_tol=1e-9))
+                   for c in (ch, CqChannel(np.concatenate([ch.states, mixed[None]])))]
+        assert all(r.converged for r in reports)
+        assert max(r.lower for r in reports) <= min(r.upper for r in reports)

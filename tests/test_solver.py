@@ -15,9 +15,8 @@ from cqcap.bloch import (BinaryBlochChannel, SweepGrid, approx_p1, error_sweep,
                          holevo_bloch, realize_channel)
 from cqcap.qinfo import SUPPORT_TOL, CqChannel, holevo_information
 from cqcap.solver import (GAP_TOL_FLOOR, STEPS, STOP_REASONS, IterateRecord, SolveReport,
-                          SolverConfig, SupportViolationError, _solve_rows, ba_step,
-                          batch_size, optimality_kkt_check, solve, solve_batch,
-                          upper_bound)
+                          SolverConfig, _solve_rows, batch_size, optimality_kkt_check,
+                          solve, solve_batch, upper_bound)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -45,28 +44,33 @@ def z_channel_scan_oracle():
     return float(mi[k]), float(p[k])
 
 
+def step_from(ch, p, max_iters):
+    """solve_batch on `ch` from the positive distribution p at the floor gap:
+    history[t].p is the loop's t-th iterate from p, up to max_iters or until
+    the row's gap closes."""
+    report, = solve_batch(ch.states[None], SolverConfig(gap_tol=GAP_TOL_FLOOR,
+                                                        max_iters=max_iters,
+                                                        record_history=True),
+                          start=np.asarray(p, dtype=float)[None])
+    return report
+
+
 class TestBaStep:
+    # the Blahut-Arimoto step the solver loop takes, read from its history
     def test_identical_states_fixed_point(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
         ch = CqChannel(np.stack([rho, rho]))
-        out = ba_step(np.array([0.5, 0.5]), ch)
+        out = step_from(ch, [0.5, 0.5], 1).history[1].p
         assert np.allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_symmetric_fixed_point(self):
-        out = ba_step(np.array([0.5, 0.5]), noiseless_bit())
+        out = step_from(noiseless_bit(), [0.5, 0.5], 1).history[1].p
         assert np.allclose(out, [0.5, 0.5], atol=1e-15)
-
-    def test_zero_weight_letter_stays_zero(self):
-        out = ba_step(np.array([1.0, 0.0]), noiseless_bit())
-        assert out[1] == 0.0
-        assert out[0] == pytest.approx(1.0)
 
     def test_iterating_reaches_z_channel_optimum(self):
         _, p_opt = z_channel_scan_oracle()
-        ch = z_channel()
-        p = np.full(2, 0.5)
-        for _ in range(2000):
-            p = ba_step(p, ch)
+        # the row stops once its gap closes at the floor, before the 2000th step
+        p = step_from(z_channel(), [0.5, 0.5], 2000).p_star
         assert abs(p[0] - p_opt) <= 1e-5
         assert abs(p[0] - 0.6) <= 1e-5
 
@@ -74,19 +78,13 @@ class TestBaStep:
         rng_idx = 0
         for seed in range(5):
             ch = random_channel(3, 3, trial_rng(seed, 3, 3, 0, rng_idx))
-            p = np.full(3, 1.0 / 3.0)
-            prev = holevo_information(p, ch)
-            for _ in range(30):
-                p = ba_step(p, ch)
-                cur = holevo_information(p, ch)
+            report = step_from(ch, np.full(3, 1.0 / 3.0), 30)
+            assert report.iterations == 30
+            prev = holevo_information(report.history[0].p, ch)
+            for rec in report.history[1:]:
+                cur = holevo_information(rec.p, ch)
                 assert cur >= prev - 1e-10
                 prev = cur
-
-    def test_inf_at_positive_weight_raises(self):
-        with pytest.raises(SupportViolationError, match=r"letters \[0\] \(weights \[0\.5\]\)"):
-            ba_step(np.array([0.5, 0.5]), support_violating_channel())
-        # at zero weight +inf is no violation
-        assert np.array_equal(ba_step(np.array([0.0, 1.0]), noiseless_bit()), [0.0, 1.0])
 
 
 class TestUpperBound:
@@ -156,7 +154,8 @@ class TestSolve:
         ch = random_channel(2, 2, trial_rng(11, 2, 2, 0, 0))
         report = solve(ch, SolverConfig(gap_tol=1e-8))
         assert report.converged
-        nxt = ba_step(report.p_star, ch)
+        assert report.p_star.min() > 0.0   # a start must be positive
+        nxt = step_from(ch, report.p_star, 1).history[1].p
         mask = report.p_star > 1e-8
         ratios = nxt[mask] / report.p_star[mask]
         assert np.all(ratios >= 1 - 1e-6)
@@ -172,7 +171,7 @@ class TestSolve:
         ell2 = np.log2(p) + d / LN2
         r2 = np.power(2.0, ell2 - ell2.max())
         expected = r2 / r2.sum()
-        got = ba_step(p, ch)
+        got = step_from(ch, p, 1).history[1].p
         assert np.abs(got - expected).max() <= 1e-12
 
     def test_non_convergence_is_reported(self):
@@ -597,3 +596,18 @@ class TestKktCheck:
                            lower=chi, upper=chi, iterations=0,
                            p_star=p_bad, stop_reason="gap")
         assert not optimality_kkt_check(fake, ch, tol=1e-5)
+
+    def test_rejects_a_tol_that_is_not_finite_and_positive(self):
+        # every comparison with NaN is False, so a NaN tol would pass this
+        # report, stopped at max_iters 0.026 nats from closing
+        ch = z_channel()
+        report = solve(ch, SolverConfig(gap_tol=1e-6, max_iters=2))
+        assert not report.converged and report.upper - report.lower > 1e-2
+        for tol in (math.nan, 0.0, -1e-5, True):
+            with pytest.raises(ValueError, match="tol"):
+                optimality_kkt_check(report, ch, tol)
+
+    def test_rejects_a_report_of_another_input_size(self):
+        report = solve(random_channel(3, 2, trial_rng(0, 3, 2, 0, 0)))
+        with pytest.raises(ValueError, match="wrong length"):
+            optimality_kkt_check(report, noiseless_bit(), tol=1e-5)

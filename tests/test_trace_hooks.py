@@ -2,7 +2,8 @@
 rebinds cqcap names listed in its WRAPPED table, and `cqcap.__all__` lists
 the public API. A refactor that renames or drops one of these names would
 otherwise only surface when the benchmark runs with tracing on or when a
-user star-imports the package; these tests catch it in the unit suite. A
+user star-imports the package; these tests catch it in the unit suite, and
+one more keeps the names README "Removed names" lists out of the package. A
 guard keeps each import that the package holds only for the trace to rebind
 (`# noqa: F401`) listed in WRAPPED. Six more guards keep file output in the
 CLI, every certificate evaluation in `qinfo._certificates`, the m = 2
@@ -79,6 +80,25 @@ def test_every_exported_name_resolves():
     assert set(cqcap.__all__) <= set(namespace)
 
 
+# README "Removed names": (module, name) of each public name that went, the
+# `cqcap.hermitian` module as ("cqcap", "hermitian")
+REMOVED = (
+    ("cqcap.solver", "ba_step"), ("cqcap.solver", "SupportViolationError"),
+    ("cqcap.solver", "UNDERFLOW_CLAMP"), ("cqcap.solver", "BATCH_CHUNK"),
+    ("cqcap.qinfo", "average_state"), ("cqcap.qinfo", "validate_density"),
+    ("cqcap.bloch", "write_sweep_csv"), ("cqcap.bloch", "write_range_csv"),
+    ("cqcap.bench", "write_bench_csv"), ("cqcap.bench", "format_bench_table"),
+    ("cqcap", "hermitian"),
+)
+
+
+def test_removed_names_stay_removed():
+    for module, name in REMOVED:
+        assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
+        assert name not in cqcap.__all__, name
+    assert importlib.util.find_spec("cqcap.hermitian") is None
+
+
 def test_one_certificate_routine(monkeypatch):
     assert cqcap.solver._certificates is cqcap.qinfo._certificates
     calls = []
@@ -90,7 +110,6 @@ def test_one_certificate_routine(monkeypatch):
     report = cqcap.solver.solve(ch, cqcap.solver.SolverConfig(gap_tol=1e-3))
     for call in (lambda: cqcap.qinfo.holevo_information(p, ch),
                  lambda: cqcap.solver.upper_bound(p, ch),
-                 lambda: cqcap.solver.ba_step(p, ch),
                  lambda: cqcap.solver.optimality_kkt_check(report, ch, 1e-2)):
         calls.clear()
         call()
