@@ -37,8 +37,8 @@ _EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
 # Largest sweep accepted, in grid rows (lambda values^2 * theta values), each
 # scored by the closed form though only the lambda1 <= lambda2 rows are
 # solved: 15x the paper-scale default grid of 132,651 rows (67,626 solves),
-# which takes about 0.45 s on a 2-core x86-64 host, so a mistyped step is
-# refused at once instead of filling memory or running for days.
+# which takes about 0.14 s in process on a 2-core x86-64 host, so a mistyped
+# step is refused at once instead of filling memory or running for days.
 MAX_SWEEP_SOLVES = 2_000_000
 
 
@@ -160,6 +160,21 @@ def holevo_bloch(ch: BinaryBlochChannel, p1: float) -> float:
     return float(_holevo_bits(ch.lambda1, ch.lambda2, ch.theta, p1))
 
 
+def _holevo_gradient_bits(lambda1, lambda2, theta, p1):
+    # the d/dp1 of holevo_bloch_gradient, broadcast over its arguments; NaN
+    # where it raises GradientBoundaryError
+    r1, r2, cos_t = lambda1 - 0.5, lambda2 - 0.5, np.cos(theta)
+    norm = np.sqrt(np.maximum(_mixture_norm_sq(lambda1, lambda2, cos_t, p1), 0.0))
+    dnsq = 2.0 * p1 * r1 * r1 - 2.0 * (1.0 - p1) * r2 * r2 \
+        + (2.0 - 4.0 * p1) * r1 * r2 * cos_t
+    tail = 0.5 - norm  # = 1 - mu without cancellation, mu the top eigenvalue
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (np.log(tail) - np.log(0.5 + norm)) / LN2  # S'(1/2 + N)
+        mix_term = np.where(norm > 1e-9, slope / (2.0 * norm) * dnsq, (-2.0 / LN2) * dnsq)
+    mix_term = np.where(tail > 1e-15, mix_term, np.where(np.abs(dnsq) <= 1e-15, 0.0, np.nan))
+    return mix_term - binary_entropy(lambda1) + binary_entropy(lambda2)
+
+
 def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
     """Analytic d/dp1 of holevo_bloch (bits per unit p1).
 
@@ -169,23 +184,10 @@ def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
     binary entropy diverges and GradientBoundaryError is raised, unless the
     norm is stationary there (identical pure states, gradient 0).
     """
-    r1, r2, cos_t = ch.lambda1 - 0.5, ch.lambda2 - 0.5, math.cos(ch.theta)
-    norm = math.sqrt(max(_mixture_norm_sq(ch.lambda1, ch.lambda2, cos_t, p1), 0.0))
-    dnsq = 2.0 * p1 * r1 * r1 - 2.0 * (1.0 - p1) * r2 * r2 \
-        + (2.0 - 4.0 * p1) * r1 * r2 * cos_t
-    tail = 0.5 - norm  # = 1 - mu without cancellation, mu the top eigenvalue
-    if tail <= 1e-15:
-        if abs(dnsq) <= 1e-15:
-            mix_term = 0.0
-        else:
-            raise GradientBoundaryError(
-                f"pure mixture at p1={p1!r}: entropy slope diverges")
-    elif norm > 1e-9:
-        slope = (math.log(tail) - math.log(0.5 + norm)) / LN2  # S'(1/2 + N)
-        mix_term = slope / (2.0 * norm) * dnsq
-    else:
-        mix_term = (-2.0 / LN2) * dnsq
-    return mix_term - binary_entropy(ch.lambda1) + binary_entropy(ch.lambda2)
+    grad = float(_holevo_gradient_bits(ch.lambda1, ch.lambda2, ch.theta, p1))
+    if math.isnan(grad):
+        raise GradientBoundaryError(f"pure mixture at p1={p1!r}: entropy slope diverges")
+    return grad
 
 
 def approx_p1(lambda1, lambda2):
@@ -279,6 +281,24 @@ def exact_p1(ch: BinaryBlochChannel) -> float:
     return 0.5 * (a + b)
 
 
+def _refined_p1(lambda1, lambda2, theta, p1):
+    """p1 moved by 4 secant steps on the closed form's gradient, from p1 and
+    p1 -/+ 1e-3 (towards 1/2), towards the maximizer of holevo_bloch: arrays
+    of one shape in, one out. A step is kept only where it is finite and
+    inside [1/e, 1 - 1/e], the window of every optimum (approx_p1); elsewhere
+    the previous value stays, so an input inside the window stays in it."""
+    low, high = math.exp(-1.0), 1.0 - math.exp(-1.0)
+    x0, x1 = p1 - np.copysign(1e-3, p1 - 0.5), p1
+    g0 = _holevo_gradient_bits(lambda1, lambda2, theta, x0)
+    for _ in range(4):
+        g1 = _holevo_gradient_bits(lambda1, lambda2, theta, x1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        x0, g0 = x1, g1
+        x1 = np.where(np.isfinite(x) & (low <= x) & (x <= high), x, x1)
+    return x1
+
+
 def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     """Approximation error over the (lambda1, lambda2) grid.
 
@@ -288,22 +308,23 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     lexicographically by (lambda1, lambda2); a failed reference run flags
     the cell instead of aborting the sweep. The rows (lambda1, lambda2, theta)
     are arrays. Only the rows with lambda1 <= lambda2 are solved,
-    `batch_size(2, 2)` at a time with `solve_batch`, each from the cell's
-    closed-form input [p1_hat, 1 - p1_hat] with the adaptive step. Swapping
-    the lambdas relabels the letters and rotates both states, which leaves
-    the capacity unchanged, so a lambda1 > lambda2 cell takes `lower`,
-    `iterations` and `converged` at each theta from its mirror
-    (lambda2, lambda1). Every row is then scored in one array expression
-    against its own closed form, chi at its own p1_hat. The certificates
-    hold at every iterate, so a reference stays within reference_gap_tol of
-    the capacity whatever its start and step, but it equals a solo solve
-    only with the same start and step, not `solve`'s uniform start and plain
-    step. A cell's `iterations` and `max_iterations` count certificate
-    evaluations after the first, rejected adaptive trials included. The
-    solves are read as arrays from `_solve_rows`, with no report per row.
+    `batch_size(2, 2)` at a time with `solve_batch`'s plain update, each
+    from [p1, 1 - p1]: the cell's closed-form p1_hat moved by
+    `_refined_p1` to the maximizer of the closed form chi at its theta, from
+    where the certificate gap closes in one update. Swapping the lambdas
+    relabels the letters and rotates both states, which leaves the capacity
+    unchanged, so a lambda1 > lambda2 cell takes `lower`, `iterations` and
+    `converged` at each theta from its mirror (lambda2, lambda1). Every row
+    is then scored in one array expression against its own closed form, chi
+    at its own p1_hat. The certificates hold at every iterate, so a
+    reference stays within reference_gap_tol of the capacity whatever its
+    start, but it equals a solo solve only from the same start, not from
+    `solve`'s uniform one. A cell's `iterations` and `max_iterations` count
+    the updates of its reference solves. The solves are read as arrays from
+    `_solve_rows`, with no report per row.
     """
     lams, thetas = np.array(grid.lambda_values()), np.array(grid.theta_values())
-    cfg = SolverConfig(gap_tol=grid.reference_gap_tol, step="adaptive")
+    cfg = SolverConfig(gap_tol=grid.reference_gap_tol)
     cells = (np.repeat(lams, len(lams)), np.tile(lams, len(lams)))
     p_hat = approx_p1(*cells)
     # one row per (cell, theta), the cell's thetas in a run
@@ -312,11 +333,12 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     lower, iters, ok = (np.empty(len(p1), dtype=kind) for kind in (float, int, bool))
     upper = np.triu(np.ones((len(lams), len(lams)), dtype=bool))   # lambda1 <= lambda2
     solved = np.flatnonzero(np.repeat(upper.ravel(), len(thetas)))
+    start = _refined_p1(l1[solved], l2[solved], theta[solved], p1[solved])
     size = batch_size(2, 2)
     for first in range(0, len(solved), size):
-        part = solved[first:first + size]
+        part, w = solved[first:first + size], start[first:first + size]
         rows = _solve_rows(_bloch_states(l1[part], l2[part], theta[part]), cfg,
-                           start=np.stack([p1[part], 1.0 - p1[part]], axis=1))
+                           start=np.stack([w, 1.0 - w], axis=1))
         lower[part], iters[part], ok[part] = rows.lower, rows.iterations, rows.converged
     for v in (lower, iters, ok):   # a lambda1 > lambda2 cell from its mirror
         square = v.reshape(len(lams), len(lams), len(thetas))

@@ -4,9 +4,7 @@ capacity, with a two-sided certificate at every iterate.
 The iteration keeps a distribution p over input letters and multiplies
 each weight by exp(D(rho_x || rho_p)) before renormalizing; rho_p is the
 p-average output state. The loop carries ln p, so the step is an addition
-and a log-sum-exp, and a weight may fall below the float64 range; the
-adaptive step (SolverConfig.step) scales the addition by a per-channel
-gamma that grows while the lower bound rises. The
+and a log-sum-exp, and a weight may fall below the float64 range. The
 Holevo information of the current iterate bounds the capacity from below,
 max_x D(rho_x || rho_p) bounds it from above, and the solver stops once the
 two certificates pinch to gap_tol.
@@ -76,43 +74,22 @@ def _require_gap_tol(name: str, value: float) -> None:
                          f"below which float64 bounds stop closing, got {value!r}")
 
 
-STEPS = ("plain", "adaptive")
-# The adaptive step's largest multiple of d. Against 64, a cap of 32, 128 or
-# none moves the sweep's reference iteration totals by under 0.5 %; 16 lets
-# the paper-scale grid's longest solve grow from 45 to 508 iterations.
-MAX_STEP = 64.0
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    """How a solve runs and when it stops.
-
-    step "plain" is the paper's update ln p <- ln p + d - ln Z, one
-    certificate evaluation per iteration. step "adaptive" tries
-    ln p + gamma d - ln Z with one gamma per channel: gamma starts at 1,
-    doubles (up to MAX_STEP) after every accepted trial, and resets to 1
-    after a trial whose lower bound falls below that of the iterate held,
-    which is then kept. A trial with gamma = 1 is always accepted. Under both
-    steps `iterations` counts certificate evaluations after the first, so a
-    rejected trial counts as one, and the bounds, stop test and history read
-    the iterate held.
-    """
+    """How a solve runs and when it stops. Each iteration is the paper's
+    update ln p <- ln p + d - ln Z and one certificate evaluation."""
     gap_tol: float = 1e-6          # stop when upper - lower <= gap_tol (nats)
     max_iters: int = 100_000
     record_history: bool = False
-    step: str = "plain"            # "plain" or "adaptive"
 
     def __post_init__(self):
         _require_gap_tol("gap_tol", self.gap_tol)
         _require_integer("max_iters", self.max_iters, 1)
-        if self.step not in STEPS:
-            raise ValueError(f"step must be 'plain' or 'adaptive', got {self.step!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class IterateRecord:
-    """The iterate held after t certificate evaluations past the first (t = 0:
-    the start); a trial the adaptive step rejects repeats the held p."""
+    """The iterate after t updates (t = 0: the start)."""
     t: int
     lower: float   # Holevo information of p_t (nats)
     upper: float   # max_x D(rho_x || rho_t) (nats, possibly +inf)
@@ -121,8 +98,8 @@ class IterateRecord:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """One channel's enclosure lower <= C <= upper at p_star, the iterate held
-    at the stop; capacity_nats is its midpoint, or lower if upper is +inf."""
+    """One channel's enclosure lower <= C <= upper at p_star, the iterate at
+    the stop; capacity_nats is its midpoint, or lower if upper is +inf."""
     capacity_nats: float
     capacity_bits: float
     lower: float
@@ -197,13 +174,11 @@ def solve_batch(states, cfg: SolverConfig | None = None, *,
     certificate gap closes, when a letter gets +inf relative entropy or at
     max_iters: stop_reason "gap", "support_violation" or "max_iters", and
     converged only for "gap" (a gap that closes at max_iters counts as
-    "gap"). The certificates hold at every iterate, so a start or a step
-    changes how soon a channel stops and where inside the gap, not the
-    enclosure. `iterations` counts certificate evaluations after the first:
-    one per update under cfg.step "plain", one per trial, taken or
-    rejected, under "adaptive". Report k equals, bit for bit, the B = 1 call
-    on `states[k:k+1]` and `start[k:k+1]`; without `start`,
-    `solve(CqChannel(states[k]), cfg)`.
+    "gap"). The certificates hold at every iterate, so a start changes how
+    soon a channel stops and where inside the gap, not the enclosure.
+    `iterations` counts the updates, one certificate evaluation each.
+    Report k equals, bit for bit, the B = 1 call on `states[k:k+1]` and
+    `start[k:k+1]`; without `start`, `solve(CqChannel(states[k]), cfg)`.
     """
     return _reports(_solve_rows(states, cfg or SolverConfig(), start))
 
@@ -228,7 +203,6 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
     q = np.full((size, n), -math.log(n)) if start is None else np.log(start)
     p = np.exp(q)   # a weight below the float64 range reads as 0
     d, lower, upper = _certificates(p, states, entropies)
-    gamma = np.ones(size) if cfg.step == "adaptive" else None
     rows = np.arange(size)        # batch index of each active row
     histories = [[] for _ in range(size)] if cfg.record_history else None
     out = _Rows(np.empty(size), np.empty(size), np.empty(size, dtype=int),
@@ -262,19 +236,9 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
                 return out
             q, p, d, lower, upper, states, entropies, rows = (
                 v[go] for v in (q, p, d, lower, upper, states, entropies, rows))
-            if gamma is not None:
-                gamma = gamma[go]
-        trial = _log_normalize(q + d if gamma is None else q + gamma[:, None] * d)
-        p_trial = np.exp(trial)
-        d_trial, lower_trial, upper_trial = _certificates(p_trial, states, entropies)
-        if gamma is not None:
-            # a row keeps its held iterate if its lower bound fell, or is NaN, at gamma > 1
-            keep = ~(lower_trial >= lower) & (gamma != 1.0)
-            gamma = np.where(keep, 1.0, np.minimum(2.0 * gamma, MAX_STEP))
-            for new, held in zip((trial, p_trial, d_trial, lower_trial, upper_trial),
-                                 (q, p, d, lower, upper)):
-                new[keep] = held[keep]
-        q, p, d, lower, upper = trial, p_trial, d_trial, lower_trial, upper_trial
+        q = _log_normalize(q + d)
+        p = np.exp(q)
+        d, lower, upper = _certificates(p, states, entropies)
         t += 1
 
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+import warnings
 
 import mpmath
 import numpy as np
@@ -282,6 +282,32 @@ class TestExactP1:
             assert abs(approx_p1(lam1, lam2) - exact_p1(ch)) <= 1e-7
 
 
+class TestRefinedP1:
+    def test_reaches_the_1d_maximizer(self):
+        rng = np.random.default_rng(2025)
+        chans = [BinaryBlochChannel(*rng.uniform(0.5, 1.0, 2), rng.uniform(0.0, math.pi))
+                 for _ in range(40)]
+        l1, l2, theta = (np.array([getattr(ch, f) for ch in chans])
+                         for f in ("lambda1", "lambda2", "theta"))
+        got = cqcap.bloch._refined_p1(l1, l2, theta, approx_p1(l1, l2))
+        assert got.shape == (40,)
+        for ch, p1 in zip(chans, got.tolist()):
+            assert abs(p1 - exact_p1(ch)) <= 1e-9
+
+    def test_degenerate_rows_stay_finite_and_inside(self):
+        # equal lambdas (every p1 optimal at theta = 0), two fully mixed
+        # states, identical pure states (chi = 0, gradient 0) and orthogonal
+        # pure states
+        l1 = np.array([0.8, 0.8, 0.5, 1.0, 1.0, 1.0, 0.5])
+        l2 = np.array([0.8, 0.8, 0.5, 1.0, 1.0, 0.7, 1.0])
+        theta = np.array([0.0, 1.3, 2.0, 0.0, math.pi, math.pi, math.pi])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cqcap.bloch._refined_p1(l1, l2, theta, approx_p1(l1, l2))
+        assert np.all(np.isfinite(got)) and np.all((0.0 < got) & (got < 1.0))
+        assert got[[0, 1, 2, 3, 4]].tolist() == [0.5] * 5
+
+
 class TestErrorSweep:
     def test_theta_zero_grid_errors_within_reference_gap(self):
         # theta_step > pi collapses the theta grid to {0}, where the
@@ -301,31 +327,26 @@ class TestErrorSweep:
                 assert c.error_bits <= grid.reference_gap_tol / LN2 + 1e-9
 
     def test_warm_start_matches_the_uniform_start_within_the_gap(self, monkeypatch):
-        # the acceptance grid; the references start at [p1_hat, 1 - p1_hat].
-        # Both runs take the plain step, so the cut is the warm start's alone
+        # the acceptance grid; the references start at the refined closed-form
+        # input, against the same solves from the uniform distribution
         grid = SweepGrid(lambda_step=0.05, theta_step=math.pi / 10,
                          reference_gap_tol=1e-6)
-        default = error_sweep(grid)
-        monkeypatch.setattr(cqcap.bloch, "_solve_rows",
-                            lambda states, cfg, start: _solve_rows(
-                                states, replace(cfg, step="plain"), start=start))
         warm = error_sweep(grid)
         monkeypatch.setattr(cqcap.bloch, "_solve_rows",
-                            lambda states, cfg, start: _solve_rows(
-                                states, replace(cfg, step="plain")))
+                            lambda states, cfg, start: _solve_rows(states, cfg))
         uniform = error_sweep(grid)
-        assert all(c.ba_converged for c in default + warm + uniform)
+        assert all(c.ba_converged for c in warm + uniform)
         for w, u in zip(warm, uniform):
             assert (w.lambda1, w.lambda2) == (u.lambda1, u.lambda2)
             assert abs(w.error_bits - u.error_bits) <= grid.reference_gap_tol / LN2
-        # uniform start: 123,663 iterations, at most 1076; warm: 27,977 and 177
+        # uniform start: 123,663 iterations, at most 1076; refined start: one
+        # update per row (test_plain_counts_are_unchanged pins the unrefined
+        # closed-form start at 27,977 and 177)
         assert sum(c.iterations for c in warm) < sum(c.iterations for c in uniform) / 3
         assert max(c.max_iterations for c in warm) < \
             max(c.max_iterations for c in uniform) / 3
-        # the sweep's own adaptive step from the warm start, the counterpart of
-        # test_plain_counts_are_unchanged's (27977, 177)
-        assert (sum(c.iterations for c in default),
-                max(c.max_iterations for c in default)) == (9117, 18)
+        assert (sum(c.iterations for c in warm), max(c.max_iterations for c in warm)) \
+            == (1331, 1)
 
     def test_mirrored_cells_match_solving_every_row(self, monkeypatch):
         # swapping the lambdas relabels the letters and rotates both states, so
@@ -345,9 +366,12 @@ class TestErrorSweep:
         chans = [BinaryBlochChannel(c.lambda1, c.lambda2, theta)
                  for c in cells for theta in thetas]
         p1 = np.array([approx_p1(ch.lambda1, ch.lambda2) for ch in chans])
+        l1, l2, theta = (np.array([getattr(ch, f) for ch in chans])
+                         for f in ("lambda1", "lambda2", "theta"))
+        w = cqcap.bloch._refined_p1(l1, l2, theta, p1)
         reports = solve_batch(np.stack([realize_channel(ch).states for ch in chans]),
-                              SolverConfig(gap_tol=1e-6, step="adaptive"),
-                              start=np.stack([p1, 1.0 - p1], axis=1))
+                              SolverConfig(gap_tol=1e-6),
+                              start=np.stack([w, 1.0 - w], axis=1))
         for k, cell in enumerate(cells):
             rows = range(k * len(thetas), (k + 1) * len(thetas))
             counts = [reports[i].iterations for i in rows]
@@ -356,6 +380,16 @@ class TestErrorSweep:
             assert (cell.iterations, cell.max_iterations, cell.ba_converged) == \
                 (sum(counts), max(counts), all(reports[i].converged for i in rows))
             assert abs(cell.error_bits - error) <= 1e-15
+
+    def test_every_cell_converges_at_the_floor_gap(self):
+        # from the unrefined closed-form input the rows at theta = 46 pi / 50
+        # of (0.98, 0.99) stalled at a gap of 2.7e-12 nats for 100,000
+        # adaptive iterations, and the cell and its mirror were flagged
+        grid = SweepGrid(lambda_step=0.01, theta_step=46 * (math.pi / 50),
+                         reference_gap_tol=1e-13)
+        assert len(grid.theta_values()) == 2
+        cells = error_sweep(grid)
+        assert len(cells) == 51 * 51 and all(c.ba_converged for c in cells)
 
     def test_warm_started_lower_bound_against_the_1d_maximum(self):
         rng = np.random.default_rng(1909)

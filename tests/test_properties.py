@@ -12,7 +12,7 @@ from cqcap.bench import random_channel, trial_rng
 from cqcap.bloch import (BinaryBlochChannel, approx_p1, holevo_bloch,
                          realize_channel)
 from cqcap.qinfo import CqChannel, holevo_information, von_neumann_entropy
-from cqcap.solver import GAP_TOL_FLOOR, STEPS, solve, solve_batch, SolverConfig
+from cqcap.solver import GAP_TOL_FLOOR, solve, solve_batch, SolverConfig
 
 LN2 = math.log(2.0)
 
@@ -116,10 +116,9 @@ def test_commuting_channels_match_classical_blahut_arimoto(n, m):
         lower, upper = classical_capacity(w)
         assert upper - lower <= 1e-10
         states = np.stack([np.diag(row) for row in w]).astype(complex)
-        for step in STEPS:
-            report = solve(CqChannel(states), SolverConfig(gap_tol=1e-7, step=step))
-            assert report.converged
-            assert report.lower <= upper + 1e-12 and lower <= report.upper + 1e-12
+        report = solve(CqChannel(states), SolverConfig(gap_tol=1e-7))
+        assert report.converged
+        assert report.lower <= upper + 1e-12 and lower <= report.upper + 1e-12
 
 
 def _haar_unitary(m, rng):
@@ -128,9 +127,8 @@ def _haar_unitary(m, rng):
 
 
 @hyp.settings(deadline=None, max_examples=12)
-@hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 4),
-           step=st.sampled_from(STEPS))
-def test_capacity_invariant_under_relabelling_rotation_and_duplication(seed, n, m, step):
+@hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 4))
+def test_capacity_invariant_under_relabelling_rotation_and_duplication(seed, n, m):
     rng = trial_rng(seed, n, m, 4, 0)
     ch = random_channel(n, m, rng)
     u = _haar_unitary(m, rng)
@@ -138,7 +136,7 @@ def test_capacity_invariant_under_relabelling_rotation_and_duplication(seed, n, 
     variants = (ch.states[rng.permutation(n)],
                 0.5 * (rotated + rotated.conj().transpose(0, 2, 1)),
                 np.concatenate([ch.states, ch.states[rng.integers(n)][None]]))
-    cfg = SolverConfig(gap_tol=1e-6, step=step)
+    cfg = SolverConfig(gap_tol=1e-6)
     base = solve(ch, cfg)
     assert base.converged
     for states in variants:

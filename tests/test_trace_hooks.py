@@ -11,6 +11,7 @@ certificates off LAPACK, every Bloch norm in `bloch._mixture_norm_sq`, the
 sweep's per-solve work in arrays and the harnesses' solver results in
 arrays."""
 
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -85,6 +86,7 @@ def test_every_exported_name_resolves():
 REMOVED = (
     ("cqcap.solver", "ba_step"), ("cqcap.solver", "SupportViolationError"),
     ("cqcap.solver", "UNDERFLOW_CLAMP"), ("cqcap.solver", "BATCH_CHUNK"),
+    ("cqcap.solver", "STEPS"), ("cqcap.solver", "MAX_STEP"),
     ("cqcap.qinfo", "average_state"), ("cqcap.qinfo", "validate_density"),
     ("cqcap.bloch", "write_sweep_csv"), ("cqcap.bloch", "write_range_csv"),
     ("cqcap.bench", "write_bench_csv"), ("cqcap.bench", "format_bench_table"),
@@ -97,6 +99,7 @@ def test_removed_names_stay_removed():
         assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
         assert name not in cqcap.__all__, name
     assert importlib.util.find_spec("cqcap.hermitian") is None
+    assert "step" not in {f.name for f in dataclasses.fields(cqcap.solver.SolverConfig)}
 
 
 def test_one_certificate_routine(monkeypatch):
