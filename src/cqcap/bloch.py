@@ -352,16 +352,19 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
 
 def max_error_by_range(cells: list[SweepCell], r_values) -> list[tuple[float, float]]:
     """Running maxima of the sweep error over nested squares
-    lambda1, lambda2 in [0.5, R]."""
-    covered = max(max(c.lambda1 for c in cells), max(c.lambda2 for c in cells))
+    lambda1, lambda2 in [0.5, R], for cells in any order: one mask per R
+    over the arrays of (lambda1, lambda2, error_bits)."""
+    lam1, lam2, err = np.array([[c.lambda1 for c in cells], [c.lambda2 for c in cells],
+                                [c.error_bits for c in cells]])
+    edge = np.maximum(lam1, lam2)   # a cell lies in every square from R = edge on
+    covered = float(edge.max())
     rows = []
     for r in r_values:
         if r > covered + 1e-9:
             raise ValueError(f"R={r!r} outside the swept range (max {covered!r})")
-        vals = [c.error_bits for c in cells
-                if c.lambda1 <= r + 1e-9 and c.lambda2 <= r + 1e-9]
-        if not vals:
+        inside = edge <= r + 1e-9
+        if not inside.any():
             raise ValueError(f"R={r!r} below the smallest grid point")
-        rows.append((r, max(vals)))
+        rows.append((r, float(err.max(where=inside, initial=-math.inf))))
     return rows
 

@@ -471,6 +471,23 @@ class TestMaxErrorByRange:
         with pytest.raises(ValueError, match="R=0.4 below the smallest grid point"):
             max_error_by_range(cells, [0.4])
 
+    def test_coarse_maxima_keep_the_bits_of_a_list_per_range(self):
+        # the maxima of one list of cells per R, as max_error_by_range was
+        # written before it took arrays, for cells sorted and shuffled
+        cells = error_sweep(SweepGrid(lambda_step=0.05, theta_step=math.pi / 10))
+        r_values = SweepGrid(lambda_step=0.05).lambda_values() + [0.95, 0.97]
+        want = [(r, max(c.error_bits for c in cells
+                        if c.lambda1 <= r + 1e-9 and c.lambda2 <= r + 1e-9)) for r in r_values]
+        shuffled = [cells[k] for k in np.random.default_rng(27).permutation(len(cells))]
+        for order in (cells, shuffled):
+            got = max_error_by_range(order, r_values)
+            assert [(r, v.hex()) for r, v in got] == [(r, v.hex()) for r, v in want]
+            assert all(type(v) is float for _, v in got)
+            with pytest.raises(ValueError, match=r"^R=1\.2 outside the swept range \(max 1\.0\)$"):
+                max_error_by_range(order, [0.6, 1.2])
+            with pytest.raises(ValueError, match=r"^R=0\.4 below the smallest grid point$"):
+                max_error_by_range(order, [0.4])
+
 
 def test_csv_export_formats(tmp_path, capsys):
     grid = SweepGrid(lambda_step=0.25, theta_step=2.0, reference_gap_tol=1e-4)

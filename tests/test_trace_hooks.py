@@ -6,8 +6,8 @@ user star-imports the package; these tests catch it in the unit suite, and
 one more keeps the names README "Removed names" lists out of the package. A
 guard keeps each import that the package holds only for the trace to rebind
 (`# noqa: F401`) listed in WRAPPED. Six more guards keep file output in the
-CLI, every certificate evaluation in `qinfo._certificates`, the m = 2
-certificates off LAPACK, every Bloch norm in `bloch._mixture_norm_sq`, the
+CLI, every certificate evaluation in `qinfo._certificates`, every m = 2
+path off LAPACK, every Bloch norm in `bloch._mixture_norm_sq`, the
 sweep's per-solve work in arrays and the harnesses' solver results in
 arrays."""
 
@@ -120,23 +120,31 @@ def test_one_certificate_routine(monkeypatch):
 
 
 def test_qubit_certificates_make_no_eigh_call(monkeypatch):
-    # m = 2 certificates take the closed form; qinfo._eigh stays the
-    # eigensolver of validation, one call per stack, and of m > 2 certificates
+    # every m = 2 path takes the closed form: validation, the certificates, a
+    # whole batched solve and relative_entropy make no qinfo._eigh call and
+    # no np.linalg.eigh call around it; qinfo._eigh stays the eigensolver of
+    # m > 2, one call per validated stack
     stacks = {m: np.stack([random_channel(3, m, trial_rng(0, 3, m, 0, k)).states
                            for k in range(4)]) for m in (2, 3)}
-    calls = []
-    real = cqcap.qinfo._eigh
+    calls, lapack = [], []
+    real, real_lapack = cqcap.qinfo._eigh, np.linalg.eigh
     monkeypatch.setattr(cqcap.qinfo, "_eigh", lambda a: calls.append(1) or real(a))
-    for m, want in ((2, 0), (3, 1)):
-        calls.clear()
-        states, entropies = cqcap.qinfo._channel_states(stacks[m], batch=True)
-        assert len(calls) == 1
-        calls.clear()
-        cqcap.qinfo._certificates(np.full((4, 3), 1.0 / 3.0), states, entropies)
-        assert len(calls) == want
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(1) or real_lapack(a))
+    p = np.full((4, 3), 1.0 / 3.0)
+    states, entropies = cqcap.qinfo._channel_states(stacks[3], batch=True)
+    assert len(calls) == 1
     calls.clear()
+    cqcap.qinfo._certificates(p, states, entropies)
+    assert len(calls) == 1 and len(lapack) == 2
+    calls.clear()
+    lapack.clear()
+    states, entropies = cqcap.qinfo._channel_states(stacks[2], batch=True)
+    cqcap.qinfo._certificates(p, states, entropies)
+    ch = cqcap.qinfo.CqChannel(stacks[2][0])
+    cqcap.qinfo.relative_entropy(ch.states[0], ch.states[1])
     reports = cqcap.solver.solve_batch(stacks[2], cqcap.solver.SolverConfig(gap_tol=1e-6))
-    assert sum(r.iterations for r in reports) > 4 and len(calls) == 1
+    assert sum(r.iterations for r in reports) > 4
+    assert calls == [] and lapack == []
 
 
 def test_one_bloch_norm(monkeypatch):
