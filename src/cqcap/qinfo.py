@@ -33,6 +33,9 @@ _TINY = np.finfo(np.float64).tiny
 # the 2x2 identity as the 8 doubles of its complex128 view
 _EYE2 = np.eye(2, dtype=np.complex128).view(np.float64).ravel()
 _SPLITTER = 2.0 ** 27 + 1.0   # Veltkamp's: a double as two 26-bit halves
+# the factors (a, Re b, Im b) and (e, Re b, Im b) of det = a e - |b|^2, as
+# indices into the 8 doubles of a 2x2 complex128 matrix
+_DET_FACTORS = np.array([0, 4, 5, 6, 4, 5])
 
 
 def _eigh(a: np.ndarray):
@@ -84,8 +87,8 @@ def _density_spectra(a, name: str):
     PSD, unit trace, each over every slice; return (Hermitian part
     (A + A^H)/2 as a new array, its eigenvalues desc, eigenvector columns).
     For m > 2 the spectrum is one `_eigh` call over the whole stack; for
-    m = 2 it is `_qubit_spectra`'s closed form with its quotient w- = det/w+,
-    no eigenvectors (None) and no LAPACK call. Every entry that already
+    m = 2 it is `_qubit_spectra`'s closed form with `det_small`, with no
+    eigenvectors (None) and no LAPACK call. Every entry that already
     equals its mirror's conjugate keeps its bits, so an exactly Hermitian A
     comes back unchanged."""
     a = _hermitian(a, name)
@@ -238,19 +241,18 @@ def _two_product(x, y):
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
-def _qubit_det(a, e, b):
-    """a e - |b|^2 for arrays of the real diagonal (a, e) and the lower entry
-    b of 2x2 Hermitian matrices, near exact where the terms cancel: the
-    products are error-free and |b|^2 = u + du exactly (Knuth's sum), so
-    a e - u is exact wherever it is under a e / 2 (Sterbenz) and only the
-    last roundings are lost."""
-    p, dp = _two_product(a, e)
-    q, dq = _two_product(b.real, b.real)
-    r, dr = _two_product(b.imag, b.imag)
-    u = q + r
-    z = u - q
-    du = (q - (u - z)) + (r - z)
-    return (p - u) + (dp - (dq + dr + du))
+def _qubit_det(sigma):
+    """a e - |b|^2 for a (k, 2, 2) Hermitian stack with real diagonal (a, e)
+    and lower entry b, near exact where the terms cancel: the products are
+    error-free and |b|^2 = u + du exactly (Knuth's sum), so a e - u is exact
+    wherever it is under a e / 2 (Sterbenz) and only the last roundings are
+    lost."""
+    f = sigma.view(np.float64).reshape(-1, 8).T[_DET_FACTORS]
+    p, dp = _two_product(f[:3], f[3:])   # rows a e, (Re b)^2, (Im b)^2
+    u = p[1] + p[2]
+    z = u - p[1]
+    du = (p[1] - (u - z)) + (p[2] - z)
+    return (p[0] - u) + (dp[0] - (dp[1] + dp[2] + du))
 
 
 def _qubit_spectra(sigma, det_small: bool = False):
@@ -261,14 +263,14 @@ def _qubit_spectra(sigma, det_small: bool = False):
     w+- = max(a, e) +- (hypot(h, |b|) - h), so that a diagonal matrix has
     its diagonal as its spectrum, bit for bit, as LAPACK gives it.
 
-    With `det_small`, w- is det/w+ for det = a e - |b|^2 wherever b != 0,
-    w+ > 0 and det is finite, and det is `_qubit_det`'s wherever
-    |w-| < w+/16. It does not cancel as hypot(h, |b|) - h does on near-pure
-    states: against a 50-digit spectrum it keeps the entropy of random pure
-    states within 2.4e-16 nats, where LAPACK reaches 1.1e-14. A diagonal
-    matrix keeps its diagonal, and where w+ <= 0 or det overflows the
-    difference form stays, so that validation rejects a non-state with the
-    value that LAPACK gave."""
+    With `det_small`, w- is det/w+ for det = a e - |b|^2 from `_qubit_det`
+    on the rows with b != 0 and |w-| < w+/16, where hypot(h, |b|) - h
+    cancels, and wherever that quotient is finite. Against a 50-digit
+    spectrum the entropies then stay within 2.4e-16 nats on random pure
+    states, where LAPACK reaches 1.1e-14, and within 2.2e-16 on Ginibre
+    states. A diagonal matrix keeps its diagonal, and a row with w+ <= 0
+    keeps the difference form, so that validation rejects a non-state with
+    the value that LAPACK gave."""
     a, e = sigma[:, 0, 0].real, sigma[:, 1, 1].real
     big, small = np.maximum(a, e), np.minimum(a, e)
     # 0.5 (big - small) bit for bit but on a subnormal diagonal, and finite
@@ -281,11 +283,11 @@ def _qubit_spectra(sigma, det_small: bool = False):
     np.add(big, delta, out=w[:, 0])
     np.subtract(small, delta, out=w[:, 1])
     if det_small:
-        det = a * e - b * b
-        # where w- < w+/16 the terms of det cancel; take them exactly there
-        near = np.flatnonzero((b != 0.0) & (16.0 * np.abs(det) < w[:, 0] * w[:, 0]))
-        det[near] = _qubit_det(a[near], e[near], sigma[near, 1, 0])
-        np.divide(det, w[:, 0], out=w[:, 1], where=(b != 0.0) & (w[:, 0] > 0.0) & np.isfinite(det))
+        # where |w-| < w+/16, small - delta cancels: take w- = det/w+ there
+        near = np.flatnonzero((b != 0.0) & (16.0 * np.abs(w[:, 1]) < w[:, 0]))
+        if len(near):
+            lo = _qubit_det(sigma[near]) / w[near, 0]
+            w[near, 1] = np.where(np.isfinite(lo), lo, w[near, 1])
     return w, np.maximum(r + r, _TINY)[:, None]
 
 
@@ -377,8 +379,8 @@ def relative_entropy(rho, sigma) -> float:
     A violation means sigma has an eigenvector with eigenvalue <= SUPPORT_TOL
     that carries more than SUPPORT_TOL of rho's mass. For m = 2 the
     divergence is the certificates' closed form `_qubit_divergences` on
-    sigma's spectrum from validation, whose w- = det/w+ keeps a near-pure
-    sigma's ln w- accurate, with no LAPACK call; for m > 2 each argument
+    sigma's spectrum from validation, whose w- = det/w+ keeps ln w- of a
+    near-pure sigma accurate, with no LAPACK call; for m > 2 each argument
     takes one `_eigh` call.
     """
     rho_a, w_rho, _ = _density_spectra(rho, "rho")
