@@ -354,6 +354,8 @@ def max_error_by_range(cells: list[SweepCell], r_values) -> list[tuple[float, fl
     """Running maxima of the sweep error over nested squares
     lambda1, lambda2 in [0.5, R], for cells in any order: one mask per R
     over the arrays of (lambda1, lambda2, error_bits)."""
+    if not cells:
+        raise ValueError("cells is empty: need at least one sweep cell")
     lam1, lam2, err = np.array([[c.lambda1 for c in cells], [c.lambda2 for c in cells],
                                 [c.error_bits for c in cells]])
     edge = np.maximum(lam1, lam2)   # a cell lies in every square from R = edge on

@@ -4,11 +4,11 @@ entropy, Holevo information, the solver's one certificate routine and
 channel containers. Validation and `_eigh` take a matrix or a stack
 (..., m, m). Entropies are in nats.
 
-`_eigh` serves validation, `relative_entropy` and the certificates with
-m > 2. Every m = 2 path takes the closed form instead: validation and the
-certificates read the spectrum from `_qubit_spectra`, and the divergences
-of the certificates and of `relative_entropy` come from
-`_qubit_divergences`. The branch depends on m alone.
+A spectrum is (w, basis): `_eigh`'s eigenvalues and eigenvector columns
+for m > 2, `_qubit_spectra`'s eigenvalues and split w+ - w- for m = 2, with
+no LAPACK call (validation with `det_small`, the certificates without).
+Both `relative_entropy` and the certificates hand (sigma, w, basis) to
+`_divergences`, the one divergence entry. The branch depends on m alone.
 
 Entropies and the log of an average state keep every positive eigenvalue
 (0 ln 0 = 0). SUPPORT_TOL is the cutoff of the support test of a relative
@@ -85,25 +85,25 @@ def validate_hermitian(a) -> np.ndarray:
 def _density_spectra(a, name: str):
     """Check a matrix or stack in the order finite, Hermitian, real diagonal,
     PSD, unit trace, each over every slice; return (Hermitian part
-    (A + A^H)/2 as a new array, its eigenvalues desc, eigenvector columns).
-    For m > 2 the spectrum is one `_eigh` call over the whole stack; for
-    m = 2 it is `_qubit_spectra`'s closed form with `det_small`, with no
-    eigenvectors (None) and no LAPACK call. Every entry that already
-    equals its mirror's conjugate keeps its bits, so an exactly Hermitian A
-    comes back unchanged."""
+    (A + A^H)/2 as a new array, its eigenvalues desc, basis) in the form
+    `_divergences` takes: one `_eigh` call over the stack and its
+    eigenvector columns for m > 2, `_qubit_spectra` with `det_small` and
+    its split (..., 1) for m = 2, with no LAPACK call. Every entry that
+    already equals its mirror's conjugate keeps its bits, so an exactly
+    Hermitian A comes back unchanged."""
     a = _hermitian(a, name)
     a_h = a.conj().swapaxes(-1, -2)
     a = np.where(a == a_h, a, 0.5 * (a + a_h))
     if a.shape[-1] == 2:
-        w = _qubit_spectra(a.reshape(-1, 2, 2), det_small=True)[0]
-        w, v = w.reshape(a.shape[:-1]), None
+        w, split = _qubit_spectra(a.reshape(-1, 2, 2), det_small=True)
+        w, basis = w.reshape(a.shape[:-1]), split.reshape(a.shape[:-2] + (1,))
     else:
-        w, v = _eigh(a)
+        w, basis = _eigh(a)
     _reject(name, -w.min(axis=-1), PSD_TOL,
             "is not positive semidefinite: min eigenvalue -{:.3e}")
     _reject(name, np.abs(np.trace(a, axis1=-2, axis2=-1).real - 1.0), TRACE_TOL,
             "does not have unit trace: |Tr - 1| = {:.3e}")
-    return a, w, v
+    return a, w, basis
 
 
 def validate_distribution(p, n: int | None = None, *, rows: int | None = None,
@@ -201,30 +201,33 @@ def _entropy_from_eigs(u, ln_u):
     return -(u[..., None, :] @ ln_u[..., :, None])[..., 0, 0]
 
 
-def _divergences(states, neg_h, w, v, ln_w) -> np.ndarray:
+def _divergences(states, neg_h, sigma, w, basis, ln_w) -> np.ndarray:
     """D(rho_x || sigma_b) in nats for every slice rho_x = states[b, x], as a
-    (B, n) array.
+    (B, n) array: the one divergence entry, for every m.
 
     `states` is a (B, n, m, m) stack, `neg_h` holds -H(rho_x) as (B, n, 1)
-    or anything that broadcasts to it, (w, v) are the (B, m) and (B, m, m)
-    eigendecompositions of the sigma_b and ln_w is the log of w from
-    _log_eigs.
+    or anything that broadcasts to it, sigma the (B, m, m) sigma_b, (w, basis)
+    their spectra as `_density_spectra` gives them and ln_w the log of w from
+    _log_eigs. m = 2 goes to `_qubit_divergences`; m > 2 reads the (B, m, m)
+    eigenvector columns, not sigma.
     ln sigma keeps every positive eigenvalue, the cutoff of the entropies; a
     letter whose mass along an eigenvector with eigenvalue at or below
     SUPPORT_TOL exceeds SUPPORT_TOL lies outside sigma's support and gets +inf.
     """
     b, n, m = states.shape[:3]
+    if m == 2:
+        return _qubit_divergences(states, neg_h, sigma, w, basis, ln_w)
     # (ln sigma)^T = conj(V) diag(ln w) V^T, so that Tr(rho_x ln sigma) is the
     # flat product of rho_x with it: one matmul per channel, which sums each
     # row in the same order whatever B is, so a channel's bits do not depend
     # on its batch (einsum("bxij,bji->bx") does not keep that)
-    log_sigma_t = (v.conj() * ln_w[:, None, :]) @ v.swapaxes(-1, -2)
+    log_sigma_t = (basis.conj() * ln_w[:, None, :]) @ basis.swapaxes(-1, -2)
     trace = states.reshape(b, n, m * m) @ log_sigma_t.reshape(b, m * m, 1)
     d = (neg_h - trace.real)[..., 0]
     if not w.min() > SUPPORT_TOL:
         keep = w > SUPPORT_TOL
         cut = np.flatnonzero(~keep.all(axis=1))
-        vc = v[cut]
+        vc = basis[cut]
         overlaps = np.einsum("bik,bxij,bjk->bxk", vc.conj(), states[cut], vc).real
         outside = np.any((overlaps > SUPPORT_TOL) & ~keep[cut, None, :], axis=2)
         d[cut] = np.where(outside, math.inf, d[cut])
@@ -270,7 +273,9 @@ def _qubit_spectra(sigma, det_small: bool = False):
     states, where LAPACK reaches 1.1e-14, and within 2.2e-16 on Ginibre
     states. A diagonal matrix keeps its diagonal, and a row with w+ <= 0
     keeps the difference form, so that validation rejects a non-state with
-    the value that LAPACK gave."""
+    the value that LAPACK gave. `det_small` is a parameter for its two
+    callers: validation takes it; the certificates do not, since it would
+    cost an m = 2 iteration at B = 1 about 12 % (26.6 -> 29.7 us)."""
     a, e = sigma[:, 0, 0].real, sigma[:, 1, 1].real
     big, small = np.maximum(a, e), np.minimum(a, e)
     # 0.5 (big - small) bit for bit but on a subnormal diagonal, and finite
@@ -330,25 +335,20 @@ def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     violations, lower[b] is the Holevo information of p[b] and upper[b] is
     max(d[b]) over every letter including zero-weight ones.
 
-    For m > 2 the average states are diagonalized by `_eigh` and the
-    divergences taken by `_divergences`. For m = 2 both come in closed form
-    from `_qubit_spectra` and `_qubit_divergences`, with no LAPACK call. The
-    branch depends on m alone, never on B, and both are row-wise, so a
-    channel's bits do not depend on its batch.
+    The average states take their spectrum from `_eigh` for m > 2 and from
+    `_qubit_spectra` without `det_small` for m = 2, with no LAPACK call, and
+    the divergences from `_divergences`. The branch depends on m alone,
+    never on B, and both paths are row-wise, so a channel's bits do not
+    depend on its batch.
     """
     b, n, m = states.shape[:3]
     # the average states by one matmul over the flattened states, a dot per
     # channel as in _divergences
     sigma = (p[:, None, :] @ states.reshape(b, n, m * m)).reshape(b, m, m)
     neg_h = -entropies[:, :, None]
-    if m == 2:
-        w, split = _qubit_spectra(sigma)
-        u, ln_u = _log_eigs(w)
-        d = _qubit_divergences(states, neg_h, sigma, w, split, ln_u)
-    else:
-        w, v = _eigh(sigma)
-        u, ln_u = _log_eigs(w)
-        d = _divergences(states, neg_h, w, v, ln_u)
+    w, basis = _qubit_spectra(sigma) if m == 2 else _eigh(sigma)
+    u, ln_u = _log_eigs(w)
+    d = _divergences(states, neg_h, sigma, w, basis, ln_u)
     # -H(rho_x) summed, not subtracted, keeps a zero Holevo value at +0.0 (a
     # pure spectrum has entropy -0.0); a matmul per row, as in _divergences
     lower = _entropy_from_eigs(u, ln_u) + (p[:, None, :] @ neg_h)[:, 0, 0]
@@ -377,22 +377,17 @@ def relative_entropy(rho, sigma) -> float:
     """Tr[rho (ln rho - ln sigma)] in nats, or +inf on support violation.
 
     A violation means sigma has an eigenvector with eigenvalue <= SUPPORT_TOL
-    that carries more than SUPPORT_TOL of rho's mass. For m = 2 the
-    divergence is the certificates' closed form `_qubit_divergences` on
-    sigma's spectrum from validation, whose w- = det/w+ keeps ln w- of a
-    near-pure sigma accurate, with no LAPACK call; for m > 2 each argument
-    takes one `_eigh` call.
+    that carries more than SUPPORT_TOL of rho's mass. sigma's (w, basis)
+    from validation go to `_divergences` as they are: for m = 2 the closed
+    form, whose w- = det/w+ keeps ln w- of a near-pure sigma accurate, with
+    no LAPACK call; for m > 2 each argument takes one `_eigh` call.
     """
     rho_a, w_rho, _ = _density_spectra(rho, "rho")
-    sig_a, w, v = _density_spectra(sigma, "sigma")
+    sig_a, w, basis = _density_spectra(sigma, "sigma")
     if rho_a.shape != sig_a.shape or rho_a.ndim != 2:
         raise ValueError(f"shape mismatch or not m x m: {rho_a.shape} vs {sig_a.shape}")
     neg_h, w = -_entropy_from_eigs(*_log_eigs(w_rho)), w[None]
-    if sig_a.shape[0] == 2:
-        split = np.maximum(w[:, :1] - w[:, 1:], _TINY)
-        d = _qubit_divergences(rho_a[None, None], neg_h, sig_a[None], w, split, _log_eigs(w)[1])
-    else:
-        d = _divergences(rho_a[None, None], neg_h, w, v[None], _log_eigs(w)[1])
+    d = _divergences(rho_a[None, None], neg_h, sig_a[None], w, basis[None], _log_eigs(w)[1])
     return float(d[0, 0])
 
 

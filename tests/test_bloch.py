@@ -470,6 +470,8 @@ class TestMaxErrorByRange:
             max_error_by_range(cells, [1.2])
         with pytest.raises(ValueError, match="R=0.4 below the smallest grid point"):
             max_error_by_range(cells, [0.4])
+        with pytest.raises(ValueError, match="^cells is empty: need at least one sweep cell$"):
+            max_error_by_range([], [0.6])
 
     def test_coarse_maxima_keep_the_bits_of_a_list_per_range(self):
         # the maxima of one list of cells per R, as max_error_by_range was

@@ -5,11 +5,11 @@ otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite, and
 one more keeps the names README "Removed names" lists out of the package. A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Six more guards keep file output in the
-CLI, every certificate evaluation in `qinfo._certificates`, every m = 2
-path off LAPACK, every Bloch norm in `bloch._mixture_norm_sq`, the
-sweep's per-solve work in arrays and the harnesses' solver results in
-arrays."""
+(`# noqa: F401`) listed in WRAPPED. Seven more guards keep file output in
+the CLI, every certificate evaluation in `qinfo._certificates`, every
+divergence in `qinfo._divergences`, every m = 2 path off LAPACK, every
+Bloch norm in `bloch._mixture_norm_sq`, the sweep's per-solve work in
+arrays and the harnesses' solver results in arrays."""
 
 import dataclasses
 import importlib
@@ -145,6 +145,25 @@ def test_qubit_certificates_make_no_eigh_call(monkeypatch):
     reports = cqcap.solver.solve_batch(stacks[2], cqcap.solver.SolverConfig(gap_tol=1e-6))
     assert sum(r.iterations for r in reports) > 4
     assert calls == [] and lapack == []
+
+
+def test_one_divergence_entry(monkeypatch):
+    # the certificates and relative_entropy take every divergence, m = 2
+    # included, through one qinfo._divergences call
+    calls = []
+    real = cqcap.qinfo._divergences
+    monkeypatch.setattr(cqcap.qinfo, "_divergences",
+                        lambda *args: calls.append(1) or real(*args))
+    for m in (2, 3):
+        stack = np.stack([random_channel(3, m, trial_rng(0, 3, m, 0, k)).states
+                          for k in range(4)])
+        states, entropies = cqcap.qinfo._channel_states(stack, batch=True)
+        for call in (lambda: cqcap.qinfo._certificates(np.full((4, 3), 1.0 / 3.0),
+                                                       states, entropies),
+                     lambda: cqcap.qinfo.relative_entropy(states[0, 0], states[0, 1])):
+            calls.clear()
+            call()
+            assert len(calls) == 1, m
 
 
 def test_one_bloch_norm(monkeypatch):
