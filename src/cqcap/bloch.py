@@ -362,6 +362,7 @@ def max_error_by_range(cells: list[SweepCell], r_values) -> list[tuple[float, fl
     covered = float(edge.max())
     rows = []
     for r in r_values:
+        _require_positive_finite("R", r)
         if r > covered + 1e-9:
             raise ValueError(f"R={r!r} outside the swept range (max {covered!r})")
         inside = edge <= r + 1e-9

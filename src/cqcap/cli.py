@@ -74,6 +74,9 @@ def load_channel_file(path) -> CqChannel:
             raise CliInputError(f"{expected}: {err}") from err
         if arr.shape != (dim, dim, 2):
             raise CliInputError(f"{expected}, got shape {arr.shape}")
+        # the cast above would read "1" and true as numbers
+        if {type(x) for row in entry for pair in row for x in pair} & {str, bool}:
+            raise CliInputError(f"{expected}, got a string or boolean entry")
         entries.append(arr)
     # the view reads each [re, im] pair as one complex128, every double kept
     # (a -0.0 imaginary part too)

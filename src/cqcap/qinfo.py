@@ -6,7 +6,7 @@ channel containers. Validation and `_eigh` take a matrix or a stack
 
 A spectrum is (w, basis): `_eigh`'s eigenvalues and eigenvector columns
 for m > 2, `_qubit_spectra`'s eigenvalues and split w+ - w- for m = 2, with
-no LAPACK call (validation with `det_small`, the certificates without).
+no LAPACK call. Validation alone then takes w- = det/w+ where w- is small.
 Both `relative_entropy` and the certificates hand (sigma, w, basis) to
 `_divergences`, the one divergence entry. The branch depends on m alone.
 
@@ -61,23 +61,24 @@ def _reject(name: str, defect, tol: float, message: str) -> None:
 # the Hermitian part); the inf or NaN that follows is rejected by name, so
 # numpy's warnings would only be noise ahead of the error
 @np.errstate(over="ignore", invalid="ignore")
-def _hermitian(a, name: str) -> np.ndarray:
+def _hermitian(a, name: str) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     _reject(name, ~np.isfinite(a).all(axis=(-2, -1)), 0, "has non-finite entries")
-    gap = np.triu(np.abs(a - a.conj().swapaxes(-1, -2)), 1)  # diagonal checked next
+    a_h = a.conj().swapaxes(-1, -2)
+    gap = np.triu(np.abs(a - a_h), 1)  # diagonal checked next
     _reject(name, gap.max(axis=(-2, -1), initial=0.0), HERMITIAN_TOL,
             "is not Hermitian: max |A - A^H| = {:.3e}")
     _reject(name, np.abs(a.diagonal(axis1=-2, axis2=-1).imag).max(axis=-1, initial=0.0),
             HERMITIAN_TOL, "has a diagonal that is not real: max |Im A_kk| = {:.3e}")
-    return a
+    return a, a_h
 
 
 def validate_hermitian(a) -> np.ndarray:
     """Check a square matrix or stack (..., m, m) for finite entries, conjugate
     symmetry and a real diagonal to HERMITIAN_TOL; return it as complex128."""
-    return _hermitian(a, "matrix")
+    return _hermitian(a, "matrix")[0]
 
 
 # the closed-form spectrum also overflows on entries near the float64 limit
@@ -87,15 +88,29 @@ def _density_spectra(a, name: str):
     PSD, unit trace, each over every slice; return (Hermitian part
     (A + A^H)/2 as a new array, its eigenvalues desc, basis) in the form
     `_divergences` takes: one `_eigh` call over the stack and its
-    eigenvector columns for m > 2, `_qubit_spectra` with `det_small` and
-    its split (..., 1) for m = 2, with no LAPACK call. Every entry that
-    already equals its mirror's conjugate keeps its bits, so an exactly
-    Hermitian A comes back unchanged."""
-    a = _hermitian(a, name)
-    a_h = a.conj().swapaxes(-1, -2)
+    eigenvector columns for m > 2, `_qubit_spectra` and its split (..., 1)
+    for m = 2, with no LAPACK call. Every entry that already equals its
+    mirror's conjugate keeps its bits, so an exactly Hermitian A comes back
+    unchanged.
+
+    For m = 2, w- is det/w+ for det = a e - |b|^2 from `_qubit_det` on the
+    rows with b != 0 and |w-| < w+/16, where the difference form cancels,
+    and wherever that quotient is finite. Against a 50-digit spectrum the
+    entropies then stay within 2.4e-16 nats on random pure states, where
+    LAPACK reaches 1.1e-14, and within 2.2e-16 on Ginibre states. A
+    diagonal matrix keeps its diagonal, and a row with w+ <= 0 keeps the
+    difference form, so that a non-state is rejected with the value that
+    LAPACK gave. The certificates keep the difference form: the step would
+    cost an m = 2 iteration at B = 1 about 12 % (26.6 -> 29.7 us)."""
+    a, a_h = _hermitian(a, name)
     a = np.where(a == a_h, a, 0.5 * (a + a_h))
     if a.shape[-1] == 2:
-        w, split = _qubit_spectra(a.reshape(-1, 2, 2), det_small=True)
+        flat = a.reshape(-1, 2, 2)
+        w, split = _qubit_spectra(flat)
+        near = np.flatnonzero((flat[:, 1, 0] != 0.0) & (16.0 * np.abs(w[:, 1]) < w[:, 0]))
+        if len(near):
+            lo = _qubit_det(flat[near]) / w[near, 0]
+            w[near, 1] = np.where(np.isfinite(lo), lo, w[near, 1])
         w, basis = w.reshape(a.shape[:-1]), split.reshape(a.shape[:-2] + (1,))
     else:
         w, basis = _eigh(a)
@@ -111,11 +126,12 @@ def validate_distribution(p, n: int | None = None, *, rows: int | None = None,
     """Check an input distribution of n weights: finite, nonnegative (above 0
     with `positive`) and summing to 1 within DIST_SUM_TOL. With `rows` = B
     and n given, check a stack (B, n) of them instead, a defect named for its
-    lowest row as `name[k]`; complex weights are rejected, not cast. Return
-    the weights as float64; the caller's array is not changed."""
+    lowest row as `name[k]`; weights of any dtype but integer or float
+    (complex, string, boolean, object) are rejected, not cast. Return the
+    weights as float64; the caller's array is not changed."""
     p = np.asarray(p)
-    if np.iscomplexobj(p):
-        raise ValueError(f"{name} has complex weights")
+    if p.dtype.kind not in "iuf":
+        raise ValueError(f"{name} has {'complex' if p.dtype.kind == 'c' else p.dtype} weights")
     p = p.astype(np.float64, copy=False)
     want = (n,) if rows is None else (rows, n)
     if p.ndim != len(want) or (n is not None and p.shape != want):
@@ -258,24 +274,14 @@ def _qubit_det(sigma):
     return (p[0] - u) + (dp[0] - (dp[1] + dp[2] + du))
 
 
-def _qubit_spectra(sigma, det_small: bool = False):
+def _qubit_spectra(sigma):
     """(w, split) for a (B, 2, 2) Hermitian stack: its eigenvalues (w+, w-)
     as (B, 2), read from the real diagonal (a, e) and the lower entry b as
     LAPACK reads them, and their distance w+ - w- = 2 hypot(h, |b|) for
     h = |a - e|/2, floored at the smallest normal double, as (B, 1).
     w+- = max(a, e) +- (hypot(h, |b|) - h), so that a diagonal matrix has
-    its diagonal as its spectrum, bit for bit, as LAPACK gives it.
-
-    With `det_small`, w- is det/w+ for det = a e - |b|^2 from `_qubit_det`
-    on the rows with b != 0 and |w-| < w+/16, where hypot(h, |b|) - h
-    cancels, and wherever that quotient is finite. Against a 50-digit
-    spectrum the entropies then stay within 2.4e-16 nats on random pure
-    states, where LAPACK reaches 1.1e-14, and within 2.2e-16 on Ginibre
-    states. A diagonal matrix keeps its diagonal, and a row with w+ <= 0
-    keeps the difference form, so that validation rejects a non-state with
-    the value that LAPACK gave. `det_small` is a parameter for its two
-    callers: validation takes it; the certificates do not, since it would
-    cost an m = 2 iteration at B = 1 about 12 % (26.6 -> 29.7 us)."""
+    its diagonal as its spectrum, bit for bit, as LAPACK gives it; only
+    validation then replaces a small w- (`_density_spectra`)."""
     a, e = sigma[:, 0, 0].real, sigma[:, 1, 1].real
     big, small = np.maximum(a, e), np.minimum(a, e)
     # 0.5 (big - small) bit for bit but on a subnormal diagonal, and finite
@@ -287,12 +293,6 @@ def _qubit_spectra(sigma, det_small: bool = False):
     w = np.empty((len(a), 2))
     np.add(big, delta, out=w[:, 0])
     np.subtract(small, delta, out=w[:, 1])
-    if det_small:
-        # where |w-| < w+/16, small - delta cancels: take w- = det/w+ there
-        near = np.flatnonzero((b != 0.0) & (16.0 * np.abs(w[:, 1]) < w[:, 0]))
-        if len(near):
-            lo = _qubit_det(sigma[near]) / w[near, 0]
-            w[near, 1] = np.where(np.isfinite(lo), lo, w[near, 1])
     return w, np.maximum(r + r, _TINY)[:, None]
 
 
@@ -336,10 +336,10 @@ def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     max(d[b]) over every letter including zero-weight ones.
 
     The average states take their spectrum from `_eigh` for m > 2 and from
-    `_qubit_spectra` without `det_small` for m = 2, with no LAPACK call, and
-    the divergences from `_divergences`. The branch depends on m alone,
-    never on B, and both paths are row-wise, so a channel's bits do not
-    depend on its batch.
+    `_qubit_spectra` for m = 2, its difference form with no determinant step
+    and no LAPACK call, and the divergences from `_divergences`. The branch
+    depends on m alone, never on B, and both paths are row-wise, so a
+    channel's bits do not depend on its batch.
     """
     b, n, m = states.shape[:3]
     # the average states by one matmul over the flattened states, a dot per
@@ -366,7 +366,7 @@ def von_neumann_entropy(rho) -> float:
     a, w, _ = _density_spectra(rho, "rho")
     if a.ndim != 2:
         raise ValueError(f"rho must be a square matrix, got shape {a.shape}")
-    h = float(_entropy_from_eigs(*_log_eigs(w)))
+    h = float(_entropy_from_eigs(*_log_eigs(w))) + 0.0   # +0.0 for a pure state, not -0.0
     if not (-1e-10 <= h <= math.log(a.shape[0]) + 1e-10):
         raise ValueError(f"von Neumann entropy {h!r} nats outside [0, ln m] = "
                          f"[0, {math.log(a.shape[0])!r}] for m = {a.shape[0]}")

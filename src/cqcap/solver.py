@@ -201,14 +201,13 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
     size, n = entropies.shape
     # ln p of the iterate each row holds, every weight positive
     q = np.full((size, n), -math.log(n)) if start is None else np.log(start)
-    p = np.exp(q)   # a weight below the float64 range reads as 0
-    d, lower, upper = _certificates(p, states, entropies)
     rows = np.arange(size)        # batch index of each active row
     histories = [[] for _ in range(size)] if cfg.record_history else None
     out = _Rows(np.empty(size), np.empty(size), np.empty(size, dtype=int),
                 np.empty(size, dtype=np.int8), np.empty((size, n)), histories)
-    t = 0
-    while True:
+    for t in range(cfg.max_iters + 1):   # every row stops by t = max_iters
+        p = np.exp(q)   # a weight below the float64 range reads as 0
+        d, lower, upper = _certificates(p, states, entropies)
         if histories:
             for k, b in enumerate(rows):
                 histories[b].append(IterateRecord(t, float(lower[k]), float(upper[k]),
@@ -234,12 +233,8 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
             go = ~stop
             if not go.any():
                 return out
-            q, p, d, lower, upper, states, entropies, rows = (
-                v[go] for v in (q, p, d, lower, upper, states, entropies, rows))
+            q, d, states, entropies, rows = (v[go] for v in (q, d, states, entropies, rows))
         q = _log_normalize(q + d)
-        p = np.exp(q)
-        d, lower, upper = _certificates(p, states, entropies)
-        t += 1
 
 
 def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:

@@ -472,6 +472,10 @@ class TestMaxErrorByRange:
             max_error_by_range(cells, [0.4])
         with pytest.raises(ValueError, match="^cells is empty: need at least one sweep cell$"):
             max_error_by_range([], [0.6])
+        # NaN is not read as a point below the grid, nor True as R = 1.0
+        for r in (math.nan, True):
+            with pytest.raises(ValueError, match=f"^R must be finite and positive, got {r!r}$"):
+                max_error_by_range(cells, [r])
 
     def test_coarse_maxima_keep_the_bits_of_a_list_per_range(self):
         # the maxima of one list of cells per R, as max_error_by_range was

@@ -153,11 +153,14 @@ class TestCapacity:
 
     def test_wrong_shape_rejected(self, tmp_path, capsys):
         ket0 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
-        # a missing [re, im] level, then a string, an object and a ragged entry
+        # a missing [re, im] level, then a string, an object and a ragged
+        # entry, then a numeric string and a boolean, which a float cast reads
         for idx, states in ((0, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
                             (1, [ket0, [[[0, 0], [0, 0]], [[0, 0], "a"]]]),
                             (1, [ket0, [[[0, 0], {"a": 1}], [[0, 0], [1, 0]]]]),
-                            (1, [ket0, [[[0, 0], [0]], [[0, 0], [1, 0]]]])):
+                            (1, [ket0, [[[0, 0], [0]], [[0, 0], [1, 0]]]]),
+                            (1, [ket0, [[[0, 0], [0, 0]], [[0, 0], ["1", 0]]]]),
+                            (1, [ket0, [[[0, 0], [0, 0]], [[0, 0], [True, 0]]]])):
             path = tmp_path / "bad_shape.json"
             path.write_text(json.dumps({"dim": 2, "states": states}))
             assert main(["capacity", str(path)]) == EXIT_INPUT

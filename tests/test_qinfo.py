@@ -30,6 +30,9 @@ class TestVonNeumannEntropy:
     def test_pure_state(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
         assert von_neumann_entropy(plus) == pytest.approx(0.0, abs=1e-12)
+        # +0.0 like binary_entropy at its ends, not the -0.0 of -sum u ln u
+        for rho in (plus, KET0, np.diag([1.0, 0.0, 0.0]).astype(complex)):
+            assert math.copysign(1.0, von_neumann_entropy(rho)) == 1.0
 
     def test_binary_spectrum(self):
         expected = scalar_entropy_nats(0.9, 0.1)
@@ -316,7 +319,15 @@ class TestValidation:
                 validate_distribution(np.array(bad))
         with pytest.raises(ValueError, match="^distribution has complex weights"):
             validate_distribution(np.array([0.5 + 0.4j, 0.5]))
+        # strings, booleans and objects are refused, not cast
+        for bad, dtype in ((["0.5", "0.5"], "<U3"), ([True, False], "bool"),
+                           (np.array([0.5, 0.5], dtype=object), "object")):
+            with pytest.raises(ValueError, match=f"^distribution has {dtype} weights$"):
+                validate_distribution(bad)
+        with pytest.raises(ValueError, match="^distribution has <U3 weights$"):
+            holevo_information(["0.5", "0.5"], CqChannel(np.stack([KET0, KET1])))
         validate_distribution(np.array([0.5, 0.5]))
+        validate_distribution([1, 0])
 
 
 def _qubit_state_families():

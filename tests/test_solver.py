@@ -331,7 +331,10 @@ class TestSolveBatch:
                 ({1: [math.inf, 0.5], 2: [math.nan, 0.5]},
                  r"start\[1\] has a non-finite weight"),
                 ({2: [0.5, 0.4]}, r"start\[2\] does not sum to 1: \|sum - 1\| = 1.000e-01"),
-                (good + [[0.4j, 0.0], [0.0, 0.0], [0.0, 0.0]], r"start has complex weights")):
+                (good + [[0.4j, 0.0], [0.0, 0.0], [0.0, 0.0]], r"start has complex weights"),
+                ([["0.5", "0.5"]] * 3, r"start has <U3 weights$"),
+                ([[True, True]] * 3, r"start has bool weights$"),
+                (good.astype(object), r"start has object weights$")):
             if isinstance(rows, dict):
                 bad = good.copy()
                 for k, row in rows.items():

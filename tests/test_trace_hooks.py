@@ -5,15 +5,17 @@ otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite, and
 one more keeps the names README "Removed names" lists out of the package. A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Seven more guards keep file output in
-the CLI, every certificate evaluation in `qinfo._certificates`, every
-divergence in `qinfo._divergences`, every m = 2 path off LAPACK, every
-Bloch norm in `bloch._mixture_norm_sq`, the sweep's per-solve work in
+(`# noqa: F401`) listed in WRAPPED. Nine more guards keep file output in
+the CLI, every certificate evaluation in `qinfo._certificates`, one call
+site of it in the solver loop, every divergence in `qinfo._divergences`,
+every m = 2 path off LAPACK, `qinfo._qubit_spectra` without an option,
+every Bloch norm in `bloch._mixture_norm_sq`, the sweep's per-solve work in
 arrays and the harnesses' solver results in arrays."""
 
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -117,6 +119,18 @@ def test_one_certificate_routine(monkeypatch):
         calls.clear()
         call()
         assert len(calls) == 1
+
+
+def test_one_certificate_site_in_the_solver_loop():
+    # the loop evaluates the certificates at the top of each pass, once,
+    # not once before the loop and again after each update
+    assert inspect.getsource(cqcap.solver._solve_stacked).count("_certificates(") == 1
+
+
+def test_qubit_spectra_take_no_option():
+    # _qubit_spectra gives the difference form alone; validation's det/w+
+    # step lives in _density_spectra, so no flag picks between the two
+    assert list(inspect.signature(cqcap.qinfo._qubit_spectra).parameters) == ["sigma"]
 
 
 def test_qubit_certificates_make_no_eigh_call(monkeypatch):
