@@ -12,7 +12,6 @@ is the one `solve` gives for its channel alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -36,12 +35,11 @@ class BenchSpec:
         for field, kind in (("input_sizes", int), ("output_dims", int),
                             ("accuracies", float)):
             values = tuple(getattr(self, field))
-            if kind is int and not all(isinstance(v, numbers.Integral) and v >= 2
-                                       for v in values):
-                raise ValueError(f"{field} must be integers >= 2, got {values}")
-            if kind is float:   # before the cast, which would take True as 1.0
-                for a in values:
-                    _require_positive_finite("accuracy", a)
+            for v in values:   # before the cast, which would take True as 1.0
+                if kind is int:
+                    _require_integer(field, v, 2)
+                else:
+                    _require_positive_finite("accuracy", v)
             values = tuple(kind(v) for v in values)
             object.__setattr__(self, field, values)
             if not values:
@@ -83,18 +81,21 @@ def _ginibre_states(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
     """Ginibre density matrix: G G^H normalized to unit trace."""
-    if m < 1:
-        raise ValueError(f"dimension must be >= 1, got {m}")
+    _require_integer("m", m, 1)
     return _ginibre_states(1, m, rng)[0]
 
 
 def random_channel(n: int, m: int, rng: np.random.Generator) -> CqChannel:
     """Channel of n independent Ginibre states of dimension m."""
+    _require_integer("n", n, 1)   # CqChannel names n < 2 and m < 2
+    _require_integer("m", m, 1)
     return CqChannel(_ginibre_states(n, m, rng))
 
 
 def iteration_budget(n: int, accuracy: float) -> float:
     """Worst-case iteration count to certify `accuracy`: ln(n) / accuracy."""
+    _require_integer("n", n, 1)
+    _require_positive_finite("accuracy", accuracy)
     return math.log(n) / accuracy
 
 

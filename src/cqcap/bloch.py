@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qinfo import LN2, CqChannel
-from .solver import (SolverConfig, _require_gap_tol, _require_positive_finite, _solve_rows,
-                     batch_size)
+from .solver import (SolverConfig, _is_real, _require_gap_tol, _require_positive_finite,
+                     _solve_rows, batch_size)
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -54,11 +54,11 @@ class BinaryBlochChannel:
     theta: float     # angle between the Bloch vectors, in [0, pi]
 
     def __post_init__(self):
-        if not 0.5 <= self.lambda1 <= 1.0:
+        if not (_is_real(self.lambda1) and 0.5 <= self.lambda1 <= 1.0):
             raise ValueError(f"lambda1 must be in [0.5, 1], got {self.lambda1!r}")
-        if not 0.5 <= self.lambda2 <= 1.0:
+        if not (_is_real(self.lambda2) and 0.5 <= self.lambda2 <= 1.0):
             raise ValueError(f"lambda2 must be in [0.5, 1], got {self.lambda2!r}")
-        if not 0.0 <= self.theta <= math.pi:
+        if not (_is_real(self.theta) and 0.0 <= self.theta <= math.pi):
             raise ValueError(f"theta must be in [0, pi], got {self.theta!r}")
 
 
@@ -139,8 +139,9 @@ def realize_channel(ch: BinaryBlochChannel) -> CqChannel:
 
 def _mixture_norm_sq(lambda1, lambda2, cos_theta, p1):
     # |p1 r1 + (1-p1) r2|^2 by the law of cosines, broadcast or in mpmath;
-    # the p1 check of every Holevo function
-    if not np.all((0.0 <= p1) & (p1 <= 1.0)):
+    # the p1 check of every Holevo function: a real number or an integer or float array
+    if not ((_is_real(p1) or (isinstance(p1, np.ndarray) and p1.dtype.kind in "iuf"))
+            and np.all((0.0 <= p1) & (p1 <= 1.0))):
         raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
     a, b = p1 * (lambda1 - 0.5), (1.0 - p1) * (lambda2 - 0.5)
     return a * a + b * b + 2.0 * a * b * cos_theta
@@ -202,13 +203,16 @@ def approx_p1(lambda1, lambda2):
     as an approximation for every theta. A float for numbers, else an array
     of the broadcast shape whose entries equal the calls on each pair; a
     lambda outside [0.5, 1] raises what the call on the first such pair
-    raises.
+    raises, and so does an argument of any dtype but integer or float
+    (boolean, string, object), which is not cast.
     """
     lam1, lam2 = np.broadcast_arrays(lambda1, lambda2)
-    lam = np.array([lam1, lam2], dtype=float)
+    typed = lam1.dtype.kind in "iuf" and lam2.dtype.kind in "iuf"
+    lam = np.array([lam1, lam2], dtype=float) if typed else np.full((2, *lam1.shape), np.nan)
     bad = np.flatnonzero(~((0.5 <= lam) & (lam <= 1.0)).all(axis=0))
     if len(bad):
-        BinaryBlochChannel(lam1.flat[bad[0]].item(), lam2.flat[bad[0]].item(), 0.0)
+        BinaryBlochChannel(lam1.item(bad[0]), lam2.item(bad[0]), 0.0)
+        raise ValueError(f"lambdas must be integer or float, got {lam1.dtype}, {lam2.dtype}")
     (r1, r2), (h1, h2) = lam - 0.5, binary_entropy(lam)
     far = np.abs(r1 - r2) >= _APPROX_P1_CUTOFF
     span = np.where(far, r1 - r2, 1.0)

@@ -46,9 +46,15 @@ def batch_size(n: int, m: int) -> int:
     return max(1, BATCH_BYTES // (16 * n * m * m))
 
 
+def _is_real(value) -> bool:
+    """The one rule for a scalar parameter: a real number (numbers.Real), never
+    a boolean; np.bool_, strings, None and complex numbers are not numbers.Real."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_positive_finite(name: str, value: float) -> None:
-    """Reject a step or tolerance that is a boolean, NaN, infinite or not above 0."""
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0.0):
+    """Reject a step or tolerance that is not real, is NaN, infinite or not above 0."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 

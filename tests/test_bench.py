@@ -50,6 +50,16 @@ class TestRandomDensityMatrix:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             random_density_matrix(0, np.random.default_rng(0))
+        # True would otherwise pass as m = 1, and 2.5 fail inside numpy unnamed
+        for m in (True, 2.5):
+            with pytest.raises(ValueError, match=rf"^m must be an integer >= 1, got {m!r}$"):
+                random_density_matrix(m, np.random.default_rng(0))
+        for n, m, field in ((2.5, 2, "n"), (2, 2.5, "m"), (True, 2, "n"), (2, "2", "m")):
+            with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1"):
+                random_channel(n, m, np.random.default_rng(0))
+        # CqChannel still names a single letter
+        with pytest.raises(ValueError, match="need at least 2 input letters"):
+            random_channel(1, 2, np.random.default_rng(0))
 
     def test_one_draw_gives_the_states_of_the_per_state_loop(self):
         # the stream the benchmark's counts and workloads rest on: state by
@@ -137,15 +147,28 @@ class TestRunBench:
         # True would otherwise pass as 1 trial, False as seed 0 and True as a gap of 1.0
         args = {"input_sizes": (2,), "output_dims": (2,), "accuracies": (1e-3,)}
         for field, kwargs in (("trials", {"trials": True}), ("seed", {"seed": False}),
-                              ("accuracy", {"accuracies": (1e-3, True)})):
+                              ("accuracy", {"accuracies": (1e-3, True)}),
+                              ("accuracy", {"accuracies": ("1e-3",)})):
             with pytest.raises(ValueError, match=rf"^{field} must be"):
                 BenchSpec(**{**args, **kwargs})
+        # a string size is named with its value, not read as a number
+        with pytest.raises(ValueError, match=r"^input_sizes must be an integer >= 2, got '2'$"):
+            BenchSpec(**{**args, "input_sizes": ("2",)})
 
 
 class TestIterationBudget:
     def test_budget_values(self):
         assert iteration_budget(2, 1e-3) == pytest.approx(math.log(2) / 1e-3)
         assert iteration_budget(8, 1e-5) == pytest.approx(math.log(8) / 1e-5)
+
+    def test_rejects_bad_arguments(self):
+        # an accuracy of 0 would divide by zero, a fractional n take a log
+        for n, accuracy, field in ((2, 0, "accuracy"), (2, -1e-3, "accuracy"),
+                                   (2, math.nan, "accuracy"), (2, True, "accuracy"),
+                                   (2, "1e-3", "accuracy"), (2.5, 1e-3, "n"),
+                                   (0, 1e-3, "n"), (True, 1e-3, "n")):
+            with pytest.raises(ValueError, match=rf"^{field} must be"):
+                iteration_budget(n, accuracy)
 
     def test_real_runs_respect_budget(self):
         spec = BenchSpec((2, 5), (2,), (1e-3,), trials=10, seed=11)

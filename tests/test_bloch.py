@@ -81,6 +81,12 @@ class TestRealizeChannel:
             BinaryBlochChannel(0.8, 1.1, 1.0)
         with pytest.raises(ValueError):
             BinaryBlochChannel(0.8, 0.8, -0.1)
+        # True would otherwise pass as 1; a string or None is refused by name
+        for field in ("lambda1", "lambda2", "theta"):
+            for bad in (True, np.True_, "0.9", None):
+                args = {"lambda1": 0.8, "lambda2": 0.8, "theta": 1.0, field: bad}
+                with pytest.raises(ValueError, match=rf"^{field} must be in .*, got "):
+                    BinaryBlochChannel(**args)
 
 
 class TestHolevoFormula:
@@ -120,9 +126,12 @@ class TestHolevoFormula:
             one = holevo_bloch(ch, float(p1[idx]))
             assert type(one) is float
             assert np.float64(one).tobytes() == chi[idx].tobytes()
-        for bad in (p1 + 1.0, np.where(p1 > 0.5, math.nan, p1)):
-            with pytest.raises(ValueError, match="p1"):
-                cqcap.bloch._holevo_bits(lam1, lam2, theta, bad)
+        # booleans, strings and lists are refused, not read as 0, 1 or numbers
+        for bad in (p1 + 1.0, np.where(p1 > 0.5, math.nan, p1), p1 > 0.5, p1.astype(str),
+                    True, np.True_, "0.4", None, [0.3]):
+            for form in (cqcap.bloch._holevo_bits, cqcap.bloch._holevo_gradient_bits):
+                with pytest.raises(ValueError, match="^p1 must be in"):
+                    form(lam1, lam2, theta, bad)
 
     def test_matches_ensemble_computation(self):
         rng = np.random.default_rng(8)
@@ -246,8 +255,10 @@ class TestApproxP1:
         assert got.shape == (2, 4) and got.tobytes() == np.array(want).tobytes()
         assert approx_p1(0.8, lam2).tobytes() == \
             np.array([[approx_p1(0.8, b) for b in row] for row in lam2.tolist()]).tobytes()
+        # a boolean or string lambda is refused, not cast to 1.0 or parsed
         for bad1, bad2 in (([0.8, 0.4], [0.7, 0.9]), ([0.8, 0.9], [0.7, 1.2]),
-                           ([0.8, math.nan], [0.7, 0.7]), ([0.6, 0.3], [1.5, 0.7])):
+                           ([0.8, math.nan], [0.7, 0.7]), ([0.6, 0.3], [1.5, 0.7]),
+                           (["0.9", "0.8"], [0.7, 0.9]), ([0.8, 0.9], [True, False])):
             with pytest.raises(ValueError) as scalar:
                 for a, b in zip(bad1, bad2):
                     approx_p1(a, b)
@@ -428,10 +439,12 @@ class TestErrorSweep:
             <= MAX_SWEEP_SOLVES
 
     def test_grid_refuses_booleans(self):
-        # lambda_step=True would otherwise pass as 1.0, the one-point grid [0.5]
+        # lambda_step=True would otherwise pass as 1.0, the one-point grid [0.5];
+        # a string, None or a complex step is refused by name as well
         for field in ("lambda_step", "theta_step", "reference_gap_tol"):
-            with pytest.raises(ValueError, match=rf"^{field} must be"):
-                SweepGrid(**{field: True})
+            for value in (True, "1e-3", None, 1j):
+                with pytest.raises(ValueError, match=rf"^{field} must be"):
+                    SweepGrid(**{field: value})
 
     def test_default_axes_stay_inside_domains(self):
         # i * (pi/50) overshoots pi by one ulp at i = 50 without clamping
@@ -473,7 +486,7 @@ class TestMaxErrorByRange:
         with pytest.raises(ValueError, match="^cells is empty: need at least one sweep cell$"):
             max_error_by_range([], [0.6])
         # NaN is not read as a point below the grid, nor True as R = 1.0
-        for r in (math.nan, True):
+        for r in (math.nan, True, "1e-3", None, 1j):
             with pytest.raises(ValueError, match=f"^R must be finite and positive, got {r!r}$"):
                 max_error_by_range(cells, [r])
 

@@ -235,9 +235,11 @@ class TestSolve:
         assert SolverConfig(max_iters=np.int64(10)).max_iters == 10
 
     def test_config_refuses_booleans(self):
-        # True would otherwise pass as a one-iteration budget or a gap of 1
+        # True would otherwise pass as a one-iteration budget or a gap of 1;
+        # a string, None or a complex gap is refused by name as well
         for field, value in (("max_iters", True), ("max_iters", False),
-                             ("gap_tol", True), ("gap_tol", np.True_)):
+                             ("gap_tol", True), ("gap_tol", np.True_), ("gap_tol", "1e-3"),
+                             ("gap_tol", None), ("gap_tol", 1j)):
             with pytest.raises(ValueError, match=rf"^{field} must be"):
                 SolverConfig(**{field: value})
 
@@ -521,8 +523,8 @@ class TestKktCheck:
         ch = z_channel()
         report = solve(ch, SolverConfig(gap_tol=1e-6, max_iters=2))
         assert not report.converged and report.upper - report.lower > 1e-2
-        for tol in (math.nan, 0.0, -1e-5, True):
-            with pytest.raises(ValueError, match="tol"):
+        for tol in (math.nan, 0.0, -1e-5, True, "1e-3", None, 1j):
+            with pytest.raises(ValueError, match="^tol must be"):
                 optimality_kkt_check(report, ch, tol)
 
     def test_rejects_a_report_of_another_input_size(self):

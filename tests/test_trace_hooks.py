@@ -5,12 +5,13 @@ otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite, and
 one more keeps the names README "Removed names" lists out of the package. A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Nine more guards keep file output in
-the CLI, every certificate evaluation in `qinfo._certificates`, one call
-site of it in the solver loop, every divergence in `qinfo._divergences`,
-every m = 2 path off LAPACK, `qinfo._qubit_spectra` without an option,
-every Bloch norm in `bloch._mixture_norm_sq`, the sweep's per-solve work in
-arrays and the harnesses' solver results in arrays."""
+(`# noqa: F401`) listed in WRAPPED. Ten more guards keep file output in
+the CLI, the rule for a scalar parameter in `solver.py`, every certificate
+evaluation in `qinfo._certificates`, one call site of it in the solver
+loop, every divergence in `qinfo._divergences`, every m = 2 path off
+LAPACK, `qinfo._qubit_spectra` without an option, every Bloch norm in
+`bloch._mixture_norm_sq`, the sweep's per-solve work in arrays and the
+harnesses' solver results in arrays."""
 
 import dataclasses
 import importlib
@@ -73,6 +74,15 @@ def test_only_the_cli_opens_files():
     openers = sorted(str(path.relative_to(package)) for path in package.rglob("*.py")
                      if path.name != "cli.py" and "open(" in path.read_text())
     assert openers == []
+
+
+def test_only_the_solver_imports_numbers():
+    # what a scalar parameter is (solver._is_real, solver._require_integer)
+    # is said once; every other module asks the solver's checks
+    package = Path(cqcap.__file__).resolve().parent
+    importers = sorted(path.name for path in package.glob("*.py")
+                       if re.search(r"^\s*(import|from) numbers\b", path.read_text(), re.M))
+    assert importers == ["solver.py"]
 
 
 def test_every_exported_name_resolves():
