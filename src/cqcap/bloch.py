@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qinfo import LN2, CqChannel
+from .qinfo import LN2, CqChannel, _entropy_from_eigs, _log_eigs
 from .solver import (SolverConfig, _is_real, _require_gap_tol, _require_positive_finite,
-                     _solve_rows, batch_size)
+                     _solve_stacked, batch_size)
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -161,19 +161,25 @@ def holevo_bloch(ch: BinaryBlochChannel, p1: float) -> float:
     return float(_holevo_bits(ch.lambda1, ch.lambda2, ch.theta, p1))
 
 
-def _holevo_gradient_bits(lambda1, lambda2, theta, p1):
-    # the d/dp1 of holevo_bloch_gradient, broadcast over its arguments; NaN
-    # where it raises GradientBoundaryError
+def _gradient_in_p1(lambda1, lambda2, theta):
+    # the d/dp1 of holevo_bloch_gradient as a function of p1, broadcast over
+    # the arguments, with the lambda and theta terms computed once; NaN where
+    # it raises GradientBoundaryError
     r1, r2, cos_t = lambda1 - 0.5, lambda2 - 0.5, np.cos(theta)
-    norm = np.sqrt(np.maximum(_mixture_norm_sq(lambda1, lambda2, cos_t, p1), 0.0))
-    dnsq = 2.0 * p1 * r1 * r1 - 2.0 * (1.0 - p1) * r2 * r2 \
-        + (2.0 - 4.0 * p1) * r1 * r2 * cos_t
-    tail = 0.5 - norm  # = 1 - mu without cancellation, mu the top eigenvalue
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (np.log(tail) - np.log(0.5 + norm)) / LN2  # S'(1/2 + N)
-        mix_term = np.where(norm > 1e-9, slope / (2.0 * norm) * dnsq, (-2.0 / LN2) * dnsq)
-    mix_term = np.where(tail > 1e-15, mix_term, np.where(np.abs(dnsq) <= 1e-15, 0.0, np.nan))
-    return mix_term - binary_entropy(lambda1) + binary_entropy(lambda2)
+    h1, h2 = binary_entropy(lambda1), binary_entropy(lambda2)
+
+    def gradient(p1):
+        norm = np.sqrt(np.maximum(_mixture_norm_sq(lambda1, lambda2, cos_t, p1), 0.0))
+        dnsq = 2.0 * p1 * r1 * r1 - 2.0 * (1.0 - p1) * r2 * r2 \
+            + (2.0 - 4.0 * p1) * r1 * r2 * cos_t
+        tail = 0.5 - norm  # = 1 - mu without cancellation, mu the top eigenvalue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (np.log(tail) - np.log(0.5 + norm)) / LN2  # S'(1/2 + N)
+            mix_term = np.where(norm > 1e-9, slope / (2.0 * norm) * dnsq, (-2.0 / LN2) * dnsq)
+        mix_term = np.where(tail > 1e-15, mix_term,
+                            np.where(np.abs(dnsq) <= 1e-15, 0.0, np.nan))
+        return mix_term - h1 + h2
+    return gradient
 
 
 def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
@@ -185,7 +191,7 @@ def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
     binary entropy diverges and GradientBoundaryError is raised, unless the
     norm is stationary there (identical pure states, gradient 0).
     """
-    grad = float(_holevo_gradient_bits(ch.lambda1, ch.lambda2, ch.theta, p1))
+    grad = float(_gradient_in_p1(ch.lambda1, ch.lambda2, ch.theta)(p1))
     if math.isnan(grad):
         raise GradientBoundaryError(f"pure mixture at p1={p1!r}: entropy slope diverges")
     return grad
@@ -203,12 +209,15 @@ def approx_p1(lambda1, lambda2):
     as an approximation for every theta. A float for numbers, else an array
     of the broadcast shape whose entries equal the calls on each pair; a
     lambda outside [0.5, 1] raises what the call on the first such pair
-    raises, and so does an argument of any dtype but integer or float
-    (boolean, string, object), which is not cast.
+    raises, and so does any entry of an object array but a real number
+    (Fraction, mpmath.mpf: cast entry by entry) and an argument of any other
+    dtype but integer or float (boolean, string), which is not cast.
     """
     lam1, lam2 = np.broadcast_arrays(lambda1, lambda2)
-    typed = lam1.dtype.kind in "iuf" and lam2.dtype.kind in "iuf"
-    lam = np.array([lam1, lam2], dtype=float) if typed else np.full((2, *lam1.shape), np.nan)
+    # NaN marks an entry that the range check below refuses
+    lam = np.array([a if a.dtype.kind in "iuf" else np.reshape(
+        [float(v) if a.dtype.kind == "O" and _is_real(v) and 0.5 <= v <= 1.0 else math.nan
+         for v in a.flat], a.shape) for a in (lam1, lam2)], dtype=float)
     bad = np.flatnonzero(~((0.5 <= lam) & (lam <= 1.0)).all(axis=0))
     if len(bad):
         BinaryBlochChannel(lam1.item(bad[0]), lam2.item(bad[0]), 0.0)
@@ -292,10 +301,11 @@ def _refined_p1(lambda1, lambda2, theta, p1):
     inside [1/e, 1 - 1/e], the window of every optimum (approx_p1); elsewhere
     the previous value stays, so an input inside the window stays in it."""
     low, high = math.exp(-1.0), 1.0 - math.exp(-1.0)
+    gradient = _gradient_in_p1(lambda1, lambda2, theta)
     x0, x1 = p1 - np.copysign(1e-3, p1 - 0.5), p1
-    g0 = _holevo_gradient_bits(lambda1, lambda2, theta, x0)
+    g0 = gradient(x0)
     for _ in range(4):
-        g1 = _holevo_gradient_bits(lambda1, lambda2, theta, x1)
+        g1 = gradient(x1)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = x1 - g1 * (x1 - x0) / (g1 - g0)
         x0, g0 = x1, g1
@@ -324,8 +334,9 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     reference stays within reference_gap_tol of the capacity whatever its
     start, but it equals a solo solve only from the same start, not from
     `solve`'s uniform one. A cell's `iterations` and `max_iterations` count
-    the updates of its reference solves. The solves are read as arrays from
-    `_solve_rows`, with no report per row.
+    the updates of its reference solves. The states of a checked grid go
+    unvalidated to the solver loop `_solve_stacked`, with the entropies of
+    their spectra {lambda_i, 1 - lambda_i}, and no report is built per row.
     """
     lams, thetas = np.array(grid.lambda_values()), np.array(grid.theta_values())
     cfg = SolverConfig(gap_tol=grid.reference_gap_tol)
@@ -338,11 +349,14 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     upper = np.triu(np.ones((len(lams), len(lams)), dtype=bool))   # lambda1 <= lambda2
     solved = np.flatnonzero(np.repeat(upper.ravel(), len(thetas)))
     start = _refined_p1(l1[solved], l2[solved], theta[solved], p1[solved])
+    # H(rho_i) from the spectra {lambda_i, 1 - lambda_i}, in validation's form
+    lam = np.stack([l1[solved], l2[solved]], axis=1)
+    entropies = _entropy_from_eigs(*_log_eigs(np.stack([lam, 1.0 - lam], axis=2)))
     size = batch_size(2, 2)
     for first in range(0, len(solved), size):
         part, w = solved[first:first + size], start[first:first + size]
-        rows = _solve_rows(_bloch_states(l1[part], l2[part], theta[part]), cfg,
-                           start=np.stack([w, 1.0 - w], axis=1))
+        rows = _solve_stacked(_bloch_states(l1[part], l2[part], theta[part]),
+                              entropies[first:first + size], cfg, np.stack([w, 1.0 - w], axis=1))
         lower[part], iters[part], ok[part] = rows.lower, rows.iterations, rows.converged
     for v in (lower, iters, ok):   # a lambda1 > lambda2 cell from its mirror
         square = v.reshape(len(lams), len(lams), len(thetas))

@@ -11,8 +11,8 @@ two certificates pinch to gap_tol.
 `solve_batch` runs the iteration for a (B, n, m, m) stack of channels in
 lockstep, from the uniform distribution or from given ones; `solve` is its
 one-channel case from the uniform distribution. Both build their reports
-from the arrays of `_solve_rows`, which the sweep and the benchmark read
-directly, in calls of `batch_size(n, m)` channels.
+from the arrays of `_solve_rows`, which the benchmark reads directly, in
+calls of `batch_size(n, m)` channels; the sweep calls its loop, `_solve_stacked`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .qinfo import _eigh  # noqa: F401  (rebound by perfbench/tracing.py)
 
 log = logging.getLogger(__name__)
 
-# Bytes of stacked states the sweep and the benchmark pass to one solve_batch
+# Bytes of stacked states the sweep and the benchmark pass to one solver
 # call: 4096 binary qubit channels (the coarse sweep's 726 solved rows in one
 # call) or 64 with n = m = 8. A stack is validated as a whole, so its
 # temporaries grow with its bytes: `cqcap bench --n 8 --m 8 --acc 1e-2
@@ -190,8 +190,8 @@ def solve_batch(states, cfg: SolverConfig | None = None, *,
 
 
 def _solve_rows(states, cfg: SolverConfig, start=None) -> _Rows:
-    """solve_batch's checks and loop, its results as arrays: the harnesses
-    read them without building a report per channel."""
+    """solve_batch's checks and loop, its results as arrays: the benchmark
+    reads them without building a report per channel."""
     states, entropies = _channel_states(states, batch=True)
     if start is not None:
         size, n = entropies.shape

@@ -9,9 +9,12 @@ Known red check: criterion 06 asserts the approximation-error bound
 error at the (0.84..0.85, 0.95) boundary cells with theta = pi is
 ~4.26e-4 bits (confirmed independently by the iterative solver, by
 high-precision golden-section search, and by bisection on the analytic
-gradient), so the closed-square bound cannot pass. The bound does hold
-strictly below 0.95 (max ~2.71e-4 on the 0.01 grid capped at 0.94);
-criterion 06b asserts that form and passes.
+gradient), so the closed-square bound cannot pass. Nor does it hold
+strictly below 0.95: at theta = pi the maximum over lambda2 on the edge
+lambda1 = R is 4.25e-4 bits at R = 0.9499 and 3.389e-4 at 0.945, and scans
+put the largest R for which 3e-4 holds at about 0.9423. Criterion 06b
+asserts the bound on the square capped at 0.94 (max ~2.71e-4 on the 0.01
+grid) and passes.
 """
 
 import math
@@ -170,8 +173,8 @@ def test_06_approximation_error_bound(coarse_sweep_cells):
         (f"max sweep error over lambda in [0.5, 0.95] is {max_err:.6e} bits "
          "> 3e-4; the excess comes from cells with one lambda exactly 0.95 "
          "at theta = pi and is a property of the approximation itself, "
-         "reproduced by independent oracles. The bound holds strictly below "
-         "0.95 (see test_06b).")
+         "reproduced by independent oracles. The bound holds only below "
+         "about R = 0.9423, and at R = 0.94 (see test_06b).")
 
 
 def test_06b_approximation_error_bound_interior(coarse_sweep_cells):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,8 +12,8 @@ from cqcap.bloch import (MAX_SWEEP_SOLVES, BinaryBlochChannel, GradientBoundaryE
                          exact_p1, holevo_bloch, holevo_bloch_gradient,
                          max_error_by_range, realize_channel)
 from cqcap.cli import main
-from cqcap.qinfo import holevo_information
-from cqcap.solver import SolverConfig, _solve_rows, solve, solve_batch
+from cqcap.qinfo import _channel_states, holevo_information
+from cqcap.solver import SolverConfig, _solve_stacked, solve, solve_batch
 
 LN2 = math.log(2.0)
 
@@ -129,7 +130,8 @@ class TestHolevoFormula:
         # booleans, strings and lists are refused, not read as 0, 1 or numbers
         for bad in (p1 + 1.0, np.where(p1 > 0.5, math.nan, p1), p1 > 0.5, p1.astype(str),
                     True, np.True_, "0.4", None, [0.3]):
-            for form in (cqcap.bloch._holevo_bits, cqcap.bloch._holevo_gradient_bits):
+            for form in (cqcap.bloch._holevo_bits,
+                         lambda *a: cqcap.bloch._gradient_in_p1(*a[:3])(a[3])):
                 with pytest.raises(ValueError, match="^p1 must be in"):
                     form(lam1, lam2, theta, bad)
 
@@ -255,10 +257,20 @@ class TestApproxP1:
         assert got.shape == (2, 4) and got.tobytes() == np.array(want).tobytes()
         assert approx_p1(0.8, lam2).tobytes() == \
             np.array([[approx_p1(0.8, b) for b in row] for row in lam2.tolist()]).tobytes()
-        # a boolean or string lambda is refused, not cast to 1.0 or parsed
+        # real numbers that numpy keeps as objects count as their floats
+        assert approx_p1(Fraction(9, 10), 0.7) == approx_p1(0.9, 0.7)
+        assert approx_p1(mpmath.mpf(0.9), 0.7) == approx_p1(0.9, 0.7)
+        mixed = np.array([[Fraction(4, 5), mpmath.mpf(0.5), 1, 0.7 + 1e-9],
+                          [0.6, Fraction(93, 100), mpmath.mpf(0.5), 1.0]], dtype=object)
+        assert approx_p1(mixed, lam2).tobytes() == got.tobytes()
+        # a boolean or string lambda is refused, not cast to 1.0 or parsed,
+        # in an object array too
         for bad1, bad2 in (([0.8, 0.4], [0.7, 0.9]), ([0.8, 0.9], [0.7, 1.2]),
                            ([0.8, math.nan], [0.7, 0.7]), ([0.6, 0.3], [1.5, 0.7]),
-                           (["0.9", "0.8"], [0.7, 0.9]), ([0.8, 0.9], [True, False])):
+                           (["0.9", "0.8"], [0.7, 0.9]), ([0.8, 0.9], [True, False]),
+                           (np.array([0.8, True], dtype=object), [0.7, 0.9]),
+                           (np.array([0.8, "0.9"], dtype=object), [0.7, 0.9]),
+                           ([Fraction(4, 5), Fraction(2, 5)], [0.7, 0.9])):
             with pytest.raises(ValueError) as scalar:
                 for a, b in zip(bad1, bad2):
                     approx_p1(a, b)
@@ -343,8 +355,9 @@ class TestErrorSweep:
         grid = SweepGrid(lambda_step=0.05, theta_step=math.pi / 10,
                          reference_gap_tol=1e-6)
         warm = error_sweep(grid)
-        monkeypatch.setattr(cqcap.bloch, "_solve_rows",
-                            lambda states, cfg, start: _solve_rows(states, cfg))
+        monkeypatch.setattr(cqcap.bloch, "_solve_stacked",
+                            lambda states, entropies, cfg, start:
+                            _solve_stacked(states, entropies, cfg))
         uniform = error_sweep(grid)
         assert all(c.ba_converged for c in warm + uniform)
         for w, u in zip(warm, uniform):
@@ -366,9 +379,9 @@ class TestErrorSweep:
                          reference_gap_tol=1e-6)
         lams, thetas = grid.lambda_values(), grid.theta_values()
         solved = []
-        monkeypatch.setattr(cqcap.bloch, "_solve_rows",
-                            lambda states, cfg, start: solved.append(states)
-                            or _solve_rows(states, cfg, start=start))
+        monkeypatch.setattr(cqcap.bloch, "_solve_stacked",
+                            lambda states, entropies, cfg, start: solved.append(states)
+                            or _solve_stacked(states, entropies, cfg, start))
         cells = error_sweep(grid)
         solved = np.concatenate(solved)
         assert len(solved) == len(lams) * (len(lams) + 1) // 2 * len(thetas)
@@ -391,6 +404,29 @@ class TestErrorSweep:
             assert (cell.iterations, cell.max_iterations, cell.ba_converged) == \
                 (sum(counts), max(counts), all(reports[i].converged for i in rows))
             assert abs(cell.error_bits - error) <= 1e-15
+
+    @pytest.mark.parametrize("grid", [SweepGrid(0.05, math.pi / 10, 1e-6), SweepGrid()],
+                             ids=["coarse", "paper"])
+    def test_closed_form_entropies_match_validation(self, grid, monkeypatch):
+        # the sweep hands the states it builds and their closed-form entropies
+        # to the solver loop unvalidated; validation accepts those states
+        # unchanged, and its entropies agree: bit for bit for the diagonal
+        # state 1, within 2e-15 nats for the tilted state 2 (1.3e-15 coarse,
+        # 1.5e-15 paper measured)
+        passed = []
+        monkeypatch.setattr(cqcap.bloch, "_solve_stacked",
+                            lambda states, entropies, cfg, start: passed.append(
+                                (states, entropies)) or _solve_stacked(states, entropies,
+                                                                       cfg, start))
+        cells = error_sweep(grid)
+        states, entropies = (np.concatenate(v) for v in zip(*passed))
+        lams = len(grid.lambda_values())
+        assert len(states) == lams * (lams + 1) // 2 * len(grid.theta_values())
+        checked, validated = _channel_states(states, batch=True)
+        assert checked.tobytes() == states.tobytes()
+        assert entropies[:, 0].tobytes() == validated[:, 0].tobytes()
+        assert np.abs(entropies - validated).max() <= 2e-15
+        assert all(c.ba_converged for c in cells)
 
     def test_every_cell_converges_at_the_floor_gap(self):
         # from the unrefined closed-form input the rows at theta = 46 pi / 50

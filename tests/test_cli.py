@@ -293,21 +293,25 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
     import cqcap.bench
     import cqcap.bloch
     calls = []
-    for module in (cqcap.bloch, cqcap.bench):
-        real = module._solve_rows
-        monkeypatch.setattr(module, "_solve_rows",
-                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    for module, name in ((cqcap.bloch, "_solve_stacked"), (cqcap.bench, "_solve_rows")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, module=module, **k:
+                            calls.append(module.__name__) or real(*a, **k))
     missing = str(tmp_path / "missing" / "out.csv")
     sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
              "--ref-eps", "1e-5"]
+    bench = ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2"]
+    # the patches see the solves of a valid sweep and bench
+    assert main(sweep + ["--out", str(tmp_path / "first.csv")]) == EXIT_OK
+    assert main(bench) == EXIT_OK
+    assert sorted(set(calls)) == ["cqcap.bench", "cqcap.bloch"]
+    calls.clear()
+    capsys.readouterr()
     for argv in (sweep + ["--out", missing],
                  sweep + ["--out", ""], sweep + ["--out", "."], sweep + ["--out", "/"],
                  sweep + ["--out", str(tmp_path / "ok.csv"), "--range-out", missing],
                  sweep + ["--out", str(tmp_path / "ok.csv"), "--range-out", ""],
-                 ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
-                  "--out", missing],
-                 ["bench", "--n", "2", "--m", "2", "--acc", "1e-2", "--trials", "2",
-                  "--out", ""]):
+                 bench + ["--out", missing], bench + ["--out", ""]):
         assert main(argv) == EXIT_INPUT
         assert "error: cannot write output" in capsys.readouterr().err
     assert calls == []
@@ -316,12 +320,15 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
 def test_same_sweep_outputs_fail_before_any_solve(tmp_path, monkeypatch, capsys):
     import cqcap.bloch
     calls = []
-    real = cqcap.bloch._solve_rows
-    monkeypatch.setattr(cqcap.bloch, "_solve_rows",
+    real = cqcap.bloch._solve_stacked
+    monkeypatch.setattr(cqcap.bloch, "_solve_stacked",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     monkeypatch.chdir(tmp_path)
     sweep = ["sweep", "--lambda-step", "0.2", "--theta-step", "1.5",
              "--ref-eps", "1e-5"]
+    assert main(sweep) == EXIT_OK and calls   # the patch sees a valid sweep's solves
+    calls.clear()
+    capsys.readouterr()
     for out, range_out in (("same.csv", "same.csv"), ("same.csv", "./same.csv"),
                            (str(tmp_path / "same.csv"), "same.csv")):
         assert main(sweep + ["--out", out, "--range-out", range_out]) == EXIT_INPUT

@@ -442,18 +442,20 @@ class TestSolveBatch:
         assert batch_size(2, 10**6) == 1
 
     def test_harnesses_split_at_the_byte_budget(self, monkeypatch):
+        grid = SweepGrid(lambda_step=0.25, theta_step=1.5, reference_gap_tol=1e-6)
+        whole = error_sweep(grid)   # one call of the loop
         # 640 bytes hold 5 channels with n = m = 2 or 3 with n = 3, m = 2
         monkeypatch.setattr(cqcap.solver, "BATCH_BYTES", 640)
         calls = []
-        real = cqcap.solver._solve_rows
-        for module in (cqcap.bloch, cqcap.bench):
-            monkeypatch.setattr(module, "_solve_rows",
-                                lambda states, cfg, **kw: calls.append(len(states))
-                                or real(states, cfg, **kw))
+        # the sweep calls the loop on the states it builds, the bench validates first
+        for module, name in ((cqcap.bloch, "_solve_stacked"), (cqcap.bench, "_solve_rows")):
+            monkeypatch.setattr(module, name,
+                                lambda states, *args, real=getattr(cqcap.solver, name), **kw:
+                                calls.append(len(states)) or real(states, *args, **kw))
         # the sweep solves the 6 cells with lambda1 <= lambda2 at 3 thetas each
-        grid = SweepGrid(lambda_step=0.25, theta_step=1.5, reference_gap_tol=1e-6)
         cells = error_sweep(grid)
         assert calls == [5, 5, 5, 3]
+        assert cells == whole   # the split moves no bit
         cfg = SolverConfig(gap_tol=1e-6)
         for cell in cells:
             errors, counts = [], []
@@ -468,8 +470,11 @@ class TestSolveBatch:
                 assert report.converged
                 errors.append(abs(holevo_bloch(ch, p_hat) - report.lower / LN2))
                 counts.append(report.iterations)
-            assert (cell.error_bits, cell.ba_converged, cell.iterations,
-                    cell.max_iterations) == (max(errors), True, sum(counts), max(counts))
+            # the sweep's closed-form entropies lie within 2e-15 nats of
+            # validation's (test_closed_form_entropies_match_validation)
+            assert abs(cell.error_bits - max(errors)) <= 2e-15 / LN2
+            assert (cell.ba_converged, cell.iterations, cell.max_iterations) == \
+                (True, sum(counts), max(counts))
         calls.clear()
         spec = BenchSpec((2, 3), (2,), (1e-2,), trials=7, seed=3)
         results = run_bench(spec)

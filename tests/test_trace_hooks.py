@@ -5,13 +5,14 @@ otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite, and
 one more keeps the names README "Removed names" lists out of the package. A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Ten more guards keep file output in
+(`# noqa: F401`) listed in WRAPPED. Twelve more guards keep file output in
 the CLI, the rule for a scalar parameter in `solver.py`, every certificate
 evaluation in `qinfo._certificates`, one call site of it in the solver
 loop, every divergence in `qinfo._divergences`, every m = 2 path off
 LAPACK, `qinfo._qubit_spectra` without an option, every Bloch norm in
-`bloch._mixture_norm_sq`, the sweep's per-solve work in arrays and the
-harnesses' solver results in arrays."""
+`bloch._mixture_norm_sq`, the sweep's per-solve work in arrays, the
+sweep's states out of validation, the secant loop's lambda terms computed
+once and the harnesses' solver results in arrays."""
 
 import dataclasses
 import importlib
@@ -224,6 +225,36 @@ def test_the_sweep_builds_no_channel_per_solve(monkeypatch):
     assert counts["holevo_bloch"] == 0
     assert counts["realize_channel"] == 0
     assert counts["__post_init__"] == 0
+
+
+def test_the_sweep_validates_no_state_it_builds(monkeypatch):
+    # error_sweep builds its states from a checked SweepGrid and hands them,
+    # with their closed-form entropies, to solver._solve_stacked: no
+    # qinfo._density_spectra or solver._channel_states call (the states
+    # are checked in the suite, test_closed_form_entropies_match_validation)
+    calls, states = [], random_channel(2, 2, trial_rng(0, 2, 2, 0, 0)).states[None]
+    for owner, name in ((cqcap.qinfo, "_density_spectra"), (cqcap.solver, "_channel_states")):
+        monkeypatch.setattr(owner, name, lambda *args, real=getattr(owner, name), name=name,
+                            **kw: calls.append(name) or real(*args, **kw))
+    grid = cqcap.bloch.SweepGrid(lambda_step=0.25, theta_step=1.0, reference_gap_tol=1e-4)
+    assert len(cqcap.bloch.error_sweep(grid)) == 9
+    assert calls == []
+    # the patches see solve_batch's validation
+    cqcap.solver.solve_batch(states)
+    assert calls == ["_channel_states", "_density_spectra"]
+
+
+def test_the_secant_loop_computes_its_lambda_terms_once(monkeypatch):
+    # _refined_p1 takes h(lambda1) and h(lambda2) once per call, not once
+    # per gradient evaluation of its secant steps
+    calls = []
+    real = cqcap.bloch.binary_entropy
+    monkeypatch.setattr(cqcap.bloch, "binary_entropy", lambda x: calls.append(1) or real(x))
+    l1, l2, theta = np.array([0.9, 0.6, 0.8]), np.array([0.7, 0.95, 0.8]), np.ones(3)
+    p1 = cqcap.bloch.approx_p1(l1, l2)
+    calls.clear()
+    cqcap.bloch._refined_p1(l1, l2, theta, p1)
+    assert len(calls) == 2
 
 
 def test_the_harnesses_build_no_report_per_row(monkeypatch):
