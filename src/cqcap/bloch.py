@@ -197,6 +197,11 @@ def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
     return grad
 
 
+def _lambda_or_nan(value) -> float:
+    # a lambda BinaryBlochChannel accepts as a float, NaN for any other value
+    return float(value) if _is_real(value) and 0.5 <= value <= 1.0 else math.nan
+
+
 def approx_p1(lambda1, lambda2):
     """Closed-form approximate maximizer of the Holevo quantity over p1.
 
@@ -209,19 +214,17 @@ def approx_p1(lambda1, lambda2):
     as an approximation for every theta. A float for numbers, else an array
     of the broadcast shape whose entries equal the calls on each pair; a
     lambda outside [0.5, 1] raises what the call on the first such pair
-    raises, and so does any entry of an object array but a real number
-    (Fraction, mpmath.mpf: cast entry by entry) and an argument of any other
-    dtype but integer or float (boolean, string), which is not cast.
+    raises. An argument of any dtype but integer or float is read entry by
+    entry under BinaryBlochChannel's rule: a real number (Fraction,
+    mpmath.mpf) is cast to float, a boolean or string raises.
     """
     lam1, lam2 = np.broadcast_arrays(lambda1, lambda2)
-    # NaN marks an entry that the range check below refuses
-    lam = np.array([a if a.dtype.kind in "iuf" else np.reshape(
-        [float(v) if a.dtype.kind == "O" and _is_real(v) and 0.5 <= v <= 1.0 else math.nan
-         for v in a.flat], a.shape) for a in (lam1, lam2)], dtype=float)
+    lam = np.array([a if a.dtype.kind in "iuf" else
+                    np.reshape([_lambda_or_nan(v) for v in a.flat], a.shape)
+                    for a in (lam1, lam2)], dtype=float)
     bad = np.flatnonzero(~((0.5 <= lam) & (lam <= 1.0)).all(axis=0))
-    if len(bad):
+    if len(bad):   # BinaryBlochChannel refuses every entry outside [0.5, 1] or NaN
         BinaryBlochChannel(lam1.item(bad[0]), lam2.item(bad[0]), 0.0)
-        raise ValueError(f"lambdas must be integer or float, got {lam1.dtype}, {lam2.dtype}")
     (r1, r2), (h1, h2) = lam - 0.5, binary_entropy(lam)
     far = np.abs(r1 - r2) >= _APPROX_P1_CUTOFF
     span = np.where(far, r1 - r2, 1.0)

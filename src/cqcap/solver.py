@@ -200,10 +200,11 @@ def _solve_rows(states, cfg: SolverConfig, start=None) -> _Rows:
 
 
 def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
-    """The iteration loop of solve_batch and solve, on validated states
-    (B, n, m, m) and their entropies (B, n), from the checked (B, n)
-    distributions `start` or the uniform one. A row that stops is written
-    into the arrays it returns at its batch index."""
+    """The iteration loop of solve_batch and solve on states (B, n, m, m),
+    validated or exact Hermitian unit-trace PSD stacks built by code
+    (bloch._bloch_states), with the entropies (B, n) of their spectra, from
+    the checked (B, n) distributions `start` or the uniform one. A row that
+    stops is written into the arrays it returns at its batch index."""
     size, n = entropies.shape
     # ln p of the iterate each row holds, every weight positive
     q = np.full((size, n), -math.log(n)) if start is None else np.log(start)

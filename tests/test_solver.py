@@ -12,7 +12,8 @@ from cqcap.bench import (BenchSpec, _ginibre_states, iteration_budget, random_ch
                          run_bench, trial_rng)
 from cqcap.bloch import (BinaryBlochChannel, SweepGrid, approx_p1, error_sweep,
                          holevo_bloch, realize_channel)
-from cqcap.qinfo import SUPPORT_TOL, CqChannel, holevo_information
+from cqcap.qinfo import (SUPPORT_TOL, CqChannel, _entropy_from_eigs, _log_eigs,
+                         holevo_information)
 from cqcap.solver import (GAP_TOL_FLOOR, STOP_REASONS, SolveReport, SolverConfig,
                           _solve_rows, batch_size, optimality_kkt_check, solve,
                           solve_batch, upper_bound)
@@ -462,19 +463,20 @@ class TestSolveBatch:
             p_hat = approx_p1(cell.lambda1, cell.lambda2)
             mirror = (min(cell.lambda1, cell.lambda2), max(cell.lambda1, cell.lambda2))
             p_mirror = approx_p1(*mirror)
+            # the sweep's entropies, from the spectra {lambda_i, 1 - lambda_i}
+            spectra = np.array([[lam, 1.0 - lam] for lam in mirror])
+            entropies = _entropy_from_eigs(*_log_eigs(spectra))
             for theta in grid.theta_values():
                 ch = BinaryBlochChannel(cell.lambda1, cell.lambda2, theta)
                 solved = realize_channel(BinaryBlochChannel(*mirror, theta))
                 w = float(cqcap.bloch._refined_p1(*mirror, theta, np.float64(p_mirror)))
-                report, = solve_batch(solved.states[None], cfg, start=[[w, 1.0 - w]])
-                assert report.converged
-                errors.append(abs(holevo_bloch(ch, p_hat) - report.lower / LN2))
-                counts.append(report.iterations)
-            # the sweep's closed-form entropies lie within 2e-15 nats of
-            # validation's (test_closed_form_entropies_match_validation)
-            assert abs(cell.error_bits - max(errors)) <= 2e-15 / LN2
-            assert (cell.ba_converged, cell.iterations, cell.max_iterations) == \
-                (True, sum(counts), max(counts))
+                rows = cqcap.solver._solve_stacked(solved.states[None], entropies[None], cfg,
+                                                   np.array([[w, 1.0 - w]]))
+                assert rows.converged[0]
+                errors.append(abs(holevo_bloch(ch, p_hat) - rows.lower[0] / LN2))
+                counts.append(int(rows.iterations[0]))
+            assert (cell.error_bits, cell.ba_converged, cell.iterations,
+                    cell.max_iterations) == (max(errors), True, sum(counts), max(counts))
         calls.clear()
         spec = BenchSpec((2, 3), (2,), (1e-2,), trials=7, seed=3)
         results = run_bench(spec)
