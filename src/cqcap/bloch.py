@@ -26,18 +26,16 @@ from .solver import (SolverConfig, _is_real, _require_gap_tol, _require_positive
                      _solve_stacked, batch_size)
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# mpmath digits of exact_p1 and of approx_p1's near-equal branch; at 40 the
-# oracle missed the theta = 0 optimum by up to 1.9e-5 with lambdas 1e-14 apart
+# mpmath digits of exact_p1 and of approx_p1's near-equal branch; with lambdas
+# 1 ulp to 1e-4 apart exact_p1's proof fails on 448 of 2784 channels at 50, 0 at 60
 _EXACT_P1_DPS = 60
 # |lambda1 - lambda2| below which approx_p1 leaves float64: against the same
 # expression at 50 digits its error is 2.2e-11 at 1e-3 and 0.26 at 1e-8
 _APPROX_P1_CUTOFF = 1e-3
-_EXACT_P1_TOL = 1e-10   # width of the final golden-section bracket
-# Largest sweep accepted, in grid rows (lambda values^2 * theta values), each
-# scored by the closed form though only the lambda1 <= lambda2 rows are
-# solved: 15x the paper-scale default grid of 132,651 rows (67,626 solves),
-# which takes about 0.14 s in process on a 2-core x86-64 host, so a mistyped
+_EXACT_P1_TOL = 1e-12   # half-width of exact_p1's bracket, proven in mpmath.iv
+# Largest sweep accepted, in grid rows (lambda values^2 * theta values), all
+# scored by the closed form and the lambda1 <= lambda2 half solved: 15x the
+# paper-scale default grid of 132,651 rows (67,626 solves), so a mistyped
 # step is refused at once instead of filling memory or running for days.
 MAX_SWEEP_SOLVES = 2_000_000
 
@@ -241,60 +239,62 @@ def approx_p1(lambda1, lambda2):
 def _approx_p1_mp(lambda1: float, lambda2: float) -> float:
     # approx_p1's expression at _EXACT_P1_DPS digits, for distinct lambdas
     # closer than _APPROX_P1_CUTOFF
-    import mpmath
-    with mpmath.workdps(_EXACT_P1_DPS):
-        r1, r2 = mpmath.mpf(lambda1 - 0.5), mpmath.mpf(lambda2 - 0.5)
-        y = (_binary_entropy_mp(lambda1) - _binary_entropy_mp(lambda2)) / (r1 - r2)
-        return float((-mpmath.tanh(y * mpmath.ln2 / 2) / 2 - r2) / (r1 - r2))
+    from mpmath import mp
+    with mp.workdps(_EXACT_P1_DPS):
+        r1, r2 = mp.mpf(lambda1 - 0.5), mp.mpf(lambda2 - 0.5)
+        y = (_binary_entropy_mp(lambda1, mp) - _binary_entropy_mp(lambda2, mp)) / (r1 - r2)
+        return float((-mp.tanh(y * mp.ln2 / 2) / 2 - r2) / (r1 - r2))
 
 
-def _binary_entropy_mp(x):
-    # binary_entropy at the working precision of mpmath
-    import mpmath
-    x = mpmath.mpf(x)
+def _binary_entropy_mp(x, ctx):
+    # binary_entropy in the mpmath context ctx: mpmath.mp, or mpmath.iv for an enclosure
+    x = ctx.mpf(x)
     if x <= 0 or x >= 1:
-        return mpmath.mpf(0)
-    return -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2))
+        return ctx.mpf(0)
+    return -(x * ctx.log(x, 2) + (1 - x) * ctx.log(1 - x, 2))
 
 
-def _holevo_mp(lambda1, lambda2, theta, p1):
-    # holevo_bloch's closed form in mpmath, for the 1-D search oracle
-    import mpmath
-    lam1, lam2, p = mpmath.mpf(lambda1), mpmath.mpf(lambda2), mpmath.mpf(p1)
-    nsq = _mixture_norm_sq(lam1, lam2, mpmath.cos(mpmath.mpf(theta)), p)
-    norm = mpmath.sqrt(nsq) if nsq > 0 else mpmath.mpf(0)
-    return (_binary_entropy_mp(mpmath.mpf(0.5) + norm) - p * _binary_entropy_mp(lam1)
-            - (1 - p) * _binary_entropy_mp(lam2))
+def _holevo_mp(lambda1, lambda2, theta, p1, ctx):
+    # holevo_bloch's closed form in the mpmath context ctx, for exact_p1
+    lam1, lam2, p = ctx.mpf(lambda1), ctx.mpf(lambda2), ctx.mpf(p1)
+    nsq = _mixture_norm_sq(lam1, lam2, ctx.cos(ctx.mpf(theta)), p)
+    # abs turns an interval that reaches below 0 into [0, hi], which encloses the norm
+    return (_binary_entropy_mp(ctx.sqrt(abs(nsq)) + 0.5, ctx) - p * _binary_entropy_mp(lam1, ctx)
+            - (1 - p) * _binary_entropy_mp(lam2, ctx))
 
 
 def exact_p1(ch: BinaryBlochChannel) -> float:
-    """Maximizer of holevo_bloch over p1 to within _EXACT_P1_TOL, by
-    golden-section search on [0, 1].
+    """Maximizer of holevo_bloch over p1, proven to within _EXACT_P1_TOL.
 
-    The objective is concave in p1, so the search bracket is valid. It is
-    evaluated in extended precision: near the maximum the float64 surface
-    is flat to within roundoff once the curvature is small (for example
-    when the radii nearly agree), and comparisons at machine precision
-    would stall the bracket around sqrt(eps / |chi''|), well short of
-    _EXACT_P1_TOL.
+    1/2 for equal lambdas, where chi is symmetric about it. Else Newton steps
+    on chi at _EXACT_P1_DPS digits polish `_refined_p1`'s float64 value to a
+    float p, and concavity proves it: chi(p - tol) < chi(p) > chi(p + tol) in
+    mpmath.iv interval arithmetic puts the maximizer within tol of p. Where
+    the intervals do not separate ArithmeticError is raised, not a value.
     """
-    import mpmath
-    with mpmath.workdps(_EXACT_P1_DPS):
-        a, b = 0.0, 1.0
-        inner = _INV_PHI * (b - a)
-        c, d = b - inner, a + inner
-        fc = _holevo_mp(ch.lambda1, ch.lambda2, ch.theta, c)
-        fd = _holevo_mp(ch.lambda1, ch.lambda2, ch.theta, d)
-        while b - a > _EXACT_P1_TOL:
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - _INV_PHI * (b - a)
-                fc = _holevo_mp(ch.lambda1, ch.lambda2, ch.theta, c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INV_PHI * (b - a)
-                fd = _holevo_mp(ch.lambda1, ch.lambda2, ch.theta, d)
-    return 0.5 * (a + b)
+    if ch.lambda1 == ch.lambda2:
+        return 0.5
+    from mpmath import iv, mp
+    args = (float(ch.lambda1), float(ch.lambda2), float(ch.theta))
+    with mp.workdps(_EXACT_P1_DPS):
+        def chi(x):
+            return _holevo_mp(*args, x, mp)
+        p = mp.mpf(float(_refined_p1(*args, approx_p1(*args[:2]))))
+        for _ in range(8):   # Newton steps; 2 from the float64 start on the channels tried
+            step = mp.diff(chi, p) / mp.diff(chi, p, 2)
+            if abs(step) < 1e-30 or not 0 < p - step < 1:
+                break   # done, or out of the domain: the proof below refuses
+            p -= step
+        p = float(p)
+    dps, iv.dps = iv.dps, _EXACT_P1_DPS   # iv has no workdps
+    try:
+        low, mid, high = (_holevo_mp(*args, iv.mpf(p) + k * _EXACT_P1_TOL, iv) for k in (-1, 0, 1))
+        if low < mid > high:
+            return p
+    finally:
+        iv.dps = dps
+    raise ArithmeticError(f"the maximizer of chi for {ch} is not proven within "
+                          f"{_EXACT_P1_TOL} of {p!r} at {_EXACT_P1_DPS} digits")
 
 
 def _refined_p1(lambda1, lambda2, theta, p1):

@@ -168,8 +168,8 @@ def _cmd_approx(args) -> int:
     ch = _checked(BinaryBlochChannel, args.lambda1, args.lambda2, args.theta)
     p_hat = approx_p1(args.lambda1, args.lambda2)
     chi_hat = holevo_bloch(ch, p_hat)
-    p_best = exact_p1(ch)
-    chi_best = holevo_bloch(ch, p_best)
+    # chi at the maximizer is at least both float64 readings, which can agree to roundoff
+    chi_best = max(holevo_bloch(ch, exact_p1(ch)), chi_hat)
     print(f"p_hat       : {_fmt_vec([p_hat, 1.0 - p_hat])}")
     print(f"chi_hat     : {chi_hat:.6f} bits")
     print(f"chi_exact   : {chi_best:.6f} bits")

@@ -11,8 +11,8 @@ two certificates pinch to gap_tol.
 `solve_batch` runs the iteration for a (B, n, m, m) stack of channels in
 lockstep, from the uniform distribution or from given ones; `solve` is its
 one-channel case from the uniform distribution. Both build their reports
-from the arrays of `_solve_rows`, which the benchmark reads directly, in
-calls of `batch_size(n, m)` channels; the sweep calls its loop, `_solve_stacked`.
+from the arrays of the loop `_solve_stacked`, `solve_batch` through the
+checks of `_solve_rows`; the benchmark calls `_solve_rows`, the sweep the loop.
 """
 
 from __future__ import annotations

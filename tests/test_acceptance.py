@@ -7,9 +7,9 @@ them); tolerances are pinned here and are not calibration knobs.
 Known red check: criterion 06 asserts the approximation-error bound
 3e-4 bits on the closed square lambda1, lambda2 in [0.5, 0.95]. The true
 error at the (0.84..0.85, 0.95) boundary cells with theta = pi is
-~4.26e-4 bits (confirmed independently by the iterative solver, by
-high-precision golden-section search, and by bisection on the analytic
-gradient), so the closed-square bound cannot pass. Nor does it hold
+~4.26e-4 bits (confirmed independently by the iterative solver, by the
+maximizer exact_p1 proves in interval arithmetic, and by bisection on the
+analytic gradient), so the closed-square bound cannot pass. Nor does it hold
 strictly below 0.95: at theta = pi the maximum over lambda2 on the edge
 lambda1 = R is 4.25e-4 bits at R = 0.9499 and 3.389e-4 at 0.945, and scans
 put the largest R for which 3e-4 holds at about 0.9423. Criterion 06b

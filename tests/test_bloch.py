@@ -233,6 +233,14 @@ class TestApproxP1:
                 if 0.5 <= other <= 1.0:
                     exact = exact_p1(BinaryBlochChannel(lam, other, 0.0))
                     assert abs(approx_p1(lam, other) - exact) <= 1e-8, (lam, other)
+            # the ulp-apart pairs are proven off theta = 0 too: cos(1e-300)
+            # rounds to 1 at 60 digits, and at pi the symmetric limit is 1/2
+            for other in others[:2]:
+                if 0.5 <= other <= 1.0:
+                    assert exact_p1(BinaryBlochChannel(lam, other, 1e-300)) \
+                        == exact_p1(BinaryBlochChannel(lam, other, 0.0)), (lam, other)
+                    assert abs(exact_p1(BinaryBlochChannel(lam, other, math.pi)) - 0.5) \
+                        <= 1e-9, (lam, other)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -281,12 +289,27 @@ class TestApproxP1:
 
 class TestExactP1:
     def test_symmetric(self):
-        assert exact_p1(BinaryBlochChannel(0.85, 0.85, 1.1)) \
-            == pytest.approx(0.5, abs=1e-9)
+        # equal lambdas make chi symmetric about 1/2, flat at theta = 0
+        for ch in ((0.85, 0.85, 1.1), (0.8, 0.8, 0.0), (0.5, 0.5, 0.0), (1.0, 1.0, 0.0)):
+            assert exact_p1(BinaryBlochChannel(*ch)) == 0.5, ch
 
     def test_z_channel(self):
         assert exact_p1(BinaryBlochChannel(1.0, 0.5, 0.0)) \
             == pytest.approx(0.6, abs=1e-9)
+        # real numbers other than floats count as their floats
+        assert exact_p1(BinaryBlochChannel(Fraction(1), Fraction(1, 2), 0)) \
+            == exact_p1(BinaryBlochChannel(1.0, 0.5, 0.0))
+
+    def test_an_unproven_bracket_raises(self, monkeypatch):
+        # too few digits to separate the interval values of chi at p and at
+        # p -/+ 1e-12, about |chi''| 5e-25 apart: a float64-scale curvature
+        # at 15 digits, lambdas 1 ulp apart (|chi''| near 1e-32) at 40
+        dps = mpmath.iv.dps
+        for digits, ch in ((15, (0.9, 0.7, 1.0)), (40, (0.75, 0.7500000000000001, 0.0))):
+            monkeypatch.setattr(cqcap.bloch, "_EXACT_P1_DPS", digits)
+            with pytest.raises(ArithmeticError, match="not proven"):
+                exact_p1(BinaryBlochChannel(*ch))
+            assert mpmath.iv.dps == dps
 
     def test_maximizer_dominates_approximation(self):
         rng = np.random.default_rng(52)

@@ -237,6 +237,17 @@ class TestApprox:
         gap = float(gap_line.split(":")[1].split()[0])
         assert 0.0 <= gap <= 3e-4
 
+    def test_gap_is_never_negative(self, capsys):
+        # at theta = 0 float64 chi at exact_p1 and at p_hat agree to roundoff
+        # and read in either order; chi_exact is the larger reading, so the
+        # gap does not print as -0.000000
+        rng = np.random.default_rng(5)
+        for lam1, lam2 in rng.uniform(0.5, 1.0, (40, 2)).tolist():
+            assert main(["approx", "--lambda1", repr(lam1), "--lambda2", repr(lam2),
+                         "--theta", "0"]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "gap         : 0.000000 bits" in out, (lam1, lam2)
+
     def test_out_of_range_arguments(self, capsys):
         assert main(["approx", "--lambda1", "0.2", "--lambda2", "0.8",
                      "--theta", "1.0"]) == EXIT_INPUT

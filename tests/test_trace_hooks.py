@@ -5,14 +5,15 @@ otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite, and
 one more keeps the names README "Removed names" lists out of the package. A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Twelve more guards keep file output in
+(`# noqa: F401`) listed in WRAPPED. Thirteen more guards keep file output in
 the CLI, the rule for a scalar parameter in `solver.py`, every certificate
 evaluation in `qinfo._certificates`, one call site of it in the solver
 loop, every divergence in `qinfo._divergences`, every m = 2 path off
 LAPACK, `qinfo._qubit_spectra` without an option, every Bloch norm in
-`bloch._mixture_norm_sq`, the sweep's per-solve work in arrays, the
-sweep's states out of validation, the secant loop's lambda terms computed
-once and the harnesses' solver results in arrays."""
+`bloch._mixture_norm_sq`, one search in `bloch.exact_p1`, the sweep's
+per-solve work in arrays, the sweep's states out of validation, the secant
+loop's lambda terms computed once and the harnesses' solver results in
+arrays."""
 
 import dataclasses
 import importlib
@@ -103,7 +104,7 @@ REMOVED = (
     ("cqcap.qinfo", "average_state"), ("cqcap.qinfo", "validate_density"),
     ("cqcap.bloch", "write_sweep_csv"), ("cqcap.bloch", "write_range_csv"),
     ("cqcap.bench", "write_bench_csv"), ("cqcap.bench", "format_bench_table"),
-    ("cqcap", "hermitian"),
+    ("cqcap.bloch", "_INV_PHI"), ("cqcap", "hermitian"),
 )
 
 
@@ -205,6 +206,25 @@ def test_one_bloch_norm(monkeypatch):
         calls.clear()
         call()
         assert calls
+
+
+def test_exact_p1_runs_one_search(monkeypatch):
+    # exact_p1 starts from the float64 secant of _refined_p1, called once, and
+    # evaluates _holevo_mp in mpmath.mp to polish that value (two Newton
+    # steps of five values here; golden section to 1e-10 took about 50) and
+    # in mpmath.iv at three points to prove it: no search of its own
+    import mpmath
+    calls, contexts = [], []
+    real_start, real_chi = cqcap.bloch._refined_p1, cqcap.bloch._holevo_mp
+    monkeypatch.setattr(cqcap.bloch, "_refined_p1",
+                        lambda *args: calls.append(1) or real_start(*args))
+    monkeypatch.setattr(cqcap.bloch, "_holevo_mp",
+                        lambda *args: contexts.append(args[-1]) or real_chi(*args))
+    cqcap.bloch.exact_p1(cqcap.bloch.BinaryBlochChannel(0.9, 0.7, 1.0))
+    assert len(calls) == 1
+    assert contexts.count(mpmath.iv) == 3
+    assert 0 < contexts.count(mpmath.mp) <= 15
+    assert len(contexts) == contexts.count(mpmath.iv) + contexts.count(mpmath.mp)
 
 
 def test_the_sweep_builds_no_channel_per_solve(monkeypatch):
