@@ -302,7 +302,9 @@ def _refined_p1(lambda1, lambda2, theta, p1):
     p1 -/+ 1e-3 (towards 1/2), towards the maximizer of holevo_bloch: arrays
     of one shape in, one out. A step is kept only where it is finite and
     inside [1/e, 1 - 1/e], the window of every optimum (approx_p1); elsewhere
-    the previous value stays, so an input inside the window stays in it."""
+    the previous value stays, so an input inside the window stays in it.
+    Where cos theta rounds to 1, p1 (approx_p1's exact maximizer) stays: the
+    float64 gradient cancels there as the lambdas meet."""
     low, high = math.exp(-1.0), 1.0 - math.exp(-1.0)
     gradient = _gradient_in_p1(lambda1, lambda2, theta)
     x0, x1 = p1 - np.copysign(1e-3, p1 - 0.5), p1
@@ -313,7 +315,7 @@ def _refined_p1(lambda1, lambda2, theta, p1):
             x = x1 - g1 * (x1 - x0) / (g1 - g0)
         x0, g0 = x1, g1
         x1 = np.where(np.isfinite(x) & (low <= x) & (x <= high), x, x1)
-    return x1
+    return np.where(np.cos(theta) == 1.0, p1, x1)
 
 
 def error_sweep(grid: SweepGrid) -> list[SweepCell]:

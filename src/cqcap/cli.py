@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -120,10 +119,6 @@ def _fmt_vec(values) -> str:
     return " ".join(f"{v:.6f}" for v in values)
 
 
-def _json_float(x: float):
-    return x if math.isfinite(x) else None
-
-
 def _cmd_capacity(args) -> int:
     ch = load_channel_file(args.channel_file)
     cfg = _checked(SolverConfig, gap_tol=args.eps, max_iters=args.max_iter,
@@ -131,11 +126,11 @@ def _cmd_capacity(args) -> int:
     report = solve(ch, cfg)
     if args.format == "json":
         payload = {
-            "capacity_bits": _json_float(report.capacity_bits),
-            "capacity_nats": _json_float(report.capacity_nats),
-            "lower_nats": _json_float(report.lower),
-            "upper_nats": _json_float(report.upper),
-            "gap_nats": _json_float(report.upper - report.lower),
+            "capacity_bits": report.capacity_bits,
+            "capacity_nats": report.capacity_nats,
+            "lower_nats": report.lower,
+            "upper_nats": report.upper,
+            "gap_nats": report.upper - report.lower,
             "iterations": report.iterations,
             "converged": report.converged,
             "stop_reason": report.stop_reason,
@@ -143,8 +138,7 @@ def _cmd_capacity(args) -> int:
         }
         if report.history is not None:
             payload["history"] = [
-                {"t": rec.t, "lower_nats": _json_float(rec.lower),
-                 "upper_nats": _json_float(rec.upper), "p": list(rec.p)}
+                {"t": rec.t, "lower_nats": rec.lower, "upper_nats": rec.upper, "p": list(rec.p)}
                 for rec in report.history]
         print(json.dumps(payload))
     else:

@@ -11,9 +11,9 @@ Both `relative_entropy` and the certificates hand (sigma, w, basis) to
 `_divergences`, the one divergence entry. The branch depends on m alone.
 
 Entropies and the log of an average state keep every positive eigenvalue
-(0 ln 0 = 0). SUPPORT_TOL is the cutoff of the support test of a relative
-entropy only: mass above it along an eigenvector whose eigenvalue is at or
-below it makes the divergence +inf."""
+(0 ln 0 = 0). `_support_rule` lifts an eigenvalue at or below SUPPORT_TOL to
+the largest share p_x mass_k(x) along it; only a zero-weight letter (rho in
+`relative_entropy`) with mass above SUPPORT_TOL there gets +inf."""
 
 from __future__ import annotations
 
@@ -217,22 +217,44 @@ def _entropy_from_eigs(u, ln_u):
     return -(u[..., None, :] @ ln_u[..., :, None])[..., 0, 0]
 
 
-def _divergences(states, neg_h, sigma, w, basis, ln_w) -> np.ndarray:
+def _support_rule(ln_p, w, ln_w, mass_of):
+    """(ln_w, outside) for log-weights ln p (B, n), a spectrum w (B, k) with
+    ln_w from _log_eigs and mass_of(rows), each letter's mass along each
+    eigenvector of those rows (rows, n, k); outside is None if w > SUPPORT_TOL.
+    sigma >= p_x rho_x, so a w_k <= SUPPORT_TOL is at least max_x p_x
+    mass_k(x): ln w_k is lifted to that share, as ln p_x + ln mass_k(x) (a
+    weight below the float64 range counts). Only a zero-weight letter with
+    mass above SUPPORT_TOL along such an eigenvector is outside (+inf)."""
+    if w.min() > SUPPORT_TOL:
+        return ln_w, None
+    cut = np.flatnonzero(w.min(axis=1) <= SUPPORT_TOL)
+    mass, small, ln_w = mass_of(cut), w[cut] <= SUPPORT_TOL, ln_w.copy()
+    with np.errstate(divide="ignore"):
+        share = (ln_p[cut, :, None] + np.log(np.maximum(mass, 0.0))).max(axis=1)
+    lift = small & (share > np.where(w[cut] > 0.0, ln_w[cut], -math.inf))
+    ln_w[cut] = np.where(lift, share, ln_w[cut])
+    outside = np.zeros(ln_p.shape, dtype=bool)
+    outside[cut] = np.isneginf(ln_p[cut]) & (small[:, None] & (mass > SUPPORT_TOL)).any(axis=2)
+    return ln_w, outside
+
+
+def _divergences(states, neg_h, sigma, w, basis, ln_w, ln_p) -> np.ndarray:
     """D(rho_x || sigma_b) in nats for every slice rho_x = states[b, x], as a
     (B, n) array: the one divergence entry, for every m.
 
     `states` is a (B, n, m, m) stack, `neg_h` holds -H(rho_x) as (B, n, 1)
     or anything that broadcasts to it, sigma the (B, m, m) sigma_b, (w, basis)
-    their spectra as `_density_spectra` gives them and ln_w the log of w from
-    _log_eigs. m = 2 goes to `_qubit_divergences`; m > 2 reads the (B, m, m)
-    eigenvector columns, not sigma.
-    ln sigma keeps every positive eigenvalue, the cutoff of the entropies; a
-    letter whose mass along an eigenvector with eigenvalue at or below
-    SUPPORT_TOL exceeds SUPPORT_TOL lies outside sigma's support and gets +inf.
+    their spectra as `_density_spectra` gives them, ln_w the log of w from
+    _log_eigs and ln_p (B, n) the letters' log-weights in sigma_b. m = 2 goes
+    to `_qubit_divergences`; m > 2 reads the (B, m, m) eigenvector columns,
+    not sigma. ln sigma keeps every positive eigenvalue, the cutoff of the
+    entropies, lifted by `_support_rule`, which puts the only +inf.
     """
     b, n, m = states.shape[:3]
     if m == 2:
-        return _qubit_divergences(states, neg_h, sigma, w, basis, ln_w)
+        return _qubit_divergences(states, neg_h, sigma, w, basis, ln_w, ln_p)
+    ln_w, outside = _support_rule(ln_p, w, ln_w, lambda cut: np.einsum(
+        "bik,bxij,bjk->bxk", basis[cut].conj(), states[cut], basis[cut]).real)
     # (ln sigma)^T = conj(V) diag(ln w) V^T, so that Tr(rho_x ln sigma) is the
     # flat product of rho_x with it: one matmul per channel, which sums each
     # row in the same order whatever B is, so a channel's bits do not depend
@@ -240,13 +262,8 @@ def _divergences(states, neg_h, sigma, w, basis, ln_w) -> np.ndarray:
     log_sigma_t = (basis.conj() * ln_w[:, None, :]) @ basis.swapaxes(-1, -2)
     trace = states.reshape(b, n, m * m) @ log_sigma_t.reshape(b, m * m, 1)
     d = (neg_h - trace.real)[..., 0]
-    if not w.min() > SUPPORT_TOL:
-        keep = w > SUPPORT_TOL
-        cut = np.flatnonzero(~keep.all(axis=1))
-        vc = basis[cut]
-        overlaps = np.einsum("bik,bxij,bjk->bxk", vc.conj(), states[cut], vc).real
-        outside = np.any((overlaps > SUPPORT_TOL) & ~keep[cut, None, :], axis=2)
-        d[cut] = np.where(outside, math.inf, d[cut])
+    if outside is not None:
+        d[outside] = math.inf
     return d
 
 
@@ -296,7 +313,7 @@ def _qubit_spectra(sigma):
     return w, np.maximum(r + r, _TINY)[:, None]
 
 
-def _qubit_divergences(states, neg_h, sigma, w, split, ln_w) -> np.ndarray:
+def _qubit_divergences(states, neg_h, sigma, w, split, ln_w, ln_p) -> np.ndarray:
     """_divergences for m = 2 in closed form, from sigma itself and its
     spectrum (w, split) from _qubit_spectra instead of eigenvectors.
 
@@ -304,8 +321,8 @@ def _qubit_divergences(states, neg_h, sigma, w, split, ln_w) -> np.ndarray:
     P- = I - P+ (P+ = 0 where w+ = w-), and ln sigma = ln w+ P+ + ln w- P-.
     They are formed entry by entry, so a diagonal sigma gets exact 0s and 1s
     and the bits of the LAPACK path. Tr(rho_x P-) is the mass of rho_x along
-    the small eigenvector that the support rule of _divergences tests. Every
-    step is row-wise, so a channel's bits do not depend on its batch.
+    the small eigenvector that `_support_rule` reads. Every step is
+    row-wise, so a channel's bits do not depend on its batch.
     """
     b, n = states.shape[:2]
     lo = w[:, 1:]
@@ -317,23 +334,24 @@ def _qubit_divergences(states, neg_h, sigma, w, split, ln_w) -> np.ndarray:
     p_plus = sigma.view(np.float64).reshape(b, 8) - lo * _EYE2
     p_plus /= split
     p_minus = _EYE2 - p_plus
-    log_sigma = ln_w[:, :1] * p_plus + ln_w[:, 1:] * p_minus
+    ln_lo, outside = _support_rule(ln_p, lo, ln_w[:, 1:],
+                                   lambda cut: views[cut] @ p_minus[cut, :, None])
+    log_sigma = ln_w[:, :1] * p_plus + ln_lo * p_minus
     d = (neg_h - views @ log_sigma[:, :, None])[..., 0]
-    if not lo.min() > SUPPORT_TOL:
-        cut = np.flatnonzero(lo[:, 0] <= SUPPORT_TOL)
-        mass = (views[cut] @ p_minus[cut, :, None])[..., 0]
-        d[cut] = np.where(mass > SUPPORT_TOL, math.inf, d[cut])
+    if outside is not None:
+        d[outside] = math.inf
     return d
 
 
-def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
+def _certificates(p: np.ndarray, ln_p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     """Per-letter relative entropies to the average states plus both bounds,
     for B channels of one shape at once.
 
-    `p` is (B, n), `states` (B, n, m, m) and `entropies` (B, n). Returns
-    (d, lower, upper) where d[b, x] = D(rho_x || rho_p) with +inf on support
-    violations, lower[b] is the Holevo information of p[b] and upper[b] is
-    max(d[b]) over every letter including zero-weight ones.
+    `p` is (B, n), `ln_p` its log as the loop carries it (finite where p
+    underflows to 0, -inf at a zero weight), `states` (B, n, m, m) and
+    `entropies` (B, n). Returns (d, lower, upper): d[b, x] = D(rho_x || rho_p),
+    +inf only for a zero-weight letter outside rho_p's support, lower[b] the
+    Holevo information of p[b], upper[b] max(d[b]) over every letter.
 
     The average states take their spectrum from `_eigh` for m > 2 and from
     `_qubit_spectra` for m = 2, its difference form with no determinant step
@@ -348,7 +366,7 @@ def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
     neg_h = -entropies[:, :, None]
     w, basis = _qubit_spectra(sigma) if m == 2 else _eigh(sigma)
     u, ln_u = _log_eigs(w)
-    d = _divergences(states, neg_h, sigma, w, basis, ln_u)
+    d = _divergences(states, neg_h, sigma, w, basis, ln_u, ln_p)
     # -H(rho_x) summed, not subtracted, keeps a zero Holevo value at +0.0 (a
     # pure spectrum has entropy -0.0); a matmul per row, as in _divergences
     lower = _entropy_from_eigs(u, ln_u) + (p[:, None, :] @ neg_h)[:, 0, 0]
@@ -356,8 +374,9 @@ def _certificates(p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
 
 
 def _certificates_of(p: np.ndarray, ch: CqChannel):
-    """_certificates for one channel, through a leading axis of 1."""
-    d, lower, upper = _certificates(p[None], ch.states[None], ch.entropies[None])
+    """_certificates for one channel, through a leading axis of 1 (ln 0 = -inf)."""
+    ln_p = np.log(p, out=np.full_like(p, -math.inf), where=p > 0.0)[None]
+    d, lower, upper = _certificates(p[None], ln_p, ch.states[None], ch.entropies[None])
     return d[0], float(lower[0]), float(upper[0])
 
 
@@ -377,17 +396,19 @@ def relative_entropy(rho, sigma) -> float:
     """Tr[rho (ln rho - ln sigma)] in nats, or +inf on support violation.
 
     A violation means sigma has an eigenvector with eigenvalue <= SUPPORT_TOL
-    that carries more than SUPPORT_TOL of rho's mass. sigma's (w, basis)
-    from validation go to `_divergences` as they are: for m = 2 the closed
-    form, whose w- = det/w+ keeps ln w- of a near-pure sigma accurate, with
-    no LAPACK call; for m > 2 each argument takes one `_eigh` call.
+    that carries more than SUPPORT_TOL of rho's mass, rho a zero-weight
+    letter. sigma's (w, basis) from validation go to `_divergences` as they
+    are: for m = 2 the closed form, whose w- = det/w+ keeps ln w- of a
+    near-pure sigma accurate, with no LAPACK call; for m > 2 each argument
+    takes one `_eigh` call.
     """
     rho_a, w_rho, _ = _density_spectra(rho, "rho")
     sig_a, w, basis = _density_spectra(sigma, "sigma")
     if rho_a.shape != sig_a.shape or rho_a.ndim != 2:
         raise ValueError(f"shape mismatch or not m x m: {rho_a.shape} vs {sig_a.shape}")
     neg_h, w = -_entropy_from_eigs(*_log_eigs(w_rho)), w[None]
-    d = _divergences(rho_a[None, None], neg_h, sig_a[None], w, basis[None], _log_eigs(w)[1])
+    d = _divergences(rho_a[None, None], neg_h, sig_a[None], w, basis[None],
+                     _log_eigs(w)[1], np.full((1, 1), -math.inf))
     return float(d[0, 0])
 
 

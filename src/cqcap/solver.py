@@ -17,7 +17,6 @@ checks of `_solve_rows`; the benchmark calls `_solve_rows`, the sweep the loop.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -28,8 +27,6 @@ import numpy as np
 from .qinfo import (LN2, CqChannel, _certificates, _certificates_of, _channel_states,
                     validate_distribution)
 from .qinfo import _eigh  # noqa: F401  (rebound by perfbench/tracing.py)
-
-log = logging.getLogger(__name__)
 
 # Bytes of stacked states the sweep and the benchmark pass to one solver
 # call: 4096 binary qubit channels (the coarse sweep's 726 solved rows in one
@@ -98,21 +95,21 @@ class IterateRecord:
     """The iterate after t updates (t = 0: the start)."""
     t: int
     lower: float   # Holevo information of p_t (nats)
-    upper: float   # max_x D(rho_x || rho_t) (nats, possibly +inf)
+    upper: float   # max_x D(rho_x || rho_t) (nats, finite: ln p_t is)
     p: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """One channel's enclosure lower <= C <= upper at p_star, the iterate at
-    the stop; capacity_nats is its midpoint, or lower if upper is +inf."""
+    the stop; capacity_nats is its midpoint."""
     capacity_nats: float
     capacity_bits: float
     lower: float
     upper: float
     iterations: int
     p_star: np.ndarray
-    stop_reason: str   # "gap", "max_iters" or "support_violation"
+    stop_reason: str   # "gap" or "max_iters"
     history: list[IterateRecord] | None = None
 
     @property
@@ -121,13 +118,13 @@ class SolveReport:
         return self.stop_reason == "gap"
 
 
-STOP_REASONS = ("gap", "max_iters", "support_violation")
+STOP_REASONS = ("gap", "max_iters")
 
 
 class _Rows(NamedTuple):
     """What the loop hands back for B channels, entry k for channel k."""
     lower: np.ndarray        # (B,) nats
-    upper: np.ndarray        # (B,) nats, +inf possible
+    upper: np.ndarray        # (B,) nats
     iterations: np.ndarray   # (B,) int
     stop: np.ndarray         # (B,) index into STOP_REASONS
     p_star: np.ndarray       # (B, n)
@@ -140,7 +137,7 @@ class _Rows(NamedTuple):
 
 def _reports(rows: _Rows) -> list[SolveReport]:
     """One SolveReport per channel of `rows`, each with its own p_star."""
-    capacity = np.where(np.isfinite(rows.upper), 0.5 * (rows.lower + rows.upper), rows.lower)
+    capacity = 0.5 * (rows.lower + rows.upper)
     return [SolveReport(capacity_nats=c, capacity_bits=c / LN2, lower=lo, upper=up,
                         iterations=t, p_star=p.copy(), stop_reason=STOP_REASONS[s],
                         history=rows.histories[k] if rows.histories else None)
@@ -158,7 +155,8 @@ def _log_normalize(ell: np.ndarray) -> np.ndarray:
 
 
 def upper_bound(p, ch: CqChannel) -> float:
-    """max_x D(rho_x || rho_p) over all letters (nats, +inf possible)."""
+    """max_x D(rho_x || rho_p) over all letters (nats). A zero weight outside rho_p's
+    support reads +inf, also a p_star weight that underflowed (the loop had its ln p)."""
     p = validate_distribution(p, n=ch.input_size)
     return _certificates_of(p, ch)[2]
 
@@ -171,17 +169,15 @@ def solve_batch(states, cfg: SolverConfig | None = None, *,
     `states` is a complex (B, n, m, m) array, `states[k]` the states of
     channel k. It is validated once with the checks of CqChannel, a defect
     named as `states[k][x]`, and left unchanged; the loop runs on its
-    Hermitian part. Every channel runs the
-    iteration of `solve`, all of them in lockstep, from the uniform
-    distribution or from `start[k]`. `start` is a (B, n) array of
-    distributions with every weight above 0 (a zero weight would stay zero
-    for good); it is checked before any iteration, a defect named as
-    `start[k]`, and left unchanged. A channel leaves the batch when its
-    certificate gap closes, when a letter gets +inf relative entropy or at
-    max_iters: stop_reason "gap", "support_violation" or "max_iters", and
-    converged only for "gap" (a gap that closes at max_iters counts as
-    "gap"). The certificates hold at every iterate, so a start changes how
-    soon a channel stops and where inside the gap, not the enclosure.
+    Hermitian part. Every channel runs the iteration of `solve`, all of them
+    in lockstep, from the uniform distribution or from `start[k]`. `start`
+    is a (B, n) array of distributions with every weight above 0 (a zero
+    weight would stay zero for good); it is checked before any iteration, a
+    defect named as `start[k]`, and left unchanged. A channel leaves the
+    batch when its certificate gap closes or at max_iters: stop_reason "gap"
+    (converged, also at max_iters) or "max_iters". Every ln p of the loop is
+    finite, so are the certificates, and they hold at every iterate: a start
+    changes how soon a channel stops and where inside the gap.
     `iterations` counts the updates, one certificate evaluation each.
     Report k equals, bit for bit, the B = 1 call on `states[k:k+1]` and
     `start[k:k+1]`; without `start`, `solve(CqChannel(states[k]), cfg)`.
@@ -214,28 +210,21 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
                 np.empty(size, dtype=np.int8), np.empty((size, n)), histories)
     for t in range(cfg.max_iters + 1):   # every row stops by t = max_iters
         p = np.exp(q)   # a weight below the float64 range reads as 0
-        d, lower, upper = _certificates(p, states, entropies)
+        d, lower, upper = _certificates(p, q, states, entropies)
         if histories:
             for k, b in enumerate(rows):
                 histories[b].append(IterateRecord(t, float(lower[k]), float(upper[k]),
                                                   p[k].copy()))
         gap = upper - lower
         tol = cfg.gap_tol if t else -math.inf   # the gap counts from the first update on
-        # A row stops when its gap closes, at max_iters, or when a letter has
-        # +inf divergence (upper = inf), which would break the step: every
-        # ln p of the loop is finite. A NaN gap stops no row.
-        if t == cfg.max_iters or not (gap.min() > tol and upper.max() < math.inf):
+        # A row stops when its gap closes or at max_iters; a NaN gap stops no
+        # row. Every ln p of the loop is finite, so no letter's d is +inf.
+        if t == cfg.max_iters or not gap.min() > tol:
             closed = gap <= tol
-            stop = closed | np.isinf(upper) | (t == cfg.max_iters)
-            reason = np.where(closed, 0, 1 if t == cfg.max_iters else 2)   # STOP_REASONS
-            for k in np.flatnonzero(stop & (reason == 2)):
-                letters = np.flatnonzero(np.isinf(d[k]))
-                log.warning("channel %d: stopping after %d iterations: +inf relative "
-                            "entropy at letters %s (weights %s)",
-                            rows[k], t, letters.tolist(), p[k, letters].tolist())
+            stop = closed | (t == cfg.max_iters)
             done = rows[stop]
             out.lower[done], out.upper[done], out.stop[done], out.p_star[done] = (
-                lower[stop], upper[stop], reason[stop], p[stop])
+                lower[stop], upper[stop], ~closed[stop], p[stop])   # STOP_REASONS index
             out.iterations[done] = t
             go = ~stop
             if not go.any():
@@ -250,8 +239,8 @@ def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:
     channel, whose states CqChannel has already validated.
 
     The report carries both certificates, so the true capacity C satisfies
-    report.lower <= C <= report.upper whenever the upper bound is finite.
-    Non-convergence is reported (converged=False), not raised.
+    report.lower <= C <= report.upper. Non-convergence is reported
+    (converged=False), not raised.
     """
     return _reports(_solve_stacked(ch.states[None], ch.entropies[None],
                                    cfg or SolverConfig()))[0]

@@ -353,6 +353,19 @@ class TestRefinedP1:
         assert np.all(np.isfinite(got)) and np.all((0.0 < got) & (got < 1.0))
         assert got[[0, 1, 2, 3, 4]].tolist() == [0.5] * 5
 
+    def test_theta_zero_keeps_the_closed_form_maximizer(self):
+        # where cos theta rounds to 1 approx_p1 is the maximizer, while the
+        # secant's float64 gradient cancels as the lambdas meet: lambdas 1e-14
+        # to 1e-4 apart around seven bases (12 of them moved by more than
+        # 1e-9, (1.0, 1.0 - 1e-14) by 1.3e-3, while the secant stepped there)
+        bases = np.array([0.55, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0])
+        l1 = np.repeat(bases, 6)
+        l2 = l1 - np.tile(10.0 ** np.arange(-14, -3, 2), len(bases))
+        p1 = approx_p1(l1, l2)
+        for theta in (0.0, 1e-300):
+            got = cqcap.bloch._refined_p1(l1, l2, np.full(len(l1), theta), p1)
+            assert got.tobytes() == p1.tobytes(), theta
+
 
 class TestErrorSweep:
     def test_theta_zero_grid_errors_within_reference_gap(self):

@@ -16,9 +16,10 @@ from cqcap.cli import (EXIT_INPUT, EXIT_NOT_CONVERGED, EXIT_OK, load_channel_fil
                        main)
 
 CHANNELS = Path(__file__).resolve().parent.parent / "channels"
-# letter 0 keeps 1.5e-10 along |1>, where the uniform average state has
-# 0.75e-10 <= SUPPORT_TOL: +inf divergence before the first update
-SUPPORT_VIOLATING = {"dim": 2, "states": [
+# letter 0 keeps 1.5e-10 along |1>, which letter 1 leaves empty, so the
+# average state's eigenvalue there lies below qinfo.SUPPORT_TOL; C =
+# 5.51819e-11 nats (a 50-digit maximum of the Holevo information)
+SUPPORT_BOUNDARY = {"dim": 2, "states": [
     [[[1.0 - 1.5e-10, 0], [0, 0]], [[0, 0], [1.5e-10, 0]]],
     [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]}
 
@@ -75,23 +76,26 @@ class TestCapacity:
         assert code == EXIT_NOT_CONVERGED
         assert (payload["converged"], payload["stop_reason"]) == (False, "max_iters")
 
-    def test_support_violation_json(self, tmp_path, capsys):
-        path = tmp_path / "support_violation.json"
-        path.write_text(json.dumps(SUPPORT_VIOLATING))
+    def test_support_boundary_channel_json(self, tmp_path, capsys):
+        # the support rule follows the weights, so a positive weight's
+        # letter has a finite divergence: one update certifies C
+        path = tmp_path / "support_boundary.json"
+        path.write_text(json.dumps(SUPPORT_BOUNDARY))
         code = main(["capacity", str(path), "--format", "json"])
-        assert code == EXIT_NOT_CONVERGED
+        assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["upper_nats"], payload["converged"], payload["iterations"],
-                payload["stop_reason"]) == (None, False, 0, "support_violation")
+        assert (payload["converged"], payload["iterations"], payload["stop_reason"]) == \
+            (True, 1, "gap")
+        assert payload["lower_nats"] <= 5.51819e-11 <= payload["upper_nats"]
 
     def test_stop_reason_in_text_mode(self, tmp_path, capsys):
-        violating = tmp_path / "support_violation.json"
-        violating.write_text(json.dumps(SUPPORT_VIOLATING))
+        boundary = tmp_path / "support_boundary.json"
+        boundary.write_text(json.dumps(SUPPORT_BOUNDARY))
         z = str(CHANNELS / "z_channel.json")
         for argv, code, reason in (
                 ([z], EXIT_OK, "gap"),
                 ([z, "--eps", "1e-12", "--max-iter", "2"], EXIT_NOT_CONVERGED, "max_iters"),
-                ([str(violating)], EXIT_NOT_CONVERGED, "support_violation")):
+                ([str(boundary)], EXIT_OK, "gap")):
             assert main(["capacity"] + argv) == code
             assert f"\nstop reason : {reason}\n" in capsys.readouterr().out
 

@@ -362,6 +362,11 @@ def test_qubit_entropies_match_a_50_digit_spectrum(label):
     assert np.abs(entropies - want).max() <= 2e-15
 
 
+def _ln(p):
+    # ln p as the certificates take it, -inf at a zero weight
+    return np.log(p, out=np.full_like(p, -math.inf), where=p > 0.0)
+
+
 def _reference_entropies(w):
     # -sum w ln w as it was written with a log of its own
     pos = w > 0.0
@@ -407,7 +412,7 @@ def test_certificates_keep_the_bits_of_separate_logs(label, states, p):
     states, entropies = qinfo._channel_states(states, batch=True)
     _, w, _ = qinfo._density_spectra(states, "states")
     assert entropies.tobytes() == _reference_entropies(w).tobytes()
-    got = qinfo._certificates(p, states, entropies)
+    got = qinfo._certificates(p, _ln(p), states, entropies)
     want = _reference_certificates(p, states, entropies)
     for name, a, b in zip(("d", "lower", "upper"), got, want):
         assert a.tobytes() == b.tobytes(), name
@@ -431,7 +436,7 @@ def test_diagonal_qubit_certificates_keep_the_lapack_bits():
     states = np.zeros((200, 2, 2, 2), dtype=complex)
     states[..., 0, 0], states[..., 1, 1] = diag[..., 0], diag[..., 1]
     states, entropies = qinfo._channel_states(states, batch=True)
-    got = qinfo._certificates(p, states, entropies)
+    got = qinfo._certificates(p, _ln(p), states, entropies)
     want = _reference_certificates(p, states, entropies)
     for name, a, b in zip(("d", "lower", "upper"), got, want):
         assert a.tobytes() == b.tobytes(), name
@@ -459,8 +464,9 @@ def _qubit_stacks():
     split += [np.array([[[0.5 + 2 * s, 0.1], [0.1, 0.5 - 2 * s]], [[0.5, -0.1], [-0.1, 0.5]]])
               for s in (5e-13, 5e-16)]
     # row 0: letter 0 keeps 1.5e-10 along |1>, where the uniform average has
-    # 0.75e-10 <= SUPPORT_TOL (+inf); row 1: the same in the |+>, |-> basis;
-    # rows 2 and 3: a zero-weight letter
+    # 0.75e-10 <= SUPPORT_TOL, at weight 1/2 (finite); row 1: the same in the
+    # |+>, |-> basis; rows 2 and 3: a zero-weight letter inside the support;
+    # row 4: letter 0 of row 0 at zero weight, outside the support (+inf)
     violating = np.array([[[1.0 - 1.5e-10, 0], [0, 1.5e-10]], [[1, 0], [0, 0]]])
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     return {
@@ -470,15 +476,17 @@ def _qubit_stacks():
         "sigma = I/2": (half.reshape(3, 2, 2, 2), uniform),
         "splits of 1e-12 and below": (np.stack(split), np.full((len(split), 2), 0.5)),
         "support boundary and zero weight": (
-            np.stack([violating, hadamard @ violating @ hadamard, ginibre[0], ginibre[1]]),
-            np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])),
+            np.stack([violating, hadamard @ violating @ hadamard, ginibre[0], ginibre[1],
+                      violating]),
+            np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])),
     }
 
 
 def _mp_qubit_certificates(p, states):
     # (d, lower) of _certificates at 50 digits from the float64 rows as
     # given: mpmath's eigh of each sigma, entropies from mpmath's eigenvalues
-    # of each state, 0 ln 0 = 0 and the support rule at SUPPORT_TOL
+    # of each state, 0 ln 0 = 0 and the support test at SUPPORT_TOL for a
+    # zero-weight letter only
     import cqcap.qinfo as qinfo
 
     def entropy(evals):
@@ -504,14 +512,15 @@ def _mp_qubit_certificates(p, states):
                     sigma[i, j] = mpmath.fsum(px * rho[i, j] for px, rho in zip(weights, rhos))
             evals, vecs = mpmath.eigh(sigma)
             d.append([])
-            for rho, h in zip(rhos, hs):
+            for px, rho, h in zip(weights, rhos, hs):
                 trace, outside = mpmath.mpf(0), False
                 for k in range(2):
                     mass = mpmath.re(mpmath.fsum(mpmath.conj(vecs[i, k]) * rho[i, j] * vecs[j, k]
                                                  for i in range(2) for j in range(2)))
                     if evals[k] > 0:
                         trace += mass * mpmath.log(evals[k])
-                    outside |= evals[k] <= qinfo.SUPPORT_TOL and mass > qinfo.SUPPORT_TOL
+                    outside |= (px == 0 and evals[k] <= qinfo.SUPPORT_TOL
+                                and mass > qinfo.SUPPORT_TOL)
                 d[-1].append(math.inf if outside else float(-h - trace))
             lower.append(float(entropy(evals) - mpmath.fsum(px * h for px, h in zip(weights, hs))))
     return np.array(d), np.array(lower)
@@ -519,13 +528,14 @@ def _mp_qubit_certificates(p, states):
 
 @pytest.mark.parametrize("label", list(_qubit_stacks()))
 def test_qubit_certificates_match_a_50_digit_oracle(label):
-    # measured on these rows: d within 1.2e-15 nats of the oracle (the
-    # rotated support-boundary row; the LAPACK path reads 1.0e-15 on the
-    # Bloch rows) and lower within 3.9e-16 nats
+    # measured on these rows: d within 1.2e-15 nats of the oracle (1.1e-15
+    # on the support-boundary rows, whose small eigenvalue the support rule
+    # lifts; the LAPACK path reads 1.0e-15 on the Bloch rows) and lower
+    # within 3.9e-16 nats
     import cqcap.qinfo as qinfo
     states, p = _qubit_stacks()[label]
     states, entropies = qinfo._channel_states(states, batch=True)
-    d, lower, upper = qinfo._certificates(p, states, entropies)
+    d, lower, upper = qinfo._certificates(p, _ln(p), states, entropies)
     want_d, want_lower = _mp_qubit_certificates(p, states)
     assert np.array_equal(np.isinf(d), np.isinf(want_d))
     finite = np.isfinite(want_d)
@@ -533,7 +543,7 @@ def test_qubit_certificates_match_a_50_digit_oracle(label):
     assert np.abs(lower - want_lower).max() <= 1e-15
     assert upper.tobytes() == d.max(axis=1).tobytes()
     if label.startswith("support"):
-        assert np.isinf(upper[:2]).all() and np.isfinite(upper[2:]).all()
+        assert np.isinf(d).tolist() == [[False, False]] * 4 + [[True, False]]
 
 
 def test_qubit_certificates_do_not_depend_on_the_batch():
@@ -544,8 +554,28 @@ def test_qubit_certificates_do_not_depend_on_the_batch():
     states = np.concatenate([stacks[k][0] for k in stacks])
     p = np.concatenate([stacks[k][1] for k in stacks])
     states, entropies = qinfo._channel_states(states, batch=True)
-    batched = qinfo._certificates(p, states, entropies)
+    batched = qinfo._certificates(p, _ln(p), states, entropies)
     for k in range(len(p)):
-        solo = qinfo._certificates(p[k:k + 1], states[k:k + 1], entropies[k:k + 1])
+        solo = qinfo._certificates(p[k:k + 1], _ln(p[k:k + 1]), states[k:k + 1],
+                                   entropies[k:k + 1])
         for name, many, one in zip(("d", "lower", "upper"), batched, solo):
             assert many[k:k + 1].tobytes() == one.tobytes(), (k, name)
+
+
+def test_only_a_zero_weight_letter_is_outside_the_support():
+    # letter 0 keeps 1.5e-10 along |1>, which letter 1 leaves empty: at
+    # ln p = (-800, 0) its weight reads 0 in p, but the loop would carry that
+    # finite ln p, so its divergence is finite; at ln p = -inf it has zero
+    # weight and lies outside sigma = |0><0|
+    import cqcap.qinfo as qinfo
+    violating = np.array([[[1.0 - 1.5e-10, 0], [0, 1.5e-10]], [[1, 0], [0, 0]]])
+    states, entropies = qinfo._channel_states(violating[None], batch=True)
+    p = np.array([[0.0, 1.0]])
+    assert np.exp([[-800.0, 0.0]]).tolist() == p.tolist()
+    d = qinfo._certificates(p, np.array([[-800.0, 0.0]]), states, entropies)[0]
+    assert np.isfinite(d).all()
+    # the lifted eigenvalue e^-800 1.5e-10 prices letter 0's mass along |1>
+    assert d[0, 0] == pytest.approx(-entropies[0, 0] + 1.5e-10 * (800 - math.log(1.5e-10)),
+                                    rel=1e-12)
+    d = qinfo._certificates(p, _ln(p), states, entropies)[0]
+    assert d.tolist() == [[math.inf, 0.0]]

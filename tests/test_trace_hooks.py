@@ -5,10 +5,11 @@ otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite, and
 one more keeps the names README "Removed names" lists out of the package. A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Thirteen more guards keep file output in
+(`# noqa: F401`) listed in WRAPPED. Fifteen more guards keep file output in
 the CLI, the rule for a scalar parameter in `solver.py`, every certificate
 evaluation in `qinfo._certificates`, one call site of it in the solver
-loop, every divergence in `qinfo._divergences`, every m = 2 path off
+loop, every divergence in `qinfo._divergences`, the support rule in
+`qinfo._support_rule`, the solver's two stop reasons, every m = 2 path off
 LAPACK, `qinfo._qubit_spectra` without an option, every Bloch norm in
 `bloch._mixture_norm_sq`, one search in `bloch.exact_p1`, the sweep's
 per-solve work in arrays, the sweep's states out of validation, the secant
@@ -104,7 +105,7 @@ REMOVED = (
     ("cqcap.qinfo", "average_state"), ("cqcap.qinfo", "validate_density"),
     ("cqcap.bloch", "write_sweep_csv"), ("cqcap.bloch", "write_range_csv"),
     ("cqcap.bench", "write_bench_csv"), ("cqcap.bench", "format_bench_table"),
-    ("cqcap.bloch", "_INV_PHI"), ("cqcap", "hermitian"),
+    ("cqcap.bloch", "_INV_PHI"), ("cqcap", "hermitian"), ("cqcap.solver", "log"),
 )
 
 
@@ -160,12 +161,12 @@ def test_qubit_certificates_make_no_eigh_call(monkeypatch):
     states, entropies = cqcap.qinfo._channel_states(stacks[3], batch=True)
     assert len(calls) == 1
     calls.clear()
-    cqcap.qinfo._certificates(p, states, entropies)
+    cqcap.qinfo._certificates(p, np.log(p), states, entropies)
     assert len(calls) == 1 and len(lapack) == 2
     calls.clear()
     lapack.clear()
     states, entropies = cqcap.qinfo._channel_states(stacks[2], batch=True)
-    cqcap.qinfo._certificates(p, states, entropies)
+    cqcap.qinfo._certificates(p, np.log(p), states, entropies)
     ch = cqcap.qinfo.CqChannel(stacks[2][0])
     cqcap.qinfo.relative_entropy(ch.states[0], ch.states[1])
     reports = cqcap.solver.solve_batch(stacks[2], cqcap.solver.SolverConfig(gap_tol=1e-6))
@@ -184,12 +185,46 @@ def test_one_divergence_entry(monkeypatch):
         stack = np.stack([random_channel(3, m, trial_rng(0, 3, m, 0, k)).states
                           for k in range(4)])
         states, entropies = cqcap.qinfo._channel_states(stack, batch=True)
-        for call in (lambda: cqcap.qinfo._certificates(np.full((4, 3), 1.0 / 3.0),
-                                                       states, entropies),
+        p = np.full((4, 3), 1.0 / 3.0)
+        for call in (lambda: cqcap.qinfo._certificates(p, np.log(p), states, entropies),
                      lambda: cqcap.qinfo.relative_entropy(states[0, 0], states[0, 1])):
             calls.clear()
             call()
             assert len(calls) == 1, m
+
+
+def test_one_support_rule(monkeypatch):
+    # every divergence takes its support rule from one qinfo._support_rule
+    # call, which alone reads SUPPORT_TOL: on stacks whose average state has
+    # an eigenvalue below it, at m = 2 and m = 3, and in relative_entropy
+    assert [name for name, fn in vars(cqcap.qinfo).items()
+            if "SUPPORT_TOL" in getattr(getattr(fn, "__code__", None), "co_names", ())] == \
+        ["_support_rule"]
+    calls, masses = [], []
+    real = cqcap.qinfo._support_rule
+
+    def counted(ln_p, w, ln_w, mass_of):
+        calls.append(1)
+        return real(ln_p, w, ln_w, lambda cut: masses.append(1) or mass_of(cut))
+    monkeypatch.setattr(cqcap.qinfo, "_support_rule", counted)
+    eps = 1.5e-10
+    for m in (2, 3):
+        states = np.zeros((1, 2, m, m), dtype=complex)
+        states[0, 0, 0, 0], states[0, 0, 1, 1], states[0, 1, 0, 0] = 1.0 - eps, eps, 1.0
+        states, entropies = cqcap.qinfo._channel_states(states, batch=True)
+        p = np.full((1, 2), 0.5)
+        for call in (lambda: cqcap.qinfo._certificates(p, np.log(p), states, entropies),
+                     lambda: cqcap.qinfo.relative_entropy(states[0, 0], states[0, 1])):
+            calls.clear()
+            masses.clear()
+            call()
+            assert (len(calls), len(masses)) == (1, 1), m
+
+
+def test_two_stop_reasons():
+    # the loop keeps every ln p finite, so no letter's divergence is +inf
+    # and a channel stops only on its gap or at max_iters
+    assert cqcap.solver.STOP_REASONS == ("gap", "max_iters")
 
 
 def test_one_bloch_norm(monkeypatch):
