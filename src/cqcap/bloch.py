@@ -327,7 +327,7 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     lexicographically by (lambda1, lambda2); a failed reference run flags
     the cell instead of aborting the sweep. The rows (lambda1, lambda2, theta)
     are arrays. Only the rows with lambda1 <= lambda2 are solved,
-    `batch_size(2, 2)` at a time with `solve_batch`'s plain update, each
+    `batch_size(2, 2)` at a time with the solver loop's plain update, each
     from [p1, 1 - p1]: the cell's closed-form p1_hat moved by
     `_refined_p1` to the maximizer of the closed form chi at its theta, from
     where the certificate gap closes in one update. Swapping the lambdas

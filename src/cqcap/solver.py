@@ -9,10 +9,10 @@ Holevo information of the current iterate bounds the capacity from below,
 max_x D(rho_x || rho_p) bounds it from above, and the solver stops once the
 two certificates pinch to gap_tol.
 `solve_batch` runs the iteration for a (B, n, m, m) stack of channels in
-lockstep, from the uniform distribution or from given ones; `solve` is its
-one-channel case from the uniform distribution. Both build their reports
-from the arrays of the loop `_solve_stacked`, `solve_batch` through the
-checks of `_solve_rows`; the benchmark calls `_solve_rows`, the sweep the loop.
+lockstep from the uniform distribution; `solve` is its one-channel case.
+Both build their reports from the arrays of the loop `_solve_stacked`,
+`solve_batch` through the checks of `_solve_rows`; the benchmark calls
+`_solve_rows`, the sweep the loop from its refined closed-form inputs.
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ def upper_bound(p, ch: CqChannel) -> float:
     return _certificates_of(p, ch)[2]
 
 
-def solve_batch(states, cfg: SolverConfig | None = None, *,
-                start=None) -> list[SolveReport]:
+def solve_batch(states, cfg: SolverConfig | None = None) -> list[SolveReport]:
     """Solve a stack of channels of one shape together; one report per
     channel, in order.
 
@@ -170,37 +169,28 @@ def solve_batch(states, cfg: SolverConfig | None = None, *,
     channel k. It is validated once with the checks of CqChannel, a defect
     named as `states[k][x]`, and left unchanged; the loop runs on its
     Hermitian part. Every channel runs the iteration of `solve`, all of them
-    in lockstep, from the uniform distribution or from `start[k]`. `start`
-    is a (B, n) array of distributions with every weight above 0 (a zero
-    weight would stay zero for good); it is checked before any iteration, a
-    defect named as `start[k]`, and left unchanged. A channel leaves the
-    batch when its certificate gap closes or at max_iters: stop_reason "gap"
-    (converged, also at max_iters) or "max_iters". Every ln p of the loop is
-    finite, so are the certificates, and they hold at every iterate: a start
-    changes how soon a channel stops and where inside the gap.
-    `iterations` counts the updates, one certificate evaluation each.
-    Report k equals, bit for bit, the B = 1 call on `states[k:k+1]` and
-    `start[k:k+1]`; without `start`, `solve(CqChannel(states[k]), cfg)`.
+    in lockstep from the uniform distribution. A channel leaves the batch
+    when its certificate gap closes or at max_iters: stop_reason "gap"
+    (converged, also at max_iters) or "max_iters". `iterations` counts the
+    updates, one certificate evaluation each. Report k equals, bit for bit,
+    `solve(CqChannel(states[k]), cfg)`.
     """
-    return _reports(_solve_rows(states, cfg or SolverConfig(), start))
+    return _reports(_solve_rows(states, cfg or SolverConfig()))
 
 
-def _solve_rows(states, cfg: SolverConfig, start=None) -> _Rows:
+def _solve_rows(states, cfg: SolverConfig) -> _Rows:
     """solve_batch's checks and loop, its results as arrays: the benchmark
     reads them without building a report per channel."""
-    states, entropies = _channel_states(states, batch=True)
-    if start is not None:
-        size, n = entropies.shape
-        start = validate_distribution(start, n, rows=size, positive=True, name="start")
-    return _solve_stacked(states, entropies, cfg, start)
+    return _solve_stacked(*_channel_states(states, batch=True), cfg)
 
 
 def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
     """The iteration loop of solve_batch and solve on states (B, n, m, m),
     validated or exact Hermitian unit-trace PSD stacks built by code
     (bloch._bloch_states), with the entropies (B, n) of their spectra, from
-    the checked (B, n) distributions `start` or the uniform one. A row that
-    stops is written into the arrays it returns at its batch index."""
+    the uniform distribution or the sweep's refined inputs `start` (B, n),
+    every weight above 0. A row that stops is written into the arrays it
+    returns at its batch index, bit for bit what it gives alone."""
     size, n = entropies.shape
     # ln p of the iterate each row holds, every weight positive
     q = np.full((size, n), -math.log(n)) if start is None else np.log(start)

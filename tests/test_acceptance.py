@@ -127,8 +127,7 @@ def test_03_certificate_sandwich(certified_runs):
         assert report.upper - report.lower <= C3_GAP
         lows = [rec.lower for rec in report.history]
         for rec in report.history:
-            if math.isfinite(rec.upper):
-                assert rec.lower <= rec.upper + 1e-9
+            assert math.isfinite(rec.upper) and rec.lower <= rec.upper + 1e-9
         assert all(b >= a - 1e-10 for a, b in zip(lows, lows[1:]))
         worst_gap = max(worst_gap, report.upper - report.lower)
     assert _report("03 certificate-sandwich", True,

@@ -13,7 +13,7 @@ from cqcap.bloch import (MAX_SWEEP_SOLVES, BinaryBlochChannel, GradientBoundaryE
                          max_error_by_range, realize_channel)
 from cqcap.cli import main
 from cqcap.qinfo import _channel_states, holevo_information
-from cqcap.solver import SolverConfig, _solve_stacked, solve, solve_batch
+from cqcap.solver import SolverConfig, _reports, _solve_stacked, solve
 
 LN2 = math.log(2.0)
 
@@ -429,9 +429,11 @@ class TestErrorSweep:
         l1, l2, theta = (np.array([getattr(ch, f) for ch in chans])
                          for f in ("lambda1", "lambda2", "theta"))
         w = cqcap.bloch._refined_p1(l1, l2, theta, p1)
-        reports = solve_batch(np.stack([realize_channel(ch).states for ch in chans]),
-                              SolverConfig(gap_tol=1e-6),
-                              start=np.stack([w, 1.0 - w], axis=1))
+        # the oracle validates the states it solves; the sweep does not
+        states, entropies = _channel_states(
+            np.stack([realize_channel(ch).states for ch in chans]), batch=True)
+        reports = _reports(_solve_stacked(states, entropies, SolverConfig(gap_tol=1e-6),
+                                          np.stack([w, 1.0 - w], axis=1)))
         for k, cell in enumerate(cells):
             rows = range(k * len(thetas), (k + 1) * len(thetas))
             counts = [reports[i].iterations for i in rows]
@@ -480,8 +482,10 @@ class TestErrorSweep:
                  for _ in range(20)]
         p1 = np.array([approx_p1(ch.lambda1, ch.lambda2) for ch in chans])
         cfg = SolverConfig(gap_tol=1e-6)
-        reports = solve_batch(np.stack([realize_channel(ch).states for ch in chans]), cfg,
-                              start=np.stack([p1, 1.0 - p1], axis=1))
+        states, entropies = _channel_states(
+            np.stack([realize_channel(ch).states for ch in chans]), batch=True)
+        reports = _reports(_solve_stacked(states, entropies, cfg,
+                                          np.stack([p1, 1.0 - p1], axis=1)))
         for ch, report in zip(chans, reports):
             chi = holevo_bloch(ch, exact_p1(ch)) * LN2
             assert report.converged

@@ -12,7 +12,7 @@ from cqcap.bench import random_channel, trial_rng
 from cqcap.bloch import (BinaryBlochChannel, approx_p1, holevo_bloch,
                          realize_channel)
 from cqcap.qinfo import CqChannel, holevo_information, von_neumann_entropy
-from cqcap.solver import GAP_TOL_FLOOR, solve, solve_batch, SolverConfig
+from cqcap.solver import GAP_TOL_FLOOR, _reports, _solve_stacked, solve, SolverConfig
 
 LN2 = math.log(2.0)
 
@@ -62,8 +62,8 @@ def test_step_preserves_distribution_and_ascends(seed, n, m):
     ch = random_channel(n, m, trial_rng(seed, n, m, 0, 0))
     p = np.full(n, 1.0 / n)
     before = holevo_information(p, ch)
-    report, = solve_batch(ch.states[None], SolverConfig(gap_tol=GAP_TOL_FLOOR, max_iters=1,
-                                                        record_history=True), start=p[None])
+    cfg = SolverConfig(gap_tol=GAP_TOL_FLOOR, max_iters=1, record_history=True)
+    report, = _reports(_solve_stacked(ch.states[None], ch.entropies[None], cfg, p[None]))
     p_next = report.history[1].p   # the loop's first step from p
     assert np.all(p_next >= 0.0)
     assert abs(p_next.sum() - 1.0) <= 1e-12

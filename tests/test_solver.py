@@ -1,4 +1,3 @@
-import logging
 import math
 
 import mpmath
@@ -12,11 +11,11 @@ from cqcap.bench import (BenchSpec, _ginibre_states, iteration_budget, random_ch
                          run_bench, trial_rng)
 from cqcap.bloch import (BinaryBlochChannel, SweepGrid, approx_p1, error_sweep,
                          holevo_bloch, realize_channel)
-from cqcap.qinfo import (SUPPORT_TOL, CqChannel, _entropy_from_eigs, _log_eigs,
-                         holevo_information)
+from cqcap.qinfo import (SUPPORT_TOL, CqChannel, _channel_states, _entropy_from_eigs,
+                         _log_eigs, holevo_information)
 from cqcap.solver import (GAP_TOL_FLOOR, STOP_REASONS, SolveReport, SolverConfig,
-                          _solve_rows, batch_size, optimality_kkt_check, solve,
-                          solve_batch, upper_bound)
+                          _reports, _solve_rows, _solve_stacked, batch_size,
+                          optimality_kkt_check, solve, solve_batch, upper_bound)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -45,13 +44,12 @@ def z_channel_scan_oracle():
 
 
 def step_from(ch, p, max_iters):
-    """solve_batch on `ch` from the positive distribution p at the floor gap:
-    history[t].p is the loop's t-th iterate from p, up to max_iters or until
-    the row's gap closes."""
-    report, = solve_batch(ch.states[None], SolverConfig(gap_tol=GAP_TOL_FLOOR,
-                                                        max_iters=max_iters,
-                                                        record_history=True),
-                          start=np.asarray(p, dtype=float)[None])
+    """The solver loop on `ch` from the positive distribution p at the floor
+    gap: history[t].p is the loop's t-th iterate from p, up to max_iters or
+    until the row's gap closes."""
+    cfg = SolverConfig(gap_tol=GAP_TOL_FLOOR, max_iters=max_iters, record_history=True)
+    report, = _reports(_solve_stacked(ch.states[None], ch.entropies[None], cfg,
+                                      np.asarray(p, dtype=float)[None]))
     return report
 
 
@@ -138,8 +136,7 @@ class TestSolve:
             assert report.upper - report.lower <= 1e-5
             lows = [rec.lower for rec in report.history]
             for rec in report.history:
-                if math.isfinite(rec.upper):
-                    assert rec.lower <= rec.upper + 1e-9
+                assert math.isfinite(rec.upper) and rec.lower <= rec.upper + 1e-9
             assert all(b >= a - 1e-10 for a, b in zip(lows, lows[1:]))
 
     def test_iteration_count_within_budget(self):
@@ -212,17 +209,15 @@ class TestSolve:
         assert report.lower <= capacity + 1e-13
         assert report.upper >= capacity - 1e-13
 
-    def test_weights_fall_below_the_float64_range_without_warnings(self, caplog):
+    def test_weights_fall_below_the_float64_range_without_warnings(self):
         # the loop carries ln p, so a decaying weight is not pinned at the
         # subnormal floor (3e-323 with a p loop); its ln p ends near -773, an
         # exact 0 in p_star, and the gap still closes at the float64 limit
         ch = random_channel(8, 4, trial_rng(3, 8, 4, 0, 0))
-        with caplog.at_level(logging.WARNING, logger="cqcap.solver"):
-            report = solve(ch, SolverConfig(gap_tol=1e-12))
+        report = solve(ch, SolverConfig(gap_tol=1e-12))
         assert (report.converged, report.stop_reason) == (True, "gap")
         assert report.upper - report.lower <= 1e-12
         assert report.p_star.min() == 0.0
-        assert caplog.records == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -334,55 +329,28 @@ class TestSolveBatch:
     @pytest.mark.parametrize("shape, gap", [((2, 2), 1e-6), ((3, 5), 1e-4),
                                             ((8, 8), 1e-3)])
     def test_rows_with_start_match_their_solo_calls(self, shape, gap):
+        # the sweep starts its rows at given inputs, in chunks of 4096
         if shape == (2, 2):
             states = stack(self.mixed_2x2())
         else:
             states = stack([random_channel(*shape, trial_rng(6, *shape, 0, k))
                             for k in range(9)])
+        states, entropies = _channel_states(states, batch=True)
         w = np.random.default_rng(13).uniform(0.05, 1.0, states.shape[:2])
         start = w / w.sum(axis=1, keepdims=True)
         cfg = SolverConfig(gap_tol=gap, record_history=True)
-        solo = [solve_batch(states[k:k + 1], cfg, start=start[k:k + 1])[0]
-                for k in range(len(states))]
+
+        def run(rows):
+            return _reports(_solve_stacked(states[rows], entropies[rows], cfg, start[rows]))
+        solo = [run(slice(k, k + 1))[0] for k in range(len(states))]
         for k, report in enumerate(solo):
             assert np.allclose(report.history[0].p, start[k], rtol=1e-15, atol=0)
         solo = [_bits(r) for r in solo]
         for size in (1, 7, len(states)):
             batched = []
             for first in range(0, len(states), size):
-                batched += solve_batch(states[first:first + size], cfg,
-                                       start=start[first:first + size])
+                batched += run(slice(first, first + size))
             assert [_bits(r) for r in batched] == solo
-
-    def test_rejects_bad_starts_before_any_solve(self, monkeypatch):
-        monkeypatch.setattr(cqcap.solver, "_solve_stacked", lambda *args: "solved")
-        monkeypatch.setattr(cqcap.solver, "_reports", lambda rows: rows)
-        states = stack(self.mixed_2x2()[:3])
-        good = np.full((3, 2), 0.5)
-        assert solve_batch(states, start=good) == "solved"
-        assert solve_batch(states, start=good + [[0.0, 5e-13]] * 3) == "solved"
-        for rows, message in (
-                (good[:2], r"start has the wrong length or shape: expected \(3, 2\), "
-                           r"got \(2, 2\)"),
-                (np.full((3, 3), 1 / 3), r"start has .* expected \(3, 2\), got \(3, 3\)"),
-                (good[0], r"start has .* expected \(3, 2\), got \(2,\)"),
-                ({1: [1.0, 0.0]}, r"start\[1\] has a weight that is not above 0"),
-                ({2: [1.5, -0.5]}, r"start\[2\] has a weight that is not above 0"),
-                ({0: [math.nan, 0.5]}, r"start\[0\] has a non-finite weight"),
-                ({1: [math.inf, 0.5], 2: [math.nan, 0.5]},
-                 r"start\[1\] has a non-finite weight"),
-                ({2: [0.5, 0.4]}, r"start\[2\] does not sum to 1: \|sum - 1\| = 1.000e-01"),
-                (good + [[0.4j, 0.0], [0.0, 0.0], [0.0, 0.0]], r"start has complex weights"),
-                ([["0.5", "0.5"]] * 3, r"start has <U3 weights$"),
-                ([[True, True]] * 3, r"start has bool weights$"),
-                (good.astype(object), r"start has object weights$")):
-            if isinstance(rows, dict):
-                bad = good.copy()
-                for k, row in rows.items():
-                    bad[k] = row
-                rows = bad
-            with pytest.raises(ValueError, match="^" + message):
-                solve_batch(states, start=rows)
 
     def test_max_iters_stops_only_the_slow_rows(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
@@ -469,12 +437,9 @@ class TestSolveBatch:
 
     def test_leaves_the_callers_array_alone(self):
         states = stack(self.mixed_2x2())
-        start = np.random.default_rng(4).dirichlet([1.0, 1.0], len(states))
-        before = states.copy(), start.copy()
+        before = states.copy()
         solve_batch(states)
-        solve_batch(states, start=start)
-        assert states.flags.writeable and start.flags.writeable
-        assert np.array_equal(states, before[0]) and np.array_equal(start, before[1])
+        assert states.flags.writeable and np.array_equal(states, before)
 
     def test_batch_size_follows_the_byte_budget(self):
         assert batch_size(2, 2) == 4096

@@ -3,7 +3,9 @@ rebinds cqcap names listed in its WRAPPED table, and `cqcap.__all__` lists
 the public API. A refactor that renames or drops one of these names would
 otherwise only surface when the benchmark runs with tracing on or when a
 user star-imports the package; these tests catch it in the unit suite, and
-one more keeps the names README "Removed names" lists out of the package. A
+one more keeps the names and parameters README "Removed names" lists out of
+the package (`SolverConfig.step`, `solve_batch`'s `start`,
+`validate_distribution`'s `rows`, `positive` and `name`). A
 guard keeps each import that the package holds only for the trace to rebind
 (`# noqa: F401`) listed in WRAPPED. Fifteen more guards keep file output in
 the CLI, the rule for a scalar parameter in `solver.py`, every certificate
@@ -115,6 +117,9 @@ def test_removed_names_stay_removed():
         assert name not in cqcap.__all__, name
     assert importlib.util.find_spec("cqcap.hermitian") is None
     assert "step" not in {f.name for f in dataclasses.fields(cqcap.solver.SolverConfig)}
+    # the warm start is the sweep's, on the loop _solve_stacked, not a public parameter
+    assert list(inspect.signature(cqcap.solver.solve_batch).parameters) == ["states", "cfg"]
+    assert list(inspect.signature(cqcap.qinfo.validate_distribution).parameters) == ["p", "n"]
 
 
 def test_one_certificate_routine(monkeypatch):
