@@ -131,7 +131,7 @@ def validate_distribution(p, n: int | None = None) -> np.ndarray:
         kind = "complex" if p.dtype.kind == "c" else p.dtype
         raise ValueError(f"distribution has {kind} weights")
     p = p.astype(np.float64, copy=False)
-    if p.ndim != 1 or (n is not None and p.shape != (n,)):
+    if p.ndim != 1 or not p.size or (n is not None and p.shape != (n,)):
         raise ValueError(f"distribution has the wrong length or shape: expected "
                          f"{'(n,)' if n is None else (n,)}, got {p.shape}")
     _reject("distribution", ~np.isfinite(p).all(), 0, "has a non-finite weight")
@@ -337,15 +337,15 @@ def _qubit_divergences(states, neg_h, sigma, w, split, ln_w, ln_p) -> np.ndarray
     return d
 
 
-def _certificates(p: np.ndarray, ln_p: np.ndarray, states: np.ndarray, entropies: np.ndarray):
+def _certificates(p: np.ndarray, ln_p: np.ndarray, states: np.ndarray, neg_h: np.ndarray):
     """Per-letter relative entropies to the average states plus both bounds,
     for B channels of one shape at once.
 
     `p` is (B, n), `ln_p` its log as the loop carries it (finite where p
-    underflows to 0, -inf at a zero weight), `states` (B, n, m, m) and
-    `entropies` (B, n). Returns (d, lower, upper): d[b, x] = D(rho_x || rho_p),
-    +inf only for a zero-weight letter outside rho_p's support, lower[b] the
-    Holevo information of p[b], upper[b] max(d[b]) over every letter.
+    underflows to 0, -inf at a zero weight), `states` (B, n, m, m), `neg_h`
+    the letters' -H(rho_x) as (B, n, 1). Returns (d, lower, upper): d[b, x] =
+    D(rho_x || rho_p), +inf only for a zero-weight letter outside rho_p's
+    support, lower[b] the Holevo information of p[b], upper[b] max(d[b]).
 
     The average states take their spectrum from `_eigh` for m > 2 and from
     `_qubit_spectra` for m = 2, its difference form with no determinant step
@@ -357,7 +357,6 @@ def _certificates(p: np.ndarray, ln_p: np.ndarray, states: np.ndarray, entropies
     # the average states by one matmul over the flattened states, a dot per
     # channel as in _divergences
     sigma = (p[:, None, :] @ states.reshape(b, n, m * m)).reshape(b, m, m)
-    neg_h = -entropies[:, :, None]
     w, basis = _qubit_spectra(sigma) if m == 2 else _eigh(sigma)
     u, ln_u = _log_eigs(w)
     d = _divergences(states, neg_h, sigma, w, basis, ln_u, ln_p)
@@ -370,7 +369,7 @@ def _certificates(p: np.ndarray, ln_p: np.ndarray, states: np.ndarray, entropies
 def _certificates_of(p: np.ndarray, ch: CqChannel):
     """_certificates for one channel, through a leading axis of 1 (ln 0 = -inf)."""
     ln_p = np.log(p, out=np.full_like(p, -math.inf), where=p > 0.0)[None]
-    d, lower, upper = _certificates(p[None], ln_p, ch.states[None], ch.entropies[None])
+    d, lower, upper = _certificates(p[None], ln_p, ch.states[None], -ch.entropies[None, :, None])
     return d[0], float(lower[0]), float(upper[0])
 
 

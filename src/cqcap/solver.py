@@ -3,9 +3,10 @@ capacity, with a two-sided certificate at every iterate.
 
 The iteration keeps a distribution p over input letters and multiplies
 each weight by exp(D(rho_x || rho_p)) before renormalizing; rho_p is the
-p-average output state. The loop carries ln p, so the step is an addition
-and a log-sum-exp, and a weight may fall below the float64 range. The
-Holevo information of the current iterate bounds the capacity from below,
+p-average output state. The loop carries ln p and p, and a step takes one
+normalizer: e = exp(ln p + d), Z its sum, ln p <- ln p + d - ln Z and
+p <- e / Z. A weight may fall below the float64 range. The Holevo
+information of the current iterate bounds the capacity from below,
 max_x D(rho_x || rho_p) bounds it from above, and the solver stops once the
 two certificates pinch to gap_tol.
 `solve_batch` runs the iteration for a (B, n, m, m) stack of channels in
@@ -146,14 +147,6 @@ def _reports(rows: _Rows) -> list[SolveReport]:
                 rows.iterations.tolist(), rows.stop.tolist(), rows.p_star))]
 
 
-def _log_normalize(ell: np.ndarray) -> np.ndarray:
-    """ell - ln sum exp(ell) over each row of a (B, n) stack: the log of the
-    distribution proportional to exp(ell). The step p_x <- p_x exp(d_x) / Z
-    is ln p <- _log_normalize(ln p + d)."""
-    ell = ell - ell.max(axis=1, keepdims=True)
-    return ell - np.log(np.exp(ell).sum(axis=1, keepdims=True))
-
-
 def upper_bound(p, ch: CqChannel) -> float:
     """max_x D(rho_x || rho_p) over all letters (nats). A zero weight outside rho_p's
     support reads +inf, also a p_star weight that underflowed (the loop had its ln p)."""
@@ -189,18 +182,20 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
     validated or exact Hermitian unit-trace PSD stacks built by code
     (bloch._bloch_states), with the entropies (B, n) of their spectra, from
     the uniform distribution or the sweep's refined inputs `start` (B, n),
-    every weight above 0. A row that stops is written into the arrays it
-    returns at its batch index, bit for bit what it gives alone."""
+    every weight above 0; -H(rho_x) is formed once per solve. A row that
+    stops is written into the arrays it returns at its batch index, bit for
+    bit what it gives alone."""
     size, n = entropies.shape
     # ln p of the iterate each row holds, every weight positive
     q = np.full((size, n), -math.log(n)) if start is None else np.log(start)
+    p = np.exp(q)
+    neg_h = -entropies[:, :, None]
     rows = np.arange(size)        # batch index of each active row
     histories = [[] for _ in range(size)] if cfg.record_history else None
     out = _Rows(np.empty(size), np.empty(size), np.empty(size, dtype=int),
                 np.empty(size, dtype=np.int8), np.empty((size, n)), histories)
     for t in range(cfg.max_iters + 1):   # every row stops by t = max_iters
-        p = np.exp(q)   # a weight below the float64 range reads as 0
-        d, lower, upper = _certificates(p, q, states, entropies)
+        d, lower, upper = _certificates(p, q, states, neg_h)
         if histories:
             for k, b in enumerate(rows):
                 histories[b].append(IterateRecord(t, float(lower[k]), float(upper[k]),
@@ -219,8 +214,13 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
             go = ~stop
             if not go.any():
                 return out
-            q, d, states, entropies, rows = (v[go] for v in (q, d, states, entropies, rows))
-        q = _log_normalize(q + d)
+            q, p, d, states, neg_h, rows = (v[go] for v in (q, p, d, states, neg_h, rows))
+        # sigma_p >= p_x rho_x gives D_x <= -ln p_x, so Z lies in [1, n] unshifted
+        q += d
+        e = np.exp(q)   # a weight below the float64 range reads as 0
+        z = e.sum(axis=1, keepdims=True)
+        q -= np.log(z)
+        p = e / z
 
 
 def solve(ch: CqChannel, cfg: SolverConfig | None = None) -> SolveReport:

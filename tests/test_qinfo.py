@@ -321,6 +321,8 @@ class TestValidation:
                 validate_distribution(np.array(bad))
         with pytest.raises(ValueError, match="^distribution has complex weights"):
             validate_distribution(np.array([0.5 + 0.4j, 0.5]))
+        with pytest.raises(ValueError, match=r"wrong length or shape: .*got \(0,\)$"):
+            validate_distribution([])
         # strings, booleans and objects are refused, not cast
         for bad, dtype in ((["0.5", "0.5"], "<U3"), ([True, False], "bool"),
                            (np.array([0.5, 0.5], dtype=object), "object")):
@@ -414,7 +416,7 @@ def test_certificates_keep_the_bits_of_separate_logs(label, states, p):
     states, entropies = qinfo._channel_states(states, batch=True)
     _, w, _ = qinfo._density_spectra(states, "states")
     assert entropies.tobytes() == _reference_entropies(w).tobytes()
-    got = qinfo._certificates(p, _ln(p), states, entropies)
+    got = qinfo._certificates(p, _ln(p), states, -entropies[..., None])
     want = _reference_certificates(p, states, entropies)
     for name, a, b in zip(("d", "lower", "upper"), got, want):
         assert a.tobytes() == b.tobytes(), name
@@ -438,7 +440,7 @@ def test_diagonal_qubit_certificates_keep_the_lapack_bits():
     states = np.zeros((200, 2, 2, 2), dtype=complex)
     states[..., 0, 0], states[..., 1, 1] = diag[..., 0], diag[..., 1]
     states, entropies = qinfo._channel_states(states, batch=True)
-    got = qinfo._certificates(p, _ln(p), states, entropies)
+    got = qinfo._certificates(p, _ln(p), states, -entropies[..., None])
     want = _reference_certificates(p, states, entropies)
     for name, a, b in zip(("d", "lower", "upper"), got, want):
         assert a.tobytes() == b.tobytes(), name
@@ -537,7 +539,7 @@ def test_qubit_certificates_match_a_50_digit_oracle(label):
     import cqcap.qinfo as qinfo
     states, p = _qubit_stacks()[label]
     states, entropies = qinfo._channel_states(states, batch=True)
-    d, lower, upper = qinfo._certificates(p, _ln(p), states, entropies)
+    d, lower, upper = qinfo._certificates(p, _ln(p), states, -entropies[..., None])
     want_d, want_lower = _mp_qubit_certificates(p, states)
     assert np.array_equal(np.isinf(d), np.isinf(want_d))
     finite = np.isfinite(want_d)
@@ -556,10 +558,10 @@ def test_qubit_certificates_do_not_depend_on_the_batch():
     states = np.concatenate([stacks[k][0] for k in stacks])
     p = np.concatenate([stacks[k][1] for k in stacks])
     states, entropies = qinfo._channel_states(states, batch=True)
-    batched = qinfo._certificates(p, _ln(p), states, entropies)
+    batched = qinfo._certificates(p, _ln(p), states, -entropies[..., None])
     for k in range(len(p)):
         solo = qinfo._certificates(p[k:k + 1], _ln(p[k:k + 1]), states[k:k + 1],
-                                   entropies[k:k + 1])
+                                   -entropies[k:k + 1, :, None])
         for name, many, one in zip(("d", "lower", "upper"), batched, solo):
             assert many[k:k + 1].tobytes() == one.tobytes(), (k, name)
 
@@ -574,10 +576,10 @@ def test_only_a_zero_weight_letter_is_outside_the_support():
     states, entropies = qinfo._channel_states(violating[None], batch=True)
     p = np.array([[0.0, 1.0]])
     assert np.exp([[-800.0, 0.0]]).tolist() == p.tolist()
-    d = qinfo._certificates(p, np.array([[-800.0, 0.0]]), states, entropies)[0]
+    d = qinfo._certificates(p, np.array([[-800.0, 0.0]]), states, -entropies[..., None])[0]
     assert np.isfinite(d).all()
     # the lifted eigenvalue e^-800 1.5e-10 prices letter 0's mass along |1>
     assert d[0, 0] == pytest.approx(-entropies[0, 0] + 1.5e-10 * (800 - math.log(1.5e-10)),
                                     rel=1e-12)
-    d = qinfo._certificates(p, _ln(p), states, entropies)[0]
+    d = qinfo._certificates(p, _ln(p), states, -entropies[..., None])[0]
     assert d.tolist() == [[math.inf, 0.0]]

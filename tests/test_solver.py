@@ -11,8 +11,8 @@ from cqcap.bench import (BenchSpec, _ginibre_states, iteration_budget, random_ch
                          run_bench, trial_rng)
 from cqcap.bloch import (BinaryBlochChannel, SweepGrid, approx_p1, error_sweep,
                          holevo_bloch, realize_channel)
-from cqcap.qinfo import (SUPPORT_TOL, CqChannel, _channel_states, _entropy_from_eigs,
-                         _log_eigs, holevo_information)
+from cqcap.qinfo import (SUPPORT_TOL, CqChannel, _certificates, _channel_states,
+                         _entropy_from_eigs, _log_eigs, holevo_information)
 from cqcap.solver import (GAP_TOL_FLOOR, STOP_REASONS, SolveReport, SolverConfig,
                           _reports, _solve_rows, _solve_stacked, batch_size,
                           optimality_kkt_check, solve, solve_batch, upper_bound)
@@ -161,10 +161,10 @@ class TestSolve:
     def test_update_is_base_invariant(self):
         # the same step phrased with base-2 exponentials and base-2 relative
         # entropies must produce the same distribution
-        from cqcap.solver import _certificates
         ch = random_channel(3, 3, trial_rng(13, 3, 3, 0, 0))
         p = np.array([0.2, 0.5, 0.3])
-        d = _certificates(p[None], np.log(p)[None], ch.states[None], ch.entropies[None])[0][0]
+        d = _certificates(p[None], np.log(p)[None], ch.states[None],
+                          -ch.entropies[None, :, None])[0][0]
         ell2 = np.log2(p) + d / LN2
         r2 = np.power(2.0, ell2 - ell2.max())
         expected = r2 / r2.sum()
@@ -218,6 +218,26 @@ class TestSolve:
         assert (report.converged, report.stop_reason) == (True, "gap")
         assert report.upper - report.lower <= 1e-12
         assert report.p_star.min() == 0.0
+
+    def test_unshifted_update_stays_in_range(self):
+        # sigma_p >= p_x rho_x gives D_x <= -ln p_x, so the loop's exp(ln p + d)
+        # needs no max shift: every recorded iterate keeps ln p_x + D_x <= 0
+        # (equal on the orthogonal channels) and p sums to 1 within n ulp
+        three = CqChannel(np.stack([np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]))
+        channels = [(random_channel(n, m, trial_rng(35, n, m, 0, 0)), 1e-9)
+                    for n, m in ((5, 2), (5, 3), (8, 8))]
+        channels += [(ch, 1e-6) for ch in (support_boundary_channel(), noiseless_bit(), three)]
+        channels += [(near_singular_channel(m, k, trial), 1e-6) for m in (2, 3) for k in (0, 5)
+                     for trial in (0, 1)]
+        for i, (ch, gap_tol) in enumerate(channels):
+            n = ch.input_size
+            report = solve(ch, SolverConfig(gap_tol=gap_tol, record_history=True))
+            assert report.converged, i
+            for rec in report.history:
+                d = _certificates(rec.p[None], np.log(rec.p)[None], ch.states[None],
+                                  -ch.entropies[None, :, None])[0][0]
+                assert (np.log(rec.p) + d).max() <= 1e-12, (i, rec.t)
+                assert abs(rec.p.sum() - 1.0) <= n * np.finfo(float).eps, (i, rec.t)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

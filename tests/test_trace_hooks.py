@@ -108,6 +108,7 @@ REMOVED = (
     ("cqcap.bloch", "write_sweep_csv"), ("cqcap.bloch", "write_range_csv"),
     ("cqcap.bench", "write_bench_csv"), ("cqcap.bench", "format_bench_table"),
     ("cqcap.bloch", "_INV_PHI"), ("cqcap", "hermitian"), ("cqcap.solver", "log"),
+    ("cqcap.solver", "_log_normalize"),
 )
 
 
@@ -166,12 +167,12 @@ def test_qubit_certificates_make_no_eigh_call(monkeypatch):
     states, entropies = cqcap.qinfo._channel_states(stacks[3], batch=True)
     assert len(calls) == 1
     calls.clear()
-    cqcap.qinfo._certificates(p, np.log(p), states, entropies)
+    cqcap.qinfo._certificates(p, np.log(p), states, -entropies[..., None])
     assert len(calls) == 1 and len(lapack) == 2
     calls.clear()
     lapack.clear()
     states, entropies = cqcap.qinfo._channel_states(stacks[2], batch=True)
-    cqcap.qinfo._certificates(p, np.log(p), states, entropies)
+    cqcap.qinfo._certificates(p, np.log(p), states, -entropies[..., None])
     ch = cqcap.qinfo.CqChannel(stacks[2][0])
     cqcap.qinfo.relative_entropy(ch.states[0], ch.states[1])
     reports = cqcap.solver.solve_batch(stacks[2], cqcap.solver.SolverConfig(gap_tol=1e-6))
@@ -191,7 +192,7 @@ def test_one_divergence_entry(monkeypatch):
                           for k in range(4)])
         states, entropies = cqcap.qinfo._channel_states(stack, batch=True)
         p = np.full((4, 3), 1.0 / 3.0)
-        for call in (lambda: cqcap.qinfo._certificates(p, np.log(p), states, entropies),
+        for call in (lambda: cqcap.qinfo._certificates(p, np.log(p), states, -entropies[..., None]),
                      lambda: cqcap.qinfo.relative_entropy(states[0, 0], states[0, 1])):
             calls.clear()
             call()
@@ -218,7 +219,7 @@ def test_one_support_rule(monkeypatch):
         states[0, 0, 0, 0], states[0, 0, 1, 1], states[0, 1, 0, 0] = 1.0 - eps, eps, 1.0
         states, entropies = cqcap.qinfo._channel_states(states, batch=True)
         p = np.full((1, 2), 0.5)
-        for call in (lambda: cqcap.qinfo._certificates(p, np.log(p), states, entropies),
+        for call in (lambda: cqcap.qinfo._certificates(p, np.log(p), states, -entropies[..., None]),
                      lambda: cqcap.qinfo.relative_entropy(states[0, 0], states[0, 1])):
             calls.clear()
             masses.clear()
