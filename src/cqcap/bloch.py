@@ -91,7 +91,7 @@ class SweepGrid:
 class SweepCell:
     lambda1: float
     lambda2: float
-    error_bits: float     # max over theta of |chi(p1_hat) - solver reference|
+    error_bits: float     # max |chi(p1_hat) - reference| over converged thetas, 0.0 if none
     ba_converged: bool    # False flags a cell where some reference run failed
     # a lambda1 > lambda2 cell reports the counts of its mirror (lambda2, lambda1)
     iterations: int       # total over the cell's reference solves
@@ -300,11 +300,12 @@ def exact_p1(ch: BinaryBlochChannel) -> float:
 def _refined_p1(lambda1, lambda2, theta, p1):
     """p1 moved by 4 secant steps on the closed form's gradient, from p1 and
     p1 -/+ 1e-3 (towards 1/2), towards the maximizer of holevo_bloch: arrays
-    of one shape in, one out. A step is kept only where it is finite and
-    inside [1/e, 1 - 1/e], the window of every optimum (approx_p1); elsewhere
-    the previous value stays, so an input inside the window stays in it.
-    Where cos theta rounds to 1, p1 (approx_p1's exact maximizer) stays: the
-    float64 gradient cancels there as the lambdas meet."""
+    that broadcast to p1's shape in, that shape out. A step is kept only
+    where it is finite and inside [1/e, 1 - 1/e], the window of every
+    optimum (approx_p1); elsewhere the previous value stays, so an input
+    inside the window stays in it. Where cos theta rounds to 1, p1
+    (approx_p1's exact maximizer) stays: the float64 gradient cancels there
+    as the lambdas meet."""
     low, high = math.exp(-1.0), 1.0 - math.exp(-1.0)
     gradient = _gradient_in_p1(lambda1, lambda2, theta)
     x0, x1 = p1 - np.copysign(1e-3, p1 - 0.5), p1
@@ -321,56 +322,54 @@ def _refined_p1(lambda1, lambda2, theta, p1):
 def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     """Approximation error over the (lambda1, lambda2) grid.
 
-    Each cell's error is the max over the theta grid of the absolute gap,
-    in bits, between the Holevo value at the closed-form p1 and the
-    iterative solver's converged value. Cells come back sorted
+    Each cell's error is the max, over the thetas whose reference converged,
+    of the absolute gap in bits between the Holevo value at the closed-form
+    p1 and the iterative solver's converged value. Cells come back sorted
     lexicographically by (lambda1, lambda2); a failed reference run flags
-    the cell instead of aborting the sweep. The rows (lambda1, lambda2, theta)
-    are arrays. Only the rows with lambda1 <= lambda2 are solved,
-    `batch_size(2, 2)` at a time with the solver loop's plain update, each
-    from [p1, 1 - p1]: the cell's closed-form p1_hat moved by
-    `_refined_p1` to the maximizer of the closed form chi at its theta, from
-    where the certificate gap closes in one update. Swapping the lambdas
-    relabels the letters and rotates both states, which leaves the capacity
-    unchanged, so a lambda1 > lambda2 cell takes `lower`, `iterations` and
-    `converged` at each theta from its mirror (lambda2, lambda1). Every row
-    is then scored in one array expression against its own closed form, chi
-    at its own p1_hat. The certificates hold at every iterate, so a
-    reference stays within reference_gap_tol of the capacity whatever its
-    start, but it equals a solo solve only from the same start, not from
-    `solve`'s uniform one. A cell's `iterations` and `max_iterations` count
-    the updates of its reference solves. The states of a checked grid go
-    unvalidated to the solver loop `_solve_stacked`, with the entropies of
-    their spectra {lambda_i, 1 - lambda_i}, and no report is built per row.
+    the cell instead of aborting the sweep. The grid is held as its axes
+    lambda1, lambda2 and theta, which broadcast: p1_hat is taken per cell,
+    the scores' h(lambda) and the state entropies per lambda value. Only
+    the cells lambda1 <= lambda2 are solved, `batch_size(2, 2)` rows at a
+    time with the solver loop's plain update, each from [p1, 1 - p1]: p1_hat
+    moved by `_refined_p1` to the maximizer of the closed form chi at its
+    theta, where the certificate gap closes in one update. Swapping the
+    lambdas relabels the letters and rotates both states, which leaves the
+    capacity unchanged, so a solved row's `lower`, `iterations` and
+    `converged` are written at its cell and at the mirror (lambda2, lambda1).
+    The certificates hold at every iterate, so a reference stays within
+    reference_gap_tol of the capacity whatever its start, but it equals a
+    solo solve only from the same start, not from `solve`'s uniform one.
+    `iterations` and `max_iterations` count the updates of a cell's
+    reference solves. The states of a checked grid go unvalidated to the
+    solver loop `_solve_stacked`, with the entropies of their spectra
+    {lambda_i, 1 - lambda_i}, and no report is built per row.
     """
     lams, thetas = np.array(grid.lambda_values()), np.array(grid.theta_values())
     cfg = SolverConfig(gap_tol=grid.reference_gap_tol)
-    cells = (np.repeat(lams, len(lams)), np.tile(lams, len(lams)))
-    p_hat = approx_p1(*cells)
-    # one row per (cell, theta), the cell's thetas in a run
-    l1, l2, p1 = (np.repeat(v, len(thetas)) for v in (*cells, p_hat))
-    theta = np.tile(thetas, len(p_hat))
-    lower, iters, ok = (np.empty(len(p1), dtype=kind) for kind in (float, int, bool))
-    upper = np.triu(np.ones((len(lams), len(lams)), dtype=bool))   # lambda1 <= lambda2
-    solved = np.flatnonzero(np.repeat(upper.ravel(), len(thetas)))
-    start = _refined_p1(l1[solved], l2[solved], theta[solved], p1[solved])
-    # H(rho_i) from the spectra {lambda_i, 1 - lambda_i}, in validation's form
-    lam = np.stack([l1[solved], l2[solved]], axis=1)
-    entropies = _entropy_from_eigs(*_log_eigs(np.stack([lam, 1.0 - lam], axis=2)))
+    l1, l2 = lams[:, None, None], lams[None, :, None]
+    p_hat = approx_p1(l1, l2)
+    i, j = np.triu_indices(len(lams))   # the solved cells lambda1 <= lambda2, row-major
+    start = _refined_p1(lams[i, None], lams[j, None], thetas,
+                        np.repeat(p_hat[i, j], len(thetas), axis=1))
+    # H(rho) of the spectrum {lambda, 1 - lambda}, in validation's form
+    h = _entropy_from_eigs(*_log_eigs(np.stack([lams, 1.0 - lams], axis=1)))
+    refs = [np.empty(start.size, dtype=kind) for kind in (float, int, bool)]
     size = batch_size(2, 2)
-    for first in range(0, len(solved), size):
-        part, w = solved[first:first + size], start[first:first + size]
-        rows = _solve_stacked(_bloch_states(l1[part], l2[part], theta[part]),
-                              entropies[first:first + size], cfg, np.stack([w, 1.0 - w], axis=1))
-        lower[part], iters[part], ok[part] = rows.lower, rows.iterations, rows.converged
-    for v in (lower, iters, ok):   # a lambda1 > lambda2 cell from its mirror
-        square = v.reshape(len(lams), len(lams), len(thetas))
-        square[~upper] = square.transpose(1, 0, 2)[~upper]
-    err = np.abs(_holevo_bits(l1, l2, theta, p1) - lower / LN2)
-    err, iters, ok = (v.reshape(len(p_hat), len(thetas)) for v in (err, iters, ok))
-    return [SweepCell(*cell) for cell in zip(
-        *(c.tolist() for c in cells), err.max(1, initial=0.0, where=ok).tolist(),
-        ok.all(1).tolist(), iters.sum(1).tolist(), iters.max(1).tolist())]
+    for first in range(0, start.size, size):
+        part = slice(first, first + size)
+        k, t = np.divmod(np.arange(first, min(first + size, start.size)), len(thetas))
+        a, b, w = i[k], j[k], start.ravel()[part]
+        rows = _solve_stacked(_bloch_states(lams[a], lams[b], thetas[t]),
+                              np.stack([h[a], h[b]], axis=1), cfg, np.stack([w, 1.0 - w], axis=1))
+        for v, r in zip(refs, (rows.lower, rows.iterations, rows.converged)):
+            v[part] = r
+    lower, iters, ok = (np.empty(p_hat.shape[:2] + thetas.shape, dtype=v.dtype) for v in refs)
+    for v, r in zip((lower, iters, ok), refs):   # each solved cell and its mirror
+        v[i, j] = v[j, i] = r.reshape(start.shape)
+    err = np.abs(_holevo_bits(l1, l2, thetas, p_hat) - lower / LN2)
+    return [SweepCell(*cell) for cell in zip(*(v.ravel().tolist() for v in (
+        *np.broadcast_arrays(l1, l2), err.max(2, initial=0.0, where=ok),
+        ok.all(2), iters.sum(2), iters.max(2))))]
 
 
 def max_error_by_range(cells: list[SweepCell], r_values) -> list[tuple[float, float]]:

@@ -366,6 +366,20 @@ class TestRefinedP1:
             got = cqcap.bloch._refined_p1(l1, l2, np.full(len(l1), theta), p1)
             assert got.tobytes() == p1.tobytes(), theta
 
+    def test_broadcast_axes_give_the_bytes_of_repeated_rows(self):
+        # error_sweep passes (K, 1) lambdas, the (T,) thetas and p1 (K, T);
+        # every entry keeps the bits of the call on the repeated rows
+        rng = np.random.default_rng(36)
+        l1, l2 = rng.uniform(0.5, 1.0, (2, 30, 1))
+        l1[:3, 0] = l2[:3, 0]   # equal lambdas, where p1 = 1/2 stays
+        thetas = np.array([0.0, 0.4, 1.7, 2.9, math.pi])
+        p1 = np.repeat(approx_p1(l1, l2), len(thetas), axis=1)
+        got = cqcap.bloch._refined_p1(l1, l2, thetas, p1)
+        assert got.shape == (30, 5)
+        rows = cqcap.bloch._refined_p1(np.repeat(l1, 5), np.repeat(l2, 5),
+                                       np.tile(thetas, 30), p1.ravel())
+        assert got.tobytes() == rows.tobytes()
+
 
 class TestErrorSweep:
     def test_theta_zero_grid_errors_within_reference_gap(self):

@@ -7,7 +7,7 @@ one more keeps the names and parameters README "Removed names" lists out of
 the package (`SolverConfig.step`, `solve_batch`'s `start`,
 `validate_distribution`'s `rows`, `positive` and `name`). A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Fifteen more guards keep file output in
+(`# noqa: F401`) listed in WRAPPED. Sixteen more guards keep file output in
 the CLI, the rule for a scalar parameter in `solver.py`, every certificate
 evaluation in `qinfo._certificates`, one call site of it in the solver
 loop, every divergence in `qinfo._divergences`, the support rule in
@@ -15,13 +15,14 @@ loop, every divergence in `qinfo._divergences`, the support rule in
 LAPACK, `qinfo._qubit_spectra` without an option, every Bloch norm in
 `bloch._mixture_norm_sq`, one search in `bloch.exact_p1`, the sweep's
 per-solve work in arrays, the sweep's states out of validation, the secant
-loop's lambda terms computed once and the harnesses' solver results in
-arrays."""
+loop's lambda terms computed once, the sweep's lambda terms once per lambda
+value and the harnesses' solver results in arrays."""
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -316,6 +317,25 @@ def test_the_secant_loop_computes_its_lambda_terms_once(monkeypatch):
     calls.clear()
     cqcap.bloch._refined_p1(l1, l2, theta, p1)
     assert len(calls) == 2
+
+
+def test_the_sweep_takes_its_lambda_terms_once_per_lambda_value(monkeypatch):
+    # error_sweep works on the axes of its grid: the state entropies come from
+    # the L spectra {lambda, 1 - lambda}, and only the mixture's binary entropy
+    # h(1/2 + |p1 r1 + (1-p1) r2|) is taken on all L^2 T rows (lambda1,
+    # lambda2, theta)
+    sizes = {"binary_entropy": [], "_entropy_from_eigs": []}
+    real_h, real_s = cqcap.bloch.binary_entropy, cqcap.bloch._entropy_from_eigs
+    monkeypatch.setattr(cqcap.bloch, "binary_entropy",
+                        lambda x: sizes["binary_entropy"].append(np.size(x)) or real_h(x))
+    monkeypatch.setattr(cqcap.bloch, "_entropy_from_eigs",
+                        lambda u, ln_u: sizes["_entropy_from_eigs"].append(
+                            u.size // u.shape[-1]) or real_s(u, ln_u))
+    grid = cqcap.bloch.SweepGrid(lambda_step=0.05, theta_step=math.pi / 10)
+    lams, thetas = len(grid.lambda_values()), len(grid.theta_values())
+    assert (lams, thetas) == (11, 11) and len(cqcap.bloch.error_sweep(grid)) == 121
+    assert sizes["_entropy_from_eigs"] and max(sizes["_entropy_from_eigs"]) <= lams
+    assert [n for n in sizes["binary_entropy"] if n > 2 * lams ** 2] == [lams ** 2 * thetas]
 
 
 def test_the_harnesses_build_no_report_per_row(monkeypatch):
