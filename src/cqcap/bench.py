@@ -4,9 +4,9 @@ seeded ensembles of classical-quantum channels.
 States are drawn from the Ginibre construction G G^H / Tr(G G^H), which is
 full-rank with probability one. Every trial owns a counter-based RNG
 stream derived from (seed, n, m, accuracy index, trial index), so cells
-and trials are reproducible individually. A cell's trials are solved
-together, as arrays from the loop of `solve_batch`, and each trial's count
-is the one `solve` gives for its channel alone.
+and trials are reproducible individually. A cell's trials are validated
+and solved together, as arrays from the loop of `solve_batch`, and each
+trial's count is the one `solve` gives for its channel alone.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from itertools import product
 
 import numpy as np
 
-from .qinfo import CqChannel
+from .qinfo import CqChannel, _channel_states
 from .solver import (SolverConfig, _require_gap_tol, _require_integer,
-                     _require_positive_finite, _solve_rows, batch_size)
+                     _require_positive_finite, _solve_stacked, batch_size)
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 
@@ -103,7 +103,7 @@ def run_bench(spec: BenchSpec) -> list[BenchResult]:
     """Aggregate iteration counts per (n, m, accuracy) cell.
 
     Returns a list of BenchResult in cell order. Each cell's trials are
-    stacked and solved with the loop of `solve_batch`, `batch_size(n, m)`
+    stacked, validated and solved as in `solve_batch`, `batch_size(n, m)`
     trials per call, under the budget ceil(ln(n)/accuracy) + 1, and read as
     arrays. Averages are exact (integer sums).
     """
@@ -114,9 +114,9 @@ def run_bench(spec: BenchSpec) -> list[BenchResult]:
                            max_iters=int(math.ceil(iteration_budget(n, acc))) + 1)
         counts, failed, size = [], 0, batch_size(n, m)
         for start in range(0, spec.trials, size):
-            rows = _solve_rows(np.stack([
+            rows = _solve_stacked(*_channel_states(np.stack([
                 _ginibre_states(n, m, trial_rng(spec.seed, n, m, ai, trial))
-                for trial in range(start, min(start + size, spec.trials))]), cfg)
+                for trial in range(start, min(start + size, spec.trials))]), batch=True), cfg)
             counts += rows.iterations.tolist()
             failed += int(np.count_nonzero(~rows.converged))
         results.append(BenchResult(n=n, m=m, accuracy=acc,

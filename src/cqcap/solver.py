@@ -12,8 +12,8 @@ two certificates pinch to gap_tol.
 `solve_batch` runs the iteration for a (B, n, m, m) stack of channels in
 lockstep from the uniform distribution; `solve` is its one-channel case.
 Both build their reports from the arrays of the loop `_solve_stacked`,
-`solve_batch` through the checks of `_solve_rows`; the benchmark calls
-`_solve_rows`, the sweep the loop from its refined closed-form inputs.
+`solve_batch` after the checks of `_channel_states`; the benchmark makes
+the same two calls, the sweep calls the loop from its refined inputs.
 """
 
 from __future__ import annotations
@@ -168,13 +168,7 @@ def solve_batch(states, cfg: SolverConfig | None = None) -> list[SolveReport]:
     updates, one certificate evaluation each. Report k equals, bit for bit,
     `solve(CqChannel(states[k]), cfg)`.
     """
-    return _reports(_solve_rows(states, cfg or SolverConfig()))
-
-
-def _solve_rows(states, cfg: SolverConfig) -> _Rows:
-    """solve_batch's checks and loop, its results as arrays: the benchmark
-    reads them without building a report per channel."""
-    return _solve_stacked(*_channel_states(states, batch=True), cfg)
+    return _reports(_solve_stacked(*_channel_states(states, batch=True), cfg or SolverConfig()))
 
 
 def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:

@@ -176,6 +176,22 @@ def test_06_approximation_error_bound(coarse_sweep_cells):
          "about R = 0.9423, and at R = 0.94 (see test_06b).")
 
 
+def test_06_excess_is_certified():
+    # test_06's excess is the closed form's, not the solver's: `lower` is the
+    # Holevo information of the input p_star, so C >= lower, and at the cell
+    # (0.95, 0.85, theta = pi) lower alone exceeds chi(p_hat) by over 3e-4 bits
+    ch = BinaryBlochChannel(0.95, 0.85, math.pi)
+    channel = realize_channel(ch)
+    report = solve(channel, SolverConfig(gap_tol=1e-12))
+    assert report.converged
+    assert holevo_information(report.p_star, channel) == report.lower
+    shortfall = report.lower / LN2 - holevo_bloch(ch, approx_p1(0.95, 0.85))
+    ok = shortfall > 3e-4
+    assert _report("06 excess certified at (0.95, 0.85, pi)", ok,
+                   f"C - chi(p_hat) >= {shortfall:.6e} bits after {report.iterations} "
+                   "iterations"), shortfall
+
+
 def test_06b_approximation_error_bound_interior(coarse_sweep_cells):
     # Strict-interior form: cells capped at 0.94 (0.90 on this coarse grid),
     # plus a fine 0.01-step window around the binding corner at full theta

@@ -308,7 +308,7 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
     import cqcap.bench
     import cqcap.bloch
     calls = []
-    for module, name in ((cqcap.bloch, "_solve_stacked"), (cqcap.bench, "_solve_rows")):
+    for module, name in ((cqcap.bloch, "_solve_stacked"), (cqcap.bench, "_solve_stacked")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real, module=module, **k:
                             calls.append(module.__name__) or real(*a, **k))

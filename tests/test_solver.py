@@ -14,7 +14,7 @@ from cqcap.bloch import (BinaryBlochChannel, SweepGrid, approx_p1, error_sweep,
 from cqcap.qinfo import (SUPPORT_TOL, CqChannel, _certificates, _channel_states,
                          _entropy_from_eigs, _log_eigs, holevo_information)
 from cqcap.solver import (GAP_TOL_FLOOR, STOP_REASONS, SolveReport, SolverConfig,
-                          _reports, _solve_rows, _solve_stacked, batch_size,
+                          _reports, _solve_stacked, batch_size,
                           optimality_kkt_check, solve, solve_batch, upper_bound)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -208,6 +208,16 @@ class TestSolve:
             capacity = float((1 - mpmath.mpf(eps)) * mpmath.log(2))
         assert report.lower <= capacity + 1e-13
         assert report.upper >= capacity - 1e-13
+
+    def test_plateau_near_support_tol_is_reported_not_raised(self):
+        # each update moves p by about 1e-10, so the gap holds near 2.3e-11
+        # nats: a smaller gap_tol runs to max_iters, and the enclosure of
+        # C = 5.51819e-11 nats still holds (README "Numerical rules")
+        report = solve(support_boundary_channel(), SolverConfig(gap_tol=1e-11, max_iters=200))
+        assert (report.stop_reason, report.converged, report.iterations) == \
+            ("max_iters", False, 200)
+        assert report.upper - report.lower == pytest.approx(2.3014e-11, rel=1e-4)
+        assert report.lower <= 5.51819e-11 <= report.upper
 
     def test_weights_fall_below_the_float64_range_without_warnings(self):
         # the loop carries ln p, so a decaying weight is not pinned at the
@@ -423,7 +433,7 @@ class TestSolveBatch:
                            _ginibre_states(2, 2, trial_rng(4, 2, 2, 0, 1)),
                            boundary]).astype(complex)
         cfg = SolverConfig(gap_tol=1e-6, max_iters=100)
-        rows = _solve_rows(states, cfg)
+        rows = _solve_stacked(*_channel_states(states, batch=True), cfg)
         reports = solve_batch(states, cfg)
         assert [r.stop_reason for r in reports] == ["gap", "max_iters", "gap", "gap"]
         assert [r.iterations for r in reports] == [1, 100, 18, 1]
@@ -473,7 +483,7 @@ class TestSolveBatch:
         monkeypatch.setattr(cqcap.solver, "BATCH_BYTES", 640)
         calls = []
         # the sweep calls the loop on the states it builds, the bench validates first
-        for module, name in ((cqcap.bloch, "_solve_stacked"), (cqcap.bench, "_solve_rows")):
+        for module, name in ((cqcap.bloch, "_solve_stacked"), (cqcap.bench, "_solve_stacked")):
             monkeypatch.setattr(module, name,
                                 lambda states, *args, real=getattr(cqcap.solver, name), **kw:
                                 calls.append(len(states)) or real(states, *args, **kw))

@@ -7,16 +7,17 @@ one more keeps the names and parameters README "Removed names" lists out of
 the package (`SolverConfig.step`, `solve_batch`'s `start`,
 `validate_distribution`'s `rows`, `positive` and `name`). A
 guard keeps each import that the package holds only for the trace to rebind
-(`# noqa: F401`) listed in WRAPPED. Sixteen more guards keep file output in
+(`# noqa: F401`) listed in WRAPPED. Seventeen more guards keep file output in
 the CLI, the rule for a scalar parameter in `solver.py`, every certificate
 evaluation in `qinfo._certificates`, one call site of it in the solver
 loop, every divergence in `qinfo._divergences`, the support rule in
 `qinfo._support_rule`, the solver's two stop reasons, every m = 2 path off
 LAPACK, `qinfo._qubit_spectra` without an option, every Bloch norm in
 `bloch._mixture_norm_sq`, one search in `bloch.exact_p1`, the sweep's
-per-solve work in arrays, the sweep's states out of validation, the secant
-loop's lambda terms computed once, the sweep's lambda terms once per lambda
-value and the harnesses' solver results in arrays."""
+per-solve work in arrays, the sweep's states out of validation, one
+validation per stack the bench solves, the secant loop's lambda terms
+computed once, the sweep's lambda terms once per lambda value and the
+harnesses' solver results in arrays."""
 
 import dataclasses
 import importlib
@@ -109,7 +110,7 @@ REMOVED = (
     ("cqcap.bloch", "write_sweep_csv"), ("cqcap.bloch", "write_range_csv"),
     ("cqcap.bench", "write_bench_csv"), ("cqcap.bench", "format_bench_table"),
     ("cqcap.bloch", "_INV_PHI"), ("cqcap", "hermitian"), ("cqcap.solver", "log"),
-    ("cqcap.solver", "_log_normalize"),
+    ("cqcap.solver", "_log_normalize"), ("cqcap.solver", "_solve_rows"),
 )
 
 
@@ -304,6 +305,27 @@ def test_the_sweep_validates_no_state_it_builds(monkeypatch):
     # the patches see solve_batch's validation
     cqcap.solver.solve_batch(states)
     assert calls == ["_channel_states", "_density_spectra"]
+
+
+def test_the_bench_validates_each_stack_once(monkeypatch):
+    # run_bench checks each stack of trials with qinfo._channel_states right
+    # before the one loop solver._solve_stacked, once per call, and builds no
+    # CqChannel per trial
+    calls, channels = [], []
+    for name in ("_channel_states", "_solve_stacked"):
+        monkeypatch.setattr(cqcap.bench, name, lambda *args, real=getattr(cqcap.bench, name),
+                            name=name, **kw: calls.append(name) or real(*args, **kw))
+    real_init = cqcap.qinfo.CqChannel.__post_init__
+    monkeypatch.setattr(cqcap.qinfo.CqChannel, "__post_init__",
+                        lambda self: channels.append(1) or real_init(self))
+    # 640 bytes hold 5 channels with n = m = 2 or 3 with n = 3, m = 2
+    monkeypatch.setattr(cqcap.solver, "BATCH_BYTES", 640)
+    results = cqcap.bench.run_bench(cqcap.bench.BenchSpec((2, 3), (2,), (1e-2,), trials=7))
+    assert len(results) == 2
+    assert calls == ["_channel_states", "_solve_stacked"] * 5
+    assert channels == []
+    random_channel(2, 2, trial_rng(0, 2, 2, 0, 0))
+    assert channels == [1]   # the hook sees a CqChannel built
 
 
 def test_the_secant_loop_computes_its_lambda_terms_once(monkeypatch):
