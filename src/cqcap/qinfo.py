@@ -1,5 +1,5 @@
 """Quantum-information primitives on density matrices: validation, the one
-eigensolver (LAPACK `eigh`, spectrum descending), von Neumann and relative
+eigensolver (LAPACK `eigh`, spectrum ascending), von Neumann and relative
 entropy, Holevo information, the solver's one certificate routine and
 channel containers. Validation and `_eigh` take a matrix or a stack
 (..., m, m). Entropies are in nats.
@@ -39,11 +39,11 @@ _DET_FACTORS = np.array([0, 4, 5, 6, 4, 5])
 
 
 def _eigh(a: np.ndarray):
-    """(eigenvalues desc, eigenvector columns) of a Hermitian matrix or
-    stack, read from its lower triangle and real diagonal as LAPACK does.
-    Callers validate first; LAPACK failures raise LinAlgError."""
-    w, v = np.linalg.eigh(a)
-    return w[..., ::-1], v[..., ::-1]
+    """(ascending eigenvalues, eigenvector columns) of a Hermitian matrix or
+    stack, C-contiguous as LAPACK gives them from the lower triangle and
+    real diagonal; no caller reads the order. Callers validate first; LAPACK
+    failures raise LinAlgError."""
+    return np.linalg.eigh(a)
 
 
 def _reject(name: str, defect, tol: float, message: str) -> None:
@@ -86,12 +86,12 @@ def validate_hermitian(a) -> np.ndarray:
 def _density_spectra(a, name: str):
     """Check a matrix or stack in the order finite, Hermitian, real diagonal,
     PSD, unit trace, each over every slice; return (Hermitian part
-    (A + A^H)/2 as a new array, its eigenvalues desc, basis) in the form
-    `_divergences` takes: one `_eigh` call over the stack and its
-    eigenvector columns for m > 2, `_qubit_spectra` and its split (..., 1)
-    for m = 2, with no LAPACK call. Every entry that already equals its
-    mirror's conjugate keeps its bits, so an exactly Hermitian A comes back
-    unchanged.
+    (A + A^H)/2 as a new array, its eigenvalues, basis) in the form
+    `_divergences` takes: one `_eigh` call over the stack, its ascending
+    eigenvalues and eigenvector columns for m > 2, `_qubit_spectra`'s
+    (w+, w-) and split (..., 1) for m = 2, with no LAPACK call. Every
+    entry that already equals its mirror's conjugate keeps its bits, so an
+    exactly Hermitian A comes back unchanged.
 
     For m = 2, w- is det/w+ for det = a e - |b|^2 from `_qubit_det` on the
     rows with b != 0 and |w-| < w+/16, where the difference form cancels,
@@ -197,8 +197,9 @@ class CqChannel:
 def _log_eigs(w):
     """(u, ln u) for a spectrum or stack w, where u is w with 1 in place of
     every eigenvalue at or below 0: the one log that the entropies and ln
-    sigma share. 1 ln 1 = +0.0 is the 0 ln 0 = 0 term, bit for bit."""
-    u = np.where(w > 0.0, w, 1.0)
+    sigma share. 1 ln 1 = +0.0 is the 0 ln 0 = 0 term, bit for bit. u is
+    w itself when every eigenvalue is positive; no caller writes to it."""
+    u = w if w.min() > 0.0 else np.where(w > 0.0, w, 1.0)
     return u, np.log(u)
 
 

@@ -20,14 +20,14 @@ class TestHermitianEigen:
 
     def test_diagonal(self):
         w, v = _eigh(validate_hermitian(np.diag([0.7, 0.3]).astype(complex)))
-        assert np.allclose(w, [0.7, 0.3], atol=1e-14)
-        # standard basis vectors up to phase
-        assert np.allclose(np.abs(v), np.eye(2), atol=1e-12)
+        assert np.allclose(w, [0.3, 0.7], atol=1e-14)
+        # standard basis vectors up to phase, |1> first for 0.3
+        assert np.allclose(np.abs(v), np.eye(2)[:, ::-1], atol=1e-12)
 
     def test_rank_one_projector(self):
         a = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         w, v = _eigh(validate_hermitian(a))
-        assert np.allclose(w, [1.0, 0.0], atol=1e-14)
+        assert np.allclose(w, [0.0, 1.0], atol=1e-14)
         assert np.allclose(np.abs(v[:, 0]), [1 / math.sqrt(2)] * 2, atol=1e-12)
         assert np.allclose(np.abs(v[:, 1]), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
@@ -49,12 +49,12 @@ class TestHermitianEigen:
             rec = np.linalg.norm(v @ np.diag(w) @ v.conj().T - a)
             assert rec <= 1e-11 * (1.0 + np.linalg.norm(a))
             assert np.abs(v.conj().T @ v - np.eye(m)).max() <= 1e-12
-            assert np.all(np.diff(w) <= 0)
+            assert np.all(np.diff(w) >= 0)
             if k in oracle:
                 with mpmath.workdps(30):
                     e = mpmath.eighe(mpmath.matrix(a.tolist()),
                                      eigvals_only=True)
-                ref = np.sort(np.array([float(x) for x in e]))[::-1]
+                ref = np.sort(np.array([float(x) for x in e]))
                 assert np.abs(w - ref).max() <= 1e-11 * (1.0 + np.abs(ref).max())
         # a stack gives every slice the bits of its own single-matrix call
         for m in {a.shape[0] for a in inputs}:
@@ -65,10 +65,17 @@ class TestHermitianEigen:
                 assert np.array_equal(w_k, w)
                 assert np.array_equal(v_k, v)
 
-    def test_descending_order(self):
+    def test_ascending_order(self):
+        # LAPACK's order and layout, kept: ascending and C-contiguous, for
+        # one matrix and for a stack
         rng = np.random.default_rng(5)
-        w, _ = _eigh(validate_hermitian(rand_hermitian(rng, 6)))
-        assert np.all(np.diff(w) <= 0)
+        w, v = _eigh(validate_hermitian(rand_hermitian(rng, 6)))
+        assert np.all(np.diff(w) >= 0)
+        assert w.flags.c_contiguous and v.flags.c_contiguous
+        stack = np.stack([rand_hermitian(rng, 6) for _ in range(3)])
+        w, v = _eigh(validate_hermitian(stack))
+        assert np.all(np.diff(w, axis=-1) >= 0)
+        assert w.flags.c_contiguous and v.flags.c_contiguous
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
