@@ -197,9 +197,8 @@ class CqChannel:
 def _log_eigs(w):
     """(u, ln u) for a spectrum or stack w, where u is w with 1 in place of
     every eigenvalue at or below 0: the one log that the entropies and ln
-    sigma share. 1 ln 1 = +0.0 is the 0 ln 0 = 0 term, bit for bit. u is
-    w itself when every eigenvalue is positive; no caller writes to it."""
-    u = w if w.min() > 0.0 else np.where(w > 0.0, w, 1.0)
+    sigma share. 1 ln 1 = +0.0 is the 0 ln 0 = 0 term, bit for bit."""
+    u = np.where(w > 0.0, w, 1.0)
     return u, np.log(u)
 
 
