@@ -109,7 +109,11 @@ def _axis(start: float, stop: float, step: float) -> list[float]:
 
 def binary_entropy(x):
     """-x log2 x - (1-x) log2(1-x), clamped against roundoff at the ends: 0.0
-    at and beyond 0 and 1, NaN for NaN. A float for a number, else an array."""
+    at and beyond 0 and 1, NaN for NaN. A float for a number, else an array.
+    x is a real number by the closed form's rule or an array-like of integer
+    or float dtype; anything else raises ValueError."""
+    if not _is_real(x) and np.asarray(x).dtype.kind not in "iuf":
+        raise ValueError(f"x must be a real number or an integer or float array, got {x!r}")
     x = np.asarray(x, dtype=float)
     end = (x <= 0.0) | (x >= 1.0)
     y = np.where(end, 0.5, x)   # keeps log2 off 0 and negatives

@@ -8,7 +8,7 @@ A spectrum is (w, basis): `_eigh`'s eigenvalues and eigenvector columns
 for m > 2, `_qubit_spectra`'s eigenvalues and split w+ - w- for m = 2, with
 no LAPACK call. Validation alone then takes w- = det/w+ where w- is small.
 Both `relative_entropy` and the certificates hand (sigma, w, basis) to
-`_divergences`, the one divergence entry. The branch depends on m alone.
+`_divergences`, the one divergence routine, which branches on m alone.
 
 Entropies and the log of an average state keep every positive eigenvalue
 (0 ln 0 = 0). `_support_rule` lifts an eigenvalue at or below SUPPORT_TOL to
@@ -234,28 +234,49 @@ def _support_rule(ln_p, w, ln_w, mass_of):
 
 def _divergences(states, neg_h, sigma, w, basis, ln_w, ln_p) -> np.ndarray:
     """D(rho_x || sigma_b) in nats for every slice rho_x = states[b, x], as a
-    (B, n) array: the one divergence entry, for every m.
+    (B, n) array: the one divergence routine, for every m.
 
     `states` is a (B, n, m, m) stack, `neg_h` holds -H(rho_x) as (B, n, 1)
-    or anything that broadcasts to it, sigma the (B, m, m) sigma_b, (w, basis)
-    their spectra as `_density_spectra` gives them, ln_w the log of w from
-    _log_eigs and ln_p (B, n) the letters' log-weights in sigma_b. m = 2 goes
-    to `_qubit_divergences`; m > 2 reads the (B, m, m) eigenvector columns,
-    not sigma. ln sigma keeps every positive eigenvalue, the cutoff of the
-    entropies, lifted by `_support_rule`, which puts the only +inf.
+    or anything that broadcasts to it, sigma the (B, m, m) sigma_b and
+    (w, basis) their spectra as `_density_spectra` gives them: basis holds
+    the eigenvector columns for m > 2, where sigma is not read, and the split
+    w+ - w- for m = 2. ln_w is the log of w from _log_eigs and ln_p (B, n)
+    the letters' log-weights in sigma_b. ln sigma keeps every positive
+    eigenvalue, the cutoff of the entropies, lifted by `_support_rule`,
+    which puts the only +inf.
+
+    For m = 2, sigma's eigenprojectors are P+ = (sigma - w- I)/(w+ - w-) and
+    P- = I - P+ (P+ = 0 where w+ = w-), and ln sigma = ln w+ P+ + ln w- P-.
+    They are formed entry by entry, so a diagonal sigma gets exact 0s and 1s
+    and keeps the LAPACK bits; Tr(rho_x P-) is the mass along the small
+    eigenvector that `_support_rule` reads. Every step is row-wise, so a
+    channel's bits do not depend on its batch.
     """
     b, n, m = states.shape[:3]
     if m == 2:
-        return _qubit_divergences(states, neg_h, sigma, w, basis, ln_w, ln_p)
-    ln_w, outside = _support_rule(ln_p, w, ln_w, lambda cut: np.einsum(
-        "bik,bxij,bjk->bxk", basis[cut].conj(), states[cut], basis[cut]).real)
-    # (ln sigma)^T = conj(V) diag(ln w) V^T, so that Tr(rho_x ln sigma) is the
-    # flat product of rho_x with it: one matmul per channel, which sums each
-    # row in the same order whatever B is, so a channel's bits do not depend
-    # on its batch (einsum("bxij,bji->bx") does not keep that)
-    log_sigma_t = (basis.conj() * ln_w[:, None, :]) @ basis.swapaxes(-1, -2)
-    trace = states.reshape(b, n, m * m) @ log_sigma_t.reshape(b, m * m, 1)
-    d = (neg_h - trace.real)[..., 0]
+        lo = w[:, 1:]
+        # each matrix as the 8 doubles of its complex128 view, Re and Im of
+        # the entries 00, 01, 10, 11; for Hermitian rho and H the dot of two
+        # such rows is Re Tr(rho H^H) = Tr(rho H), one matmul per channel
+        views = states.view(np.float64).reshape(b, n, 8)
+        # the split is floored only where sigma = w- I, which leaves P+ = 0
+        p_plus = sigma.view(np.float64).reshape(b, 8) - lo * _EYE2
+        p_plus /= basis
+        p_minus = _EYE2 - p_plus
+        ln_lo, outside = _support_rule(ln_p, lo, ln_w[:, 1:],
+                                       lambda cut: views[cut] @ p_minus[cut, :, None])
+        log_sigma = ln_w[:, :1] * p_plus + ln_lo * p_minus
+        trace = views @ log_sigma[:, :, None]
+    else:
+        ln_w, outside = _support_rule(ln_p, w, ln_w, lambda cut: np.einsum(
+            "bik,bxij,bjk->bxk", basis[cut].conj(), states[cut], basis[cut]).real)
+        # (ln sigma)^T = conj(V) diag(ln w) V^T, so that Tr(rho_x ln sigma) is
+        # the flat product of rho_x with it: one matmul per channel, which
+        # sums each row in the same order whatever B is, so a channel's bits
+        # do not depend on its batch (einsum("bxij,bji->bx") does not keep that)
+        log_sigma_t = (basis.conj() * ln_w[:, None, :]) @ basis.swapaxes(-1, -2)
+        trace = (states.reshape(b, n, m * m) @ log_sigma_t.reshape(b, m * m, 1)).real
+    d = (neg_h - trace)[..., 0]
     if outside is not None:
         d[outside] = math.inf
     return d
@@ -305,36 +326,6 @@ def _qubit_spectra(sigma):
     np.add(big, delta, out=w[:, 0])
     np.subtract(small, delta, out=w[:, 1])
     return w, np.maximum(r + r, _TINY)[:, None]
-
-
-def _qubit_divergences(states, neg_h, sigma, w, split, ln_w, ln_p) -> np.ndarray:
-    """_divergences for m = 2 in closed form, from sigma itself and its
-    spectrum (w, split) from _qubit_spectra instead of eigenvectors.
-
-    sigma's eigenprojectors are P+ = (sigma - w- I)/(w+ - w-) and
-    P- = I - P+ (P+ = 0 where w+ = w-), and ln sigma = ln w+ P+ + ln w- P-.
-    They are formed entry by entry, so a diagonal sigma gets exact 0s and 1s
-    and the bits of the LAPACK path. Tr(rho_x P-) is the mass of rho_x along
-    the small eigenvector that `_support_rule` reads. Every step is
-    row-wise, so a channel's bits do not depend on its batch.
-    """
-    b, n = states.shape[:2]
-    lo = w[:, 1:]
-    # each matrix as the 8 doubles of its complex128 view, Re and Im of the
-    # entries 00, 01, 10, 11; for Hermitian rho and H the dot of two such
-    # rows is Re Tr(rho H^H) = Tr(rho H), one matmul per channel
-    views = states.view(np.float64).reshape(b, n, 8)
-    # split is floored only where sigma = w- I, which leaves P+ = 0
-    p_plus = sigma.view(np.float64).reshape(b, 8) - lo * _EYE2
-    p_plus /= split
-    p_minus = _EYE2 - p_plus
-    ln_lo, outside = _support_rule(ln_p, lo, ln_w[:, 1:],
-                                   lambda cut: views[cut] @ p_minus[cut, :, None])
-    log_sigma = ln_w[:, :1] * p_plus + ln_lo * p_minus
-    d = (neg_h - views @ log_sigma[:, :, None])[..., 0]
-    if outside is not None:
-        d[outside] = math.inf
-    return d
 
 
 def _certificates(p: np.ndarray, ln_p: np.ndarray, states: np.ndarray, neg_h: np.ndarray):

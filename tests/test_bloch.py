@@ -654,3 +654,13 @@ def test_binary_entropy_endpoints():
     assert h.shape == xs.shape
     assert h.tobytes() == np.array([[binary_entropy(x) for x in row]
                                     for row in xs.tolist()]).tobytes()
+    # a real number or an integer or float array-like, by the closed form's
+    # rule: Fraction and mpf cast as floats, integers count, nothing else does
+    assert binary_entropy(Fraction(9, 10)) == binary_entropy(0.9)
+    assert binary_entropy(mpmath.mpf(0.9)) == binary_entropy(0.9)
+    assert binary_entropy(1) == 0.0
+    assert binary_entropy([0.9, 1]).tobytes() == binary_entropy(np.array([0.9, 1.0])).tobytes()
+    for bad in ("0.5", True, np.True_, None, 0.5 + 0j, np.complex128(0.5),
+                np.array([0.5 + 0j]), [True, False], ["0.5"], [Fraction(1, 2)]):
+        with pytest.raises(ValueError, match="^x must be"):
+            binary_entropy(bad)
