@@ -10,8 +10,9 @@ parameter square.
 
 The closed form broadcasts: `binary_entropy`, `approx_p1`, the states of
 `realize_channel` and the Holevo quantity take numbers or arrays, so the
-sweep builds and scores its whole grid as arrays. Holevo values in this
-module are in bits, matching the binary entropy.
+sweep builds and scores its whole grid as arrays; `binary_entropy` and
+`approx_p1` read their arguments by one rule, `_real_array`. Holevo values
+in this module are in bits, matching the binary entropy.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qinfo import LN2, CqChannel, _entropy_from_eigs, _log_eigs
-from .solver import (SolverConfig, _is_real, _require_gap_tol, _require_positive_finite,
-                     _solve_stacked, batch_size)
+from .solver import (SolverConfig, _as_float, _is_real, _require_gap_tol,
+                     _require_positive_finite, _solve_stacked, batch_size)
 from .solver import solve  # noqa: F401  (rebound by perfbench/tracing.py)
 
 # mpmath digits of exact_p1 and of approx_p1's near-equal branch; with lambdas
@@ -107,14 +108,22 @@ def _axis(start: float, stop: float, step: float) -> list[float]:
     return [min(start + i * step, stop) for i in range(_axis_count(start, stop, step))]
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    # the closed form's one input rule, as a float array: a real number by
+    # solver._is_real (+/-inf beyond the float range) or an array-like of
+    # integer or float dtype; anything else raises ValueError naming it
+    a = np.asarray(_as_float(value) if _is_real(value) else value)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number or an integer or float array, "
+                         f"got {value!r}")
+    return a.astype(float, copy=False)
+
+
 def binary_entropy(x):
     """-x log2 x - (1-x) log2(1-x), clamped against roundoff at the ends: 0.0
     at and beyond 0 and 1, NaN for NaN. A float for a number, else an array.
-    x is a real number by the closed form's rule or an array-like of integer
-    or float dtype; anything else raises ValueError."""
-    if not _is_real(x) and np.asarray(x).dtype.kind not in "iuf":
-        raise ValueError(f"x must be a real number or an integer or float array, got {x!r}")
-    x = np.asarray(x, dtype=float)
+    x is read by `_real_array`."""
+    x = _real_array("x", x)
     end = (x <= 0.0) | (x >= 1.0)
     y = np.where(end, 0.5, x)   # keeps log2 off 0 and negatives
     h = np.where(end, 0.0, -(y * np.log2(y) + (1.0 - y) * np.log2(1.0 - y)))
@@ -159,7 +168,9 @@ def _holevo_bits(lambda1, lambda2, theta, p1):
 def holevo_bloch(ch: BinaryBlochChannel, p1: float) -> float:
     """Closed-form Holevo quantity of the ensemble {p1: state1, 1-p1: state2},
     in bits. The mixture's larger eigenvalue is 1/2 + |p1 r1 + (1-p1) r2|,
-    with the vector norm evaluated by the law of cosines."""
+    with the vector norm evaluated by the law of cosines. p1 is a real number."""
+    if not _is_real(p1):
+        raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
     return float(_holevo_bits(ch.lambda1, ch.lambda2, ch.theta, p1))
 
 
@@ -193,15 +204,12 @@ def holevo_bloch_gradient(ch: BinaryBlochChannel, p1: float) -> float:
     binary entropy diverges and GradientBoundaryError is raised, unless the
     norm is stationary there (identical pure states, gradient 0).
     """
+    if not _is_real(p1):
+        raise ValueError(f"p1 must be in [0, 1], got {p1!r}")
     grad = float(_gradient_in_p1(ch.lambda1, ch.lambda2, ch.theta)(p1))
     if math.isnan(grad):
         raise GradientBoundaryError(f"pure mixture at p1={p1!r}: entropy slope diverges")
     return grad
-
-
-def _lambda_or_nan(value) -> float:
-    # a lambda BinaryBlochChannel accepts as a float, NaN for any other value
-    return float(value) if _is_real(value) and 0.5 <= value <= 1.0 else math.nan
 
 
 def approx_p1(lambda1, lambda2):
@@ -213,20 +221,17 @@ def approx_p1(lambda1, lambda2):
     _APPROX_P1_CUTOFF the same expression is evaluated at _EXACT_P1_DPS
     digits. The value stays inside [1/e, 1 - 1/e], where the optimum of
     every binary-input channel lies, so it needs no clamp to [0, 1]. Used
-    as an approximation for every theta. A float for numbers, else an array
-    of the broadcast shape whose entries equal the calls on each pair; a
-    lambda outside [0.5, 1] raises what the call on the first such pair
-    raises. An argument of any dtype but integer or float is read entry by
-    entry under BinaryBlochChannel's rule: a real number (Fraction,
-    mpmath.mpf) is cast to float, a boolean or string raises.
+    as an approximation for every theta. Each lambda is read by
+    `_real_array`, as binary_entropy reads x. A float for numbers, else an
+    array of the broadcast shape whose entries equal the calls on each
+    pair; a lambda outside [0.5, 1] raises what the call on the first such
+    pair raises, with the value as given.
     """
-    lam1, lam2 = np.broadcast_arrays(lambda1, lambda2)
-    lam = np.array([a if a.dtype.kind in "iuf" else
-                    np.reshape([_lambda_or_nan(v) for v in a.flat], a.shape)
-                    for a in (lam1, lam2)], dtype=float)
+    lam = np.array(np.broadcast_arrays(_real_array("lambda1", lambda1),
+                                       _real_array("lambda2", lambda2)))
     bad = np.flatnonzero(~((0.5 <= lam) & (lam <= 1.0)).all(axis=0))
     if len(bad):   # BinaryBlochChannel refuses every entry outside [0.5, 1] or NaN
-        BinaryBlochChannel(lam1.item(bad[0]), lam2.item(bad[0]), 0.0)
+        BinaryBlochChannel(*(a.item(bad[0]) for a in np.broadcast_arrays(lambda1, lambda2)), 0.0)
     (r1, r2), (h1, h2) = lam - 0.5, binary_entropy(lam)
     far = np.abs(r1 - r2) >= _APPROX_P1_CUTOFF
     span = np.where(far, r1 - r2, 1.0)

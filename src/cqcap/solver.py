@@ -50,9 +50,19 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _as_float(value) -> float:
+    """A real number as a float, +/-inf where it lies beyond the float range
+    (an int or Fraction that float() refuses with OverflowError)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _require_positive_finite(name: str, value: float) -> None:
-    """Reject a step or tolerance that is not real, is NaN, infinite or not above 0."""
-    if not (_is_real(value) and math.isfinite(value) and value > 0.0):
+    """Reject a step or tolerance that is not real or whose float is NaN,
+    infinite (beyond the float range too) or not above 0."""
+    if not (_is_real(value) and 0.0 < _as_float(value) < math.inf):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 

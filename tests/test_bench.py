@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -111,7 +112,8 @@ class TestRunBench:
             BenchSpec((1,), (2,), (1e-3,))
         with pytest.raises(ValueError):
             BenchSpec((2,), (1,), (1e-3,))
-        for bad in (0.0, math.nan, math.inf):
+        # past the float range by overflow or by rounding to 0.0, too
+        for bad in (0.0, math.nan, math.inf, 10**400, Fraction(1, 10**400)):
             with pytest.raises(ValueError, match="accuracy"):
                 BenchSpec((2,), (2,), (1e-3, bad))
         with pytest.raises(ValueError):
@@ -165,7 +167,8 @@ class TestIterationBudget:
         # an accuracy of 0 would divide by zero, a fractional n take a log
         for n, accuracy, field in ((2, 0, "accuracy"), (2, -1e-3, "accuracy"),
                                    (2, math.nan, "accuracy"), (2, True, "accuracy"),
-                                   (2, "1e-3", "accuracy"), (2.5, 1e-3, "n"),
+                                   (2, "1e-3", "accuracy"), (2, 10**400, "accuracy"),
+                                   (2, Fraction(1, 10**400), "accuracy"), (2.5, 1e-3, "n"),
                                    (0, 1e-3, "n"), (True, 1e-3, "n")):
             with pytest.raises(ValueError, match=rf"^{field} must be"):
                 iteration_budget(n, accuracy)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -135,6 +136,16 @@ class TestHolevoFormula:
                 with pytest.raises(ValueError, match="^p1 must be in"):
                     form(lam1, lam2, theta, bad)
 
+    def test_scalar_forms_refuse_arrays(self):
+        # holevo_bloch and its gradient return floats, so p1 is a real number:
+        # an array is refused by name, 0-d too, not left to NumPy's TypeError
+        ch = BinaryBlochChannel(0.8, 0.9, 0.4)
+        for bad in (np.array([0.4]), np.array(0.4), np.array([[0.4]])):
+            for form in (holevo_bloch, holevo_bloch_gradient):
+                with pytest.raises(ValueError, match=r"^p1 must be in \[0, 1\], got array"):
+                    form(ch, bad)
+        assert holevo_bloch(ch, np.float64(0.4)) == holevo_bloch(ch, 0.4)
+
     def test_matches_ensemble_computation(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
@@ -265,17 +276,24 @@ class TestApproxP1:
         assert got.shape == (2, 4) and got.tobytes() == np.array(want).tobytes()
         assert approx_p1(0.8, lam2).tobytes() == \
             np.array([[approx_p1(0.8, b) for b in row] for row in lam2.tolist()]).tobytes()
-        # real numbers that numpy keeps as objects count as their floats
+        # real numbers count as their floats; an object array of them is refused
         assert approx_p1(Fraction(9, 10), 0.7) == approx_p1(0.9, 0.7)
         assert approx_p1(mpmath.mpf(0.9), 0.7) == approx_p1(0.9, 0.7)
         mixed = np.array([[Fraction(4, 5), mpmath.mpf(0.5), 1, 0.7 + 1e-9],
                           [0.6, Fraction(93, 100), mpmath.mpf(0.5), 1.0]], dtype=object)
-        assert approx_p1(mixed, lam2).tobytes() == got.tobytes()
-        # a boolean or string lambda is refused, not cast to 1.0 or parsed,
-        # in an object array too
+        with pytest.raises(ValueError, match="^lambda1 must be a real number or"):
+            approx_p1(mixed, lam2)
+        # a lambda out of range or NaN raises what the first such call raises;
+        # a boolean, string or object lambda is refused by the same name
         for bad1, bad2 in (([0.8, 0.4], [0.7, 0.9]), ([0.8, 0.9], [0.7, 1.2]),
-                           ([0.8, math.nan], [0.7, 0.7]), ([0.6, 0.3], [1.5, 0.7]),
-                           (["0.9", "0.8"], [0.7, 0.9]), ([0.8, 0.9], [True, False]),
+                           ([0.8, math.nan], [0.7, 0.7]), ([0.6, 0.3], [1.5, 0.7])):
+            with pytest.raises(ValueError) as scalar:
+                for a, b in zip(bad1, bad2):
+                    approx_p1(a, b)
+            with pytest.raises(ValueError) as array:
+                approx_p1(np.array(bad1), np.array(bad2))
+            assert str(array.value) == str(scalar.value)
+        for bad1, bad2 in ((["0.9", "0.8"], [0.7, 0.9]), ([0.8, 0.9], [True, False]),
                            (np.array([0.8, True], dtype=object), [0.7, 0.9]),
                            (np.array([0.8, "0.9"], dtype=object), [0.7, 0.9]),
                            ([Fraction(4, 5), Fraction(2, 5)], [0.7, 0.9])):
@@ -284,7 +302,43 @@ class TestApproxP1:
                     approx_p1(a, b)
             with pytest.raises(ValueError) as array:
                 approx_p1(np.array(bad1), np.array(bad2))
-            assert str(array.value) == str(scalar.value)
+            assert str(array.value).split()[0] == str(scalar.value).split()[0]
+
+
+# approx_p1 and binary_entropy read their arguments by one rule
+REAL = (0.9, 1, np.int64(1), np.float32(0.9), np.longdouble(0.9), Fraction(9, 10),
+        mpmath.mpf(0.9), [0.9, 1], np.array([0.9, 1.0]), np.array([1, 1]))
+NOT_REAL = (np.array([Fraction(9, 10)], dtype=object), np.array([mpmath.mpf(0.9)], dtype=object),
+            np.array([True]), np.array(["0.9"]), [True], ["0.9"], "0.9", True, np.True_, None,
+            0.9 + 0j, np.complex128(0.9), np.array([0.9 + 0j]))
+
+
+@pytest.mark.parametrize("value, real", [(v, True) for v in REAL] + [(v, False) for v in NOT_REAL],
+                         ids=repr)
+def test_closed_form_reads_its_arguments_by_one_rule(value, real):
+    if real:   # as its floats, bit for bit
+        as_float = np.asarray(value, dtype=float)
+        assert np.asarray(binary_entropy(value)).tobytes() == \
+            np.asarray(binary_entropy(as_float)).tobytes()
+        assert np.asarray(approx_p1(value, 0.7)).tobytes() == \
+            np.asarray(approx_p1(as_float, 0.7)).tobytes()
+        return
+    with pytest.raises(ValueError, match="^x must be a real number or an integer or float array"):
+        binary_entropy(value)
+    for name, args in (("lambda1", (value, 0.7)), ("lambda2", (0.7, value))):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a real number or an integer or float array"):
+            approx_p1(*args)
+
+
+def test_closed_form_past_the_float_range():
+    # an int beyond the float range is +/-inf by the rule: beyond the ends of
+    # binary_entropy, outside approx_p1's domain, which names the value as given
+    assert binary_entropy(10**400) == 0.0 and binary_entropy(-10**400) == 0.0
+    for value in (10**400, -10**400, Fraction(2, 5)):
+        with pytest.raises(ValueError, match=rf"^lambda1 must be in \[0.5, 1\], "
+                                             rf"got {re.escape(repr(value))}$"):
+            approx_p1(value, 0.7)
 
 
 class TestExactP1:
@@ -520,6 +574,10 @@ class TestErrorSweep:
         for field in ("lambda_step", "theta_step"):
             with pytest.raises(ValueError, match=field):
                 SweepGrid(**{field: 1e-320})
+            # beyond the float range, or a positive Fraction that rounds to 0.0
+            for step in (10**400, Fraction(1, 10**400)):
+                with pytest.raises(ValueError, match=rf"^{field} must be finite and positive"):
+                    SweepGrid(**{field: step})
         # finite axes whose grid is too large to run are refused up front
         for field, step in (("lambda_step", 1e-300), ("theta_step", 1e-300),
                             ("lambda_step", 1e-4)):

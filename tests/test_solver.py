@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -252,6 +253,10 @@ class TestSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(gap_tol=0.0)
+        # checked as floats: beyond the float range, or rounding to 0.0
+        for gap in (10**400, Fraction(1, 10**400), -10**400):
+            with pytest.raises(ValueError, match=r"^gap_tol must be finite and positive"):
+                SolverConfig(gap_tol=gap)
         with pytest.raises(ValueError, match=r"^gap_tol must be at least GAP_TOL_FLOOR"):
             SolverConfig(gap_tol=math.nextafter(GAP_TOL_FLOOR, 0.0))
         assert SolverConfig(gap_tol=GAP_TOL_FLOOR).gap_tol == 1e-13

@@ -111,7 +111,7 @@ REMOVED = (
     ("cqcap.bench", "write_bench_csv"), ("cqcap.bench", "format_bench_table"),
     ("cqcap.bloch", "_INV_PHI"), ("cqcap", "hermitian"), ("cqcap.solver", "log"),
     ("cqcap.solver", "_log_normalize"), ("cqcap.solver", "_solve_rows"),
-    ("cqcap.qinfo", "_qubit_divergences"),
+    ("cqcap.qinfo", "_qubit_divergences"), ("cqcap.bloch", "_lambda_or_nan"),
 )
 
 
