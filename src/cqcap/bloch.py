@@ -59,6 +59,8 @@ class BinaryBlochChannel:
             raise ValueError(f"lambda2 must be in [0.5, 1], got {self.lambda2!r}")
         if not (_is_real(self.theta) and 0.0 <= self.theta <= math.pi):
             raise ValueError(f"theta must be in [0, pi], got {self.theta!r}")
+        for name in ("lambda1", "lambda2", "theta"):   # held as floats, checked as given
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ class SweepCell:
     lambda2: float
     error_bits: float     # max |chi(p1_hat) - reference| over converged thetas, 0.0 if none
     ba_converged: bool    # False flags a cell where some reference run failed
-    # a lambda1 > lambda2 cell reports the counts of its mirror (lambda2, lambda1)
+    # a lambda1 > lambda2 cell reports the counts of its mirror (lambda2, lambda1);
+    # 0 means every reference start already certified within the gap
     iterations: int       # total over the cell's reference solves
     max_iterations: int   # largest count among the cell's reference solves
 
@@ -285,7 +288,7 @@ def exact_p1(ch: BinaryBlochChannel) -> float:
     if ch.lambda1 == ch.lambda2:
         return 0.5
     from mpmath import iv, mp
-    args = (float(ch.lambda1), float(ch.lambda2), float(ch.theta))
+    args = (ch.lambda1, ch.lambda2, ch.theta)
     with mp.workdps(_EXACT_P1_DPS):
         def chi(x):
             return _holevo_mp(*args, x, mp)
@@ -342,7 +345,8 @@ def error_sweep(grid: SweepGrid) -> list[SweepCell]:
     the cells lambda1 <= lambda2 are solved, `batch_size(2, 2)` rows at a
     time with the solver loop's plain update, each from [p1, 1 - p1]: p1_hat
     moved by `_refined_p1` to the maximizer of the closed form chi at its
-    theta, where the certificate gap closes in one update. Swapping the
+    theta, where the certificate gap already closes, so a row stops at its
+    start with 0 updates unless its gap is still open there. Swapping the
     lambdas relabels the letters and rotates both states, which leaves the
     capacity unchanged, so a solved row's `lower`, `iterations` and
     `converged` are written at its cell and at the mirror (lambda2, lambda1).

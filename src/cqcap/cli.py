@@ -182,13 +182,14 @@ def _cmd_sweep(args) -> int:
     _require_writable(out, range_out)
     cells = error_sweep(grid)
     lams = grid.lambda_values()
-    ranges = max_error_by_range(cells, [lam for lam in lams if lam > 0.5])
+    # the CSV's squares, then lambda <= 0.95 and the full grid for the report
+    *ranges, (_, capped), (_, full) = max_error_by_range(
+        cells, [lam for lam in lams if lam > 0.5] + [min(0.95, lams[-1]), lams[-1]])
     _write_lines(out, ["lambda1,lambda2,error_bits"] + [
         f"{c.lambda1:.10g},{c.lambda2:.10g},{c.error_bits:.10g}" for c in cells])
     _write_lines(range_out, ["R,max_error_bits"] +
                  [f"{r:.10g},{err:.10g}" for r, err in ranges])
     flagged = sum(1 for c in cells if not c.ba_converged)
-    (_, capped), (_, full) = max_error_by_range(cells, [min(0.95, lams[-1]), lams[-1]])
     print(f"cells       : {len(cells)} ({len(lams)}^2 lambda grid, "
           f"{len(grid.theta_values())} theta values)")
     print(f"flagged     : {flagged}")

@@ -185,14 +185,16 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
     """The iteration loop of solve_batch and solve on states (B, n, m, m),
     validated or exact Hermitian unit-trace PSD stacks built by code
     (bloch._bloch_states), with the entropies (B, n) of their spectra, from
-    the uniform distribution or the sweep's refined inputs `start` (B, n),
-    every weight above 0; -H(rho_x) is formed once per solve. A row that
-    stops is written into the arrays it returns at its batch index, bit for
-    bit what it gives alone."""
+    the uniform distribution or the sweep's refined inputs `start`, a float
+    (B, n) array with every weight above 0; -H(rho_x) is formed once per
+    solve. From the uniform start every row takes at least one update; a
+    row given a start stops there with 0 iterations when its gap already
+    closes, p_star the start itself. A row that stops is written into the
+    arrays it returns at its batch index, bit for bit what it gives alone."""
     size, n = entropies.shape
-    # ln p of the iterate each row holds, every weight positive
+    # ln p and p of the iterate each row holds, every weight positive
     q = np.full((size, n), -math.log(n)) if start is None else np.log(start)
-    p = np.exp(q)
+    p = np.exp(q) if start is None else start
     neg_h = -entropies[:, :, None]
     rows = np.arange(size)        # batch index of each active row
     histories = [[] for _ in range(size)] if cfg.record_history else None
@@ -205,7 +207,9 @@ def _solve_stacked(states, entropies, cfg: SolverConfig, start=None) -> _Rows:
                 histories[b].append(IterateRecord(t, float(lower[k]), float(upper[k]),
                                                   p[k].copy()))
         gap = upper - lower
-        tol = cfg.gap_tol if t else -math.inf   # the gap counts from the first update on
+        # the uniform start's gap counts from the first update on, a given
+        # start's at once: the certificates hold at any p
+        tol = cfg.gap_tol if t or start is not None else -math.inf
         # A row stops when its gap closes or at max_iters; a NaN gap stops no
         # row. Every ln p of the loop is finite, so no letter's d is +inf.
         if t == cfg.max_iters or not gap.min() > tol:

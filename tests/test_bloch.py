@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cqcap.bloch
+import cqcap.solver
 from cqcap.bloch import (MAX_SWEEP_SOLVES, BinaryBlochChannel, GradientBoundaryError,
                          SweepGrid, approx_p1, binary_entropy, error_sweep,
                          exact_p1, holevo_bloch, holevo_bloch_gradient,
@@ -341,6 +342,20 @@ def test_closed_form_past_the_float_range():
             approx_p1(value, 0.7)
 
 
+def test_bloch_channel_holds_the_floats_of_its_fields():
+    # any real number is checked as given and held as its float, so the
+    # closed form gives the bits of the float channel
+    ch = BinaryBlochChannel(Fraction(9, 10), np.float32(0.75), mpmath.mpf(1))
+    assert [type(v) for v in (ch.lambda1, ch.lambda2, ch.theta)] == [float] * 3
+    assert ch == BinaryBlochChannel(0.9, 0.75, 1.0)
+    assert holevo_bloch(BinaryBlochChannel(0.9, 0.7, Fraction(1, 2)), 0.4) == \
+        holevo_bloch(BinaryBlochChannel(0.9, 0.7, 0.5), 0.4)
+    assert holevo_bloch_gradient(BinaryBlochChannel(0.9, 0.7, mpmath.mpf(1)), 0.4) == \
+        holevo_bloch_gradient(BinaryBlochChannel(0.9, 0.7, 1.0), 0.4)
+    with pytest.raises(ValueError, match=r"^theta must be in \[0, pi\], got Fraction\(4, 1\)$"):
+        BinaryBlochChannel(0.9, 0.7, Fraction(4))
+
+
 class TestExactP1:
     def test_symmetric(self):
         # equal lambdas make chi symmetric about 1/2, flat at theta = 0
@@ -467,14 +482,26 @@ class TestErrorSweep:
         for w, u in zip(warm, uniform):
             assert (w.lambda1, w.lambda2) == (u.lambda1, u.lambda2)
             assert abs(w.error_bits - u.error_bits) <= grid.reference_gap_tol / LN2
-        # uniform start: 123,663 iterations, at most 1076; refined start: one
-        # update per row (test_plain_counts_are_unchanged pins the unrefined
-        # closed-form start at 27,977 and 177)
+        # uniform start: 123,663 iterations, at most 1076; refined start: every
+        # row certifies at its start and takes no update
+        # (test_plain_counts_are_unchanged pins the unrefined closed-form start
+        # at 27,502 and 177)
         assert sum(c.iterations for c in warm) < sum(c.iterations for c in uniform) / 3
         assert max(c.max_iterations for c in warm) < \
             max(c.max_iterations for c in uniform) / 3
         assert (sum(c.iterations for c in warm), max(c.max_iterations for c in warm)) \
-            == (1331, 1)
+            == (0, 0)
+
+    def test_one_certificate_pass_per_solver_call(self, monkeypatch):
+        # the coarse grid's 726 solved rows fit one call of the loop, and each
+        # stops at its refined start: one certificate pass, no update
+        passes = []
+        real = cqcap.solver._certificates
+        monkeypatch.setattr(cqcap.solver, "_certificates",
+                            lambda p, *args: passes.append(len(p)) or real(p, *args))
+        error_sweep(SweepGrid(lambda_step=0.05, theta_step=math.pi / 10,
+                              reference_gap_tol=1e-6))
+        assert passes == [726]
 
     def test_mirrored_cells_match_solving_every_row(self, monkeypatch):
         # swapping the lambdas relabels the letters and rotates both states, so

@@ -47,24 +47,48 @@ def z_channel_scan_oracle():
 def step_from(ch, p, max_iters):
     """The solver loop on `ch` from the positive distribution p at the floor
     gap: history[t].p is the loop's t-th iterate from p, up to max_iters or
-    until the row's gap closes."""
+    until the row's gap closes, at p itself if it closes there."""
     cfg = SolverConfig(gap_tol=GAP_TOL_FLOOR, max_iters=max_iters, record_history=True)
     report, = _reports(_solve_stacked(ch.states[None], ch.entropies[None], cfg,
                                       np.asarray(p, dtype=float)[None]))
     return report
 
 
+def one_update(ch):
+    """The loop's first update of `ch` from the uniform start, [0.5, 0.5] at
+    n = 2, which takes it whatever its gap."""
+    cfg = SolverConfig(gap_tol=GAP_TOL_FLOOR, max_iters=1, record_history=True)
+    history = solve(ch, cfg).history
+    assert len(history) == 2
+    return history[1].p
+
+
 class TestBaStep:
     # the Blahut-Arimoto step the solver loop takes, read from its history
     def test_identical_states_fixed_point(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
-        ch = CqChannel(np.stack([rho, rho]))
-        out = step_from(ch, [0.5, 0.5], 1).history[1].p
+        out = one_update(CqChannel(np.stack([rho, rho])))
         assert np.allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_symmetric_fixed_point(self):
-        out = step_from(noiseless_bit(), [0.5, 0.5], 1).history[1].p
+        out = one_update(noiseless_bit())
         assert np.allclose(out, [0.5, 0.5], atol=1e-15)
+
+    def test_a_start_that_certifies_is_the_answer(self):
+        # the certificates hold at any p, so a row whose given start already
+        # closes its gap stops there: no update, p_star the start itself and
+        # the bounds of one certificate pass at it
+        ch = z_channel()
+        start = np.array([[0.6, 0.4]])
+        _, lower, upper = _certificates(start, np.log(start), ch.states[None],
+                                        -ch.entropies[None, :, None])
+        assert upper[0] - lower[0] <= 1e-6
+        report, = _reports(_solve_stacked(ch.states[None], ch.entropies[None],
+                                          SolverConfig(gap_tol=1e-6), start))
+        assert (report.iterations, report.converged, report.stop_reason) == (0, True, "gap")
+        assert report.p_star.tobytes() == start[0].tobytes()
+        assert np.float64([report.lower, report.upper]).tobytes() == \
+            np.float64([lower[0], upper[0]]).tobytes()
 
     def test_iterating_reaches_z_channel_optimum(self):
         _, p_opt = z_channel_scan_oracle()
@@ -364,7 +388,8 @@ class TestSolveBatch:
     @pytest.mark.parametrize("shape, gap", [((2, 2), 1e-6), ((3, 5), 1e-4),
                                             ((8, 8), 1e-3)])
     def test_rows_with_start_match_their_solo_calls(self, shape, gap):
-        # the sweep starts its rows at given inputs, in chunks of 4096
+        # the sweep starts its rows at given inputs, in chunks of 4096; every
+        # other row here starts at its converged input, where its gap closes
         if shape == (2, 2):
             states = stack(self.mixed_2x2())
         else:
@@ -374,12 +399,18 @@ class TestSolveBatch:
         w = np.random.default_rng(13).uniform(0.05, 1.0, states.shape[:2])
         start = w / w.sum(axis=1, keepdims=True)
         cfg = SolverConfig(gap_tol=gap, record_history=True)
+        start[::2] = _solve_stacked(states, entropies, cfg).p_star[::2]
+        _, lower, upper = _certificates(start, np.log(start), states, -entropies[:, :, None])
+        certified = (upper - lower <= gap).tolist()
+        assert all(certified[::2]) and not any(certified[1::2])
 
         def run(rows):
             return _reports(_solve_stacked(states[rows], entropies[rows], cfg, start[rows]))
         solo = [run(slice(k, k + 1))[0] for k in range(len(states))]
+        # a row stops at its start exactly when the start certifies
+        assert [r.iterations == 0 for r in solo] == certified
         for k, report in enumerate(solo):
-            assert np.allclose(report.history[0].p, start[k], rtol=1e-15, atol=0)
+            assert report.history[0].p.tobytes() == start[k].tobytes()
         solo = [_bits(r) for r in solo]
         for size in (1, 7, len(states)):
             batched = []
@@ -536,12 +567,13 @@ class TestCountPins:
         spec = BenchSpec((8,), (8,), (1e-5,), trials=40, seed=0)
         cell, = run_bench(spec)
         assert (cell.avg_iterations * 40, cell.max_iterations) == (10319, 1028)
-        # the sweep's references from the closed-form input itself
+        # the sweep's references from the closed-form input itself; a start
+        # that already certifies, as on the theta = 0 rows, counts 0
         monkeypatch.setattr(cqcap.bloch, "_refined_p1", lambda l1, l2, theta, p1: p1)
         cells = error_sweep(SweepGrid(lambda_step=0.05, theta_step=math.pi / 10,
                                       reference_gap_tol=1e-6))
         assert (sum(c.iterations for c in cells), max(c.max_iterations for c in cells)) \
-            == (27977, 177)
+            == (27502, 177)
 
 
 class TestKktCheck:
