@@ -6,7 +6,7 @@ channel containers. Validation and `_eigh` take a matrix or a stack
 
 A spectrum is (w, basis): `_eigh`'s eigenvalues and eigenvector columns
 for m > 2, `_qubit_spectra`'s eigenvalues and split w+ - w- for m = 2, with
-no LAPACK call. Validation alone then takes w- = det/w+ where w- is small.
+no LAPACK call. Validation alone then takes w- = det/w+ on coherent states.
 Both `relative_entropy` and the certificates hand (sigma, w, basis) to
 `_divergences`, the one divergence routine, which branches on m alone.
 
@@ -81,8 +81,8 @@ def validate_hermitian(a) -> np.ndarray:
     return _hermitian(a, "matrix")[0]
 
 
-# the closed-form spectrum also overflows on entries near the float64 limit
-@np.errstate(over="ignore", invalid="ignore")
+# the closed-form spectrum overflows near the float64 limit; det/w+ may divide by 0
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _density_spectra(a, name: str):
     """Check a matrix or stack in the order finite, Hermitian, real diagonal,
     PSD, unit trace, each over every slice; return (Hermitian part
@@ -93,24 +93,22 @@ def _density_spectra(a, name: str):
     entry that already equals its mirror's conjugate keeps its bits, so an
     exactly Hermitian A comes back unchanged.
 
-    For m = 2, w- is det/w+ for det = a e - |b|^2 from `_qubit_det` on the
-    rows with b != 0 and |w-| < w+/16, where the difference form cancels,
-    and wherever that quotient is finite. Against a 50-digit spectrum the
-    entropies then stay within 2.4e-16 nats on random pure states, where
-    LAPACK reaches 1.1e-14, and within 2.2e-16 on Ginibre states. A
-    diagonal matrix keeps its diagonal, and a row with w+ <= 0 keeps the
-    difference form, so that a non-state is rejected with the value that
-    LAPACK gave. The certificates keep the difference form: the step would
-    cost an m = 2 iteration at B = 1 about 12 % (26.6 -> 29.7 us)."""
+    For m = 2, one rule: w- is det/w+ for det = a e - |b|^2 from
+    `_qubit_det` wherever b != 0, w+ > 0 and the quotient is finite, so the
+    difference form, which cancels near a pure state, reaches no entropy.
+    Against a 50-digit spectrum the entropies then stay within 2.4e-16 nats
+    on random pure states, where LAPACK reaches 1.1e-14, and within 1.7e-16
+    on Ginibre states. A diagonal matrix keeps its diagonal, and a row with
+    w+ <= 0 the difference form, so that a non-state is rejected with the
+    value that LAPACK gave. The certificates keep the difference form: the
+    step would cost an m = 2 iteration at B = 1 about 12 % (26.6 -> 29.7 us)."""
     a, a_h = _hermitian(a, name)
     a = np.where(a == a_h, a, 0.5 * (a + a_h))
     if a.shape[-1] == 2:
         flat = a.reshape(-1, 2, 2)
         w, split = _qubit_spectra(flat)
-        near = np.flatnonzero((flat[:, 1, 0] != 0.0) & (16.0 * np.abs(w[:, 1]) < w[:, 0]))
-        if len(near):
-            lo = _qubit_det(flat[near]) / w[near, 0]
-            w[near, 1] = np.where(np.isfinite(lo), lo, w[near, 1])
+        lo = _qubit_det(flat) / w[:, 0]
+        w[:, 1] = np.where((flat[:, 1, 0] != 0.0) & (w[:, 0] > 0.0) & np.isfinite(lo), lo, w[:, 1])
         w, basis = w.reshape(a.shape[:-1]), split.reshape(a.shape[:-2] + (1,))
     else:
         w, basis = _eigh(a)
@@ -313,7 +311,7 @@ def _qubit_spectra(sigma):
     h = |a - e|/2, floored at the smallest normal double, as (B, 1).
     w+- = max(a, e) +- (hypot(h, |b|) - h), so that a diagonal matrix has
     its diagonal as its spectrum, bit for bit, as LAPACK gives it; only
-    validation then replaces a small w- (`_density_spectra`)."""
+    validation then takes w- = det/w+ (`_density_spectra`)."""
     a, e = sigma[:, 0, 0].real, sigma[:, 1, 1].real
     big, small = np.maximum(a, e), np.minimum(a, e)
     # 0.5 (big - small) bit for bit but on a subnormal diagonal, and finite

@@ -99,6 +99,8 @@ class SolverConfig:
     def __post_init__(self):
         _require_gap_tol("gap_tol", self.gap_tol)
         _require_integer("max_iters", self.max_iters, 1)
+        if not isinstance(self.record_history, (bool, np.bool_)):
+            raise ValueError(f"record_history must be True or False, got {self.record_history!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -351,7 +351,7 @@ def _qubit_state_families():
 
 @pytest.mark.parametrize("label", list(_qubit_state_families()))
 def test_qubit_entropies_match_a_50_digit_spectrum(label):
-    # measured on these states: within 1.1e-16, 2.2e-16 and 2.4e-16 nats of
+    # measured on these states: within 1.1e-16, 1.7e-16 and 2.4e-16 nats of
     # the oracle; LAPACK's spectrum reads 3.0e-16, 9.1e-16 and 1.1e-14
     import cqcap.qinfo as qinfo
     states, entropies = qinfo._channel_states(_qubit_state_families()[label], batch=False)
@@ -363,7 +363,9 @@ def test_qubit_entropies_match_a_50_digit_spectrum(label):
                 known[s.tobytes()] = float(-mpmath.fsum(
                     x * mpmath.log(x) for x in mpmath.eigh(rho, eigvals_only=True) if x > 0))
     want = np.array([known[s.tobytes()] for s in states])
-    assert np.abs(entropies - want).max() <= 2e-15
+    tol = {"2662 Bloch states": 1.2e-16, "400 Ginibre states": 2e-16,
+           "400 pure states": 2.4e-16}[label]
+    assert np.abs(entropies - want).max() <= tol
 
 
 def _ln(p):

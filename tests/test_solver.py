@@ -298,6 +298,15 @@ class TestSolve:
             with pytest.raises(ValueError, match=rf"^{field} must be"):
                 SolverConfig(**{field: value})
 
+    def test_config_refuses_a_record_history_that_is_not_a_boolean(self):
+        # "no" or 1 would otherwise record a history; a NumPy bool counts
+        for value in ("no", 1, 0, None, 1.0):
+            with pytest.raises(ValueError,
+                               match=rf"^record_history must be True or False, got {value!r}$"):
+                SolverConfig(record_history=value)
+        for value in (True, False, np.True_, np.False_):
+            assert SolverConfig(record_history=value).record_history is value
+
 
 def _bits(report):
     """Everything a report says, as comparable bytes."""
